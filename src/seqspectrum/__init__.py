@@ -18,13 +18,11 @@ from .linalg import (
     CMatrix,
     CVector,
     MAX_DIM,
-    SpectralNormInfo,
     hermitian_defect,
     mat_mul,
     mat_power_seq,
     mat_solve,
     operator_norm,
-    operator_norm_info,
     require_unitary,
     solve_vector,
 )

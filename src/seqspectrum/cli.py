@@ -14,6 +14,7 @@ envelopes that the sequence-consuming commands accept directly, so
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -58,7 +59,16 @@ from .serialize import (
 
 class _Parser(argparse.ArgumentParser):
     """argparse reserves exit status 2 for usage errors; this package
-    uses 1, so usage failures are rethrown as parse errors."""
+    uses 1, so usage failures are rethrown as parse errors.
+
+    Any argument that starts like a negative number is a value, so that
+    ``--theta -1,0`` works as well as ``--theta=-1,0``; argparse's own
+    pattern only admits plain negative numbers such as ``-1``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise ParseError(message)
@@ -325,9 +335,10 @@ def main(argv=None) -> int:
         return 0
     except SeqSpectrumError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
-        extra = getattr(exc, "blow_up_index", None)
-        if extra is not None:
-            payload["blow_up_index"] = extra
+        for name in ("blow_up_index", "payload"):
+            extra = getattr(exc, name, None)
+            if extra is not None:
+                payload[name] = to_jsonable(extra)
         sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
         return exit_code_for(exc)
 

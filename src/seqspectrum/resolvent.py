@@ -22,7 +22,6 @@ from .linalg import (
     CVector,
     _batched_spectral_norms,
     _solve_array,
-    _top_right_singular_vector,
     operator_norm,
     require_unitary,
 )
@@ -68,27 +67,26 @@ def resolvent_neumann(a: CMatrix, lam: complex, k_max: int) -> NeumannResult:
     lam = complex(lam)
     if lam == 0:
         raise PreconditionError("lambda must be nonzero")
-    term = np.eye(a.dim, dtype=np.complex128) / lam
-    acc = term.copy()
-    term_norms = [operator_norm(term)]
-    v = None
-    for _ in range(k_max):
-        term = a.data @ term / lam
-        norm, v = _top_right_singular_vector(term, 0, v)
-        term_norms.append(norm)
-        acc += term
-        if norm > 1e150:
-            raise DivergenceError(
-                f"series terms exceed 1e150 at |lambda| = {abs(lam):.6g}; "
-                "expansion point is inside the spectral radius"
-            )
+    terms = np.empty((k_max + 1, a.dim, a.dim), dtype=np.complex128)
+    terms[0] = np.eye(a.dim) / lam
+    for n in range(1, k_max + 1):
+        terms[n] = a.data @ terms[n - 1] / lam
+        # cheap overflow guard; the entry maximum never exceeds the norm
+        if np.max(np.abs(terms[n])) > 1e150:
+            break
+    term_norms = _batched_spectral_norms(terms[: n + 1])
+    if np.max(term_norms) > 1e150:
+        raise DivergenceError(
+            f"series terms exceed 1e150 at |lambda| = {abs(lam):.6g}; "
+            "expansion point is inside the spectral radius"
+        )
     tail = term_norms[-10:]
     if len(tail) == 10 and all(b >= a_ for a_, b in zip(tail, tail[1:])) and tail[-1] > 0:
         raise DivergenceError(
             "term norms are non-decreasing over the final 10 terms; "
             "|lambda| does not exceed the spectral radius"
         )
-    return NeumannResult(CMatrix(acc), term_norms[-1], k_max + 1)
+    return NeumannResult(CMatrix(terms.sum(axis=0)), float(term_norms[-1]), k_max + 1)
 
 
 def _unit_roots_table(nodes: int) -> np.ndarray:
@@ -155,17 +153,26 @@ class ResolventSample:
 
 
 def resolvent_norm_scan(a: CMatrix, grid: Sequence[complex]) -> list[ResolventSample]:
-    """Resolvent norm per grid point; spectral hits become flags, not errors."""
-    out = []
-    for lam in grid:
-        lam = complex(lam)
+    """Resolvent norm per grid point; spectral hits become flags, not errors.
+
+    The resolvents at non-singular points are stacked and normed in one
+    kernel call.
+    """
+    lams = [complex(lam) for lam in grid]
+    solved, stack = [], []
+    for i, lam in enumerate(lams):
         try:
-            norm = operator_norm(resolvent_direct(a, lam))
+            stack.append(resolvent_direct(a, lam).data)
         except SingularMatrixError:
-            out.append(ResolventSample(lam, 0.0, True))
             continue
-        out.append(ResolventSample(lam, norm, norm > SINGULAR_NORM_CUTOFF))
-    return out
+        solved.append(i)
+    norms = np.zeros(len(lams))
+    if stack:
+        norms[solved] = _batched_spectral_norms(np.stack(stack))
+    hit = np.ones(len(lams), dtype=bool)
+    hit[solved] = False
+    flags = hit | (norms > SINGULAR_NORM_CUTOFF)
+    return [ResolventSample(lam, float(n), bool(f)) for lam, n, f in zip(lams, norms, flags)]
 
 
 @dataclass(frozen=True)
@@ -247,9 +254,10 @@ def pole_order_probe(u: CMatrix, theta: complex, radii: Sequence[float]) -> Pole
             f"eigenvalue separation {min_sep:.3e} below twice the largest radius {max(radii):.3e}"
         )
     direction = complex(math.cos(_PROBE_ANGLE), math.sin(_PROBE_ANGLE))
-    norms = [operator_norm(resolvent_direct(u, theta + r * direction)) for r in radii]
+    stack = np.stack([resolvent_direct(u, theta + r * direction).data for r in radii])
+    norms = _batched_spectral_norms(stack)
     x = -np.log(np.asarray(radii))
     y = np.log(np.asarray(norms))
     x = x - x.mean()
     order = float(x @ (y - y.mean()) / (x @ x))
-    return PoleProbeReport(theta, tuple(radii), tuple(norms), order)
+    return PoleProbeReport(theta, tuple(radii), tuple(norms.tolist()), order)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .eigen import power_bounded_probe, spectrum_info
-from .linalg import CMatrix, CVector, operator_norm
+from .linalg import CMatrix, CVector, _batched_spectral_norms
 from .trend import GROWTH_BOUNDED, GROWTH_DECAYING, log_log_slope
 
 DEFAULT_HORIZON = 16384
@@ -601,16 +601,13 @@ def ktz_check(
         shift = t.data - theta * np.eye(t.dim)
         values = np.empty((n_max, t.dim * t.dim), dtype=np.complex128)
         power = np.eye(t.dim, dtype=np.complex128)
-        diffs = []
         for n in range(n_max):
-            m = power @ shift
-            values[n] = m.reshape(-1)
-            diffs.append(m)
+            values[n] = (power @ shift).reshape(-1)
             power = t.data @ power
         seq = BoundedSeq(values)
         window = n_max // 2
         tail = tail_norm(seq, window)
-        op_tail = max(operator_norm(d) for d in diffs[window:])
+        op_tail = float(np.max(_batched_spectral_norms(values[window:].reshape(-1, t.dim, t.dim))))
         attained = op_tail <= limit_tol
     return KtzVerdict(
         theta=theta,

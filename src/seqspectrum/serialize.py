@@ -22,7 +22,6 @@ from .dynamics import DelaySystem, ForcingSpec, simulate_delay
 from .errors import ParseError
 from .linalg import CMatrix, CVector, MAX_DIM
 from .sequences import BoundedSeq, MIN_HORIZON, modes_plus_decay
-from .resolvent import NeumannResult
 
 
 def cnum(z: complex) -> list[float]:
@@ -266,12 +265,6 @@ def to_jsonable(obj):
         return matrix_to_json(obj)
     if isinstance(obj, BoundedSeq):
         return sequence_to_json(obj)
-    if isinstance(obj, NeumannResult):
-        return {
-            "matrix": matrix_to_json(obj.matrix),
-            "last_term_norm": obj.last_term_norm,
-            "terms": obj.terms,
-        }
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from seqspectrum import eigen, linalg
 from seqspectrum.cli import main
 from seqspectrum.dynamics import DelaySystem, ForcingSpec
 from seqspectrum.linalg import CMatrix, CVector
@@ -219,6 +220,39 @@ def test_bad_theta_flag(tmp_path, capsys):
     rc = main(["modes", path, "--theta", "zero"])
     assert rc == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("theta, code", [("-1,0", 0), ("-0.6,-0.8", 0), ("-0.5,0.2", 3)])
+def test_negative_theta_as_separate_argument(tmp_path, capsys, theta, code):
+    # -0.5,0.2 parses but is off the unit circle: a precondition failure, not a usage error
+    path = write_json(tmp_path / "m.json", matrix_to_json(CMatrix(np.diag([1.0, 0.5]))))
+    rc = main(["ktz", path, "--theta", theta, "--n-max", "64"])
+    separate = capsys.readouterr()
+    assert rc == code
+    assert main(["ktz", path, f"--theta={theta}", "--n-max", "64"]) == code
+    assert capsys.readouterr() == separate
+
+
+def test_norm_kernel_failure_reports_payload(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(linalg, "_MAX_SQUARINGS", 3)
+    path = write_json(tmp_path / "m.json", matrix_to_json(CMatrix(np.diag([1.0, 1.0 - 1e-7, 0.5]))))
+    rc = main(["cayley", path])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConvergenceError"
+    assert sorted(err["payload"]) == ["index", "lower", "upper"]
+    assert err["payload"]["lower"] <= err["payload"]["upper"]
+
+
+def test_root_finder_failure_reports_complex_payload(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(eigen.poly_roots, "__defaults__", (1,))  # one sweep
+    path = write_json(tmp_path / "m.json", matrix_to_json(CMatrix([[1.0, 2.0], [3.0, 4.0]])))
+    rc = main(["gelfand", path, "--n-max", "16"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConvergenceError"
+    assert len(err["payload"]["roots"]) == 2
+    assert all(len(z) == 2 for z in err["payload"]["roots"])
 
 
 def test_installed_entry_point_help():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import helpers
-from seqspectrum.errors import PreconditionError, SingularMatrixError
+from seqspectrum import linalg
+from seqspectrum.errors import ConvergenceError, PreconditionError, SingularMatrixError
 from seqspectrum.linalg import (
     MAX_DIM,
     CMatrix,
@@ -13,7 +14,6 @@ from seqspectrum.linalg import (
     mat_power_seq,
     mat_solve,
     operator_norm,
-    operator_norm_info,
     require_unitary,
     solve_vector,
 )
@@ -75,11 +75,20 @@ def test_operator_norm_jordan_block():
     assert operator_norm(CMatrix([[1.0, 1.0], [0.0, 1.0]])) == pytest.approx(phi, rel=1e-12)
 
 
-def test_operator_norm_info_reports_convergence():
-    info = operator_norm_info(CMatrix([[2.0, 0.0], [0.0, 1.0]]))
-    assert info.converged
-    assert info.iterations >= 1
-    assert info.value == pytest.approx(2.0, rel=1e-10)
+def test_operator_norm_near_tie():
+    # singular values 1e-7 apart: a stop rule on the change of a power
+    # iterate's Rayleigh quotient halts on the second one
+    assert operator_norm(CMatrix(np.diag([1.0, 1.0 - 1e-7, 0.5]))) == pytest.approx(1.0, rel=1e-14)
+    assert operator_norm(CMatrix(np.diag([2.0, 1.0]))) == pytest.approx(2.0, rel=1e-14)
+
+
+def test_norm_kernel_raises_with_open_bracket(monkeypatch):
+    monkeypatch.setattr(linalg, "_MAX_SQUARINGS", 3)
+    with pytest.raises(ConvergenceError) as info:
+        operator_norm(CMatrix(np.diag([1.0, 1.0 - 1e-7, 0.5])))
+    payload = info.value.payload
+    assert payload["index"] == 0
+    assert payload["lower"] <= 1.0 <= payload["upper"]
 
 
 def test_operator_norm_zero_matrix():

@@ -163,12 +163,23 @@ def test_isometry_bound_requires_unitary():
         isometry_bound_check(CMatrix(2.0 * np.eye(2)), [2.0])
 
 
-def test_batched_norms_match_operator_norm():
+def test_batched_norms_match_svd():
     rng = np.random.default_rng(29)
     stack = rng.standard_normal((20, 5, 5)) + 1j * rng.standard_normal((20, 5, 5))
-    got = _batched_spectral_norms(stack)
-    for i in range(20):
-        assert got[i] == pytest.approx(operator_norm(CMatrix(stack[i])), rel=1e-9)
+    stack[3] = 0.0
+    want = np.linalg.svd(stack, compute_uv=False)[:, 0]
+    assert np.allclose(_batched_spectral_norms(stack), want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("d", [8, 64])
+def test_batched_norms_of_unitary_resolvents_match_svd(d):
+    rng = np.random.default_rng(31 + d)
+    u = helpers.random_unitary(rng, d)
+    r = np.concatenate([rng.uniform(0.2, 0.99, 32), rng.uniform(1.01, 3.0, 32)])
+    lams = r * np.exp(1j * rng.uniform(0, 2 * math.pi, 64))
+    stack = np.stack([np.linalg.inv(lam * np.eye(d) - u) for lam in lams])
+    want = np.linalg.svd(stack, compute_uv=False)[:, 0]
+    assert np.allclose(_batched_spectral_norms(stack), want, rtol=1e-12, atol=0.0)
 
 
 def test_pole_order_simple_poles():

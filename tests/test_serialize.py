@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from seqspectrum.dynamics import DelaySystem, ForcingSpec, simulate_delay
 from seqspectrum.errors import ParseError
 from seqspectrum.linalg import CMatrix, CVector
-from seqspectrum.resolvent import ResolventSample
+from seqspectrum.resolvent import ResolventSample, resolvent_neumann
 from seqspectrum.sequences import BoundedSeq, custom_table, modes_plus_decay
 from seqspectrum.serialize import (
     cnum,
@@ -187,3 +189,51 @@ def test_load_json_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ParseError):
         load_json(str(bad))
+
+
+NEUMANN_REPORT = """\
+{
+  "last_term_norm": 0.0078125,
+  "matrix": {
+    "d": 2,
+    "entries": [
+      [
+        -0.1171875,
+        -0.46875
+      ],
+      [
+        0.0,
+        0.0
+      ],
+      [
+        0.0,
+        0.0
+      ],
+      [
+        0.0,
+        -0.5
+      ]
+    ]
+  },
+  "terms": 4
+}
+"""
+
+
+def test_neumann_report_bytes():
+    result = resolvent_neumann(CMatrix([[0.5, 0.0], [0.0, 0.0]]), 2j, 3)
+    assert dumps_report(result) == NEUMANN_REPORT
+
+
+def test_readme_json_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    assert blocks
+    for block in blocks:
+        obj = json.loads(block)
+        if "B" in obj:
+            parse_system(obj)
+        elif "entries" in obj:
+            parse_matrix(obj)
+        else:
+            parse_sequence(obj)
