@@ -197,30 +197,13 @@ def _classify(values: np.ndarray, descriptor: dict) -> tuple[BoundedSeq, Traject
 def simulate_forced(
     b: CMatrix, x0: CVector, forcing: ForcingSpec, horizon: int
 ) -> tuple[BoundedSeq, TrajectoryReport]:
-    """Iterate x_{n+1} = B x_n + y_n from x_0 and classify the result."""
-    if horizon < MIN_HORIZON:
-        raise PreconditionError(f"horizon must be >= {MIN_HORIZON}")
-    if x0.dim != b.dim:
-        raise PreconditionError("x0 dimension does not match the matrix")
-    y = forcing.materialize(horizon, b.dim)
-    values = np.empty((horizon, b.dim), dtype=np.complex128)
-    values[0] = x0.data
-    arr = b.data
-    for n in range(horizon - 1):
-        values[n + 1] = arr @ values[n] + y[n]
-        if np.linalg.norm(values[n + 1]) > OVERFLOW_LIMIT:
-            raise UnboundedTrajectoryError(
-                f"trajectory norm exceeded {OVERFLOW_LIMIT:.1e} at step {n + 1}", n + 1
-            )
-    return _classify(values, {"kind": "forced_system_output", "p": 1, "horizon": horizon})
+    """Iterate x_{n+1} = B x_n + y_n from x_0 and classify the result:
+    the delay simulator with p = 1."""
+    return simulate_delay(DelaySystem(b, 1, [x0], forcing), horizon)
 
 
 def simulate_delay(system: DelaySystem, horizon: int) -> tuple[BoundedSeq, TrajectoryReport]:
-    """Iterate x_{n+p} = B x_n + y_n from the p initial vectors.
-
-    For p = 1 this is bit-identical to :func:`simulate_forced` on the
-    same data (same operations in the same order).
-    """
+    """Iterate x_{n+p} = B x_n + y_n from the p initial vectors."""
     p = system.p
     if horizon < max(MIN_HORIZON, 2 * p):
         raise PreconditionError(f"horizon must be >= max({MIN_HORIZON}, 2p) = {max(MIN_HORIZON, 2 * p)}")
@@ -240,12 +223,9 @@ def simulate_delay(system: DelaySystem, horizon: int) -> tuple[BoundedSeq, Traje
 def recurrence_defect(b: CMatrix, seq: BoundedSeq, forcing_values: np.ndarray, p: int = 1) -> float:
     """max_n ||x_{n+p} - B x_n - y_n|| / (1 + ||x_n||): the simulator's
     self-witness, zero up to rounding for trajectories it produced."""
-    arr = b.data
-    worst = 0.0
-    for n in range(seq.horizon - p):
-        defect = np.linalg.norm(seq.values[n + p] - arr @ seq.values[n] - forcing_values[n])
-        worst = max(worst, float(defect) / (1.0 + float(seq.norms[n])))
-    return worst
+    steps = max(seq.horizon - p, 0)
+    residual = seq.values[p:] - seq.values[:steps] @ b.data.T - forcing_values[:steps]
+    return float(np.max(np.linalg.norm(residual, axis=1) / (1.0 + seq.norms[:steps]), initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,12 @@ _RENORM_INTERVAL = 1024
 
 _UNIMODULAR_TOL = 1e-12
 
+#: Complex elements one block of stacked rotated means may multiply at
+#: once (1 MiB, one evaluation of a 16384 x 4 window): many clusters at a
+#: long horizon would otherwise allocate clusters * horizon * d values
+#: per golden-section step.
+_EVAL_BLOCK_ELEMENTS = 1 << 16
+
 PROXY_DISCLAIMER = (
     "detections are rotated-mean persistence estimates; they provably "
     "coincide with the sequence spectrum only for finite sums of "
@@ -72,17 +78,30 @@ def unimodular_powers(theta: complex, count: int) -> np.ndarray:
     """
     if count < 1:
         raise PreconditionError("count must be >= 1")
-    theta = complex(theta)
-    out = np.empty(count, dtype=np.complex128)
-    current = 1.0 + 0.0j
+    return _unimodular_power_stack(np.array([complex(theta)]), count)[0]
+
+
+def _unimodular_power_stack(thetas: np.ndarray, count: int) -> np.ndarray:
+    """Row c holds thetas[c]^0 .. thetas[c]^(count-1), as in
+    :func:`unimodular_powers`.
+
+    Every segment between renormalizations scales the same running
+    products theta^1 .. theta^1024.  The renormalization of each row's
+    running value uses scalar arithmetic: numpy's array multiply and
+    divide round differently, and every row must carry the same bits as
+    a stack of one.
+    """
+    rows = thetas.shape[0]
+    out = np.empty((rows, count), dtype=np.complex128)
+    seg = np.cumprod(thetas[:, None].repeat(min(count, _RENORM_INTERVAL), axis=1), axis=1)
+    current = [1.0 + 0.0j] * rows
     for start in range(0, count, _RENORM_INTERVAL):
         m = min(_RENORM_INTERVAL, count - start)
-        seg = np.cumprod(np.full(m, theta, dtype=np.complex128))
-        out[start] = current
-        if m > 1:
-            out[start + 1 : start + m] = current * seg[: m - 1]
-        current = current * seg[m - 1]
-        current /= abs(current)
+        out[:, start] = current
+        out[:, start + 1 : start + m] = np.array(current, dtype=np.complex128)[:, None] * seg[:, : m - 1]
+        if start + m < count:
+            current = [c * s for c, s in zip(current, seg[:, m - 1])]
+            current = [c / abs(c) for c in current]
     return out
 
 
@@ -281,9 +300,25 @@ def rotated_mean(x: BoundedSeq, theta: complex, n_used: int | None = None) -> Ro
     if not 1 <= n_used <= x.horizon:
         raise PreconditionError(f"n_used {n_used} outside [1, {x.horizon}]")
     theta = require_unimodular(theta)
-    weights = unimodular_powers(theta.conjugate(), n_used)
-    mean_vec = (weights[:, None] * x.values[:n_used]).sum(axis=0) / n_used
+    mean_vec = _rotated_means(x.values, np.array([theta]), n_used)[0]
     return RotatedMeanResult(theta, n_used, CVector(mean_vec), float(np.linalg.norm(mean_vec)))
+
+
+def _rotated_means(values: np.ndarray, thetas: np.ndarray, n: int) -> np.ndarray:
+    """Row c is (1/n) sum_{k<n} thetas[c]^-k values[k], for unimodular thetas.
+
+    Rows are evaluated in blocks whose (rows, n, d) product stays under
+    ``_EVAL_BLOCK_ELEMENTS``.  numpy reduces the k axis of every row of
+    the block as it would for a stack of one, so each row carries the
+    bits of a one-theta evaluation whatever the block size.
+    """
+    vals = values[:n]
+    out = np.empty((thetas.shape[0], vals.shape[1]), dtype=np.complex128)
+    block = max(1, _EVAL_BLOCK_ELEMENTS // vals.size)
+    for lo in range(0, thetas.shape[0], block):
+        weights = _unimodular_power_stack(thetas[lo : lo + block].conj(), n)
+        out[lo : lo + block] = (weights[:, :, None] * vals[None]).sum(axis=1) / n
+    return out
 
 
 @dataclass(frozen=True)
@@ -306,22 +341,27 @@ def _next_pow2(n: int) -> int:
     return 1 << max(int(n) - 1, 1).bit_length()
 
 
-def _golden_max(f, a: float, b: float, iters: int = 64):
-    """Golden-section maximization of a unimodal function on [a, b]."""
+def _lockstep_golden_max(f, a: np.ndarray, b: np.ndarray, iters: int = 64):
+    """Golden-section maximization of unimodal functions on [a_c, b_c], all
+    brackets advancing together.
+
+    ``f`` maps an array of points (one per bracket) to their values.
+    Every bracket makes the comparisons and float steps of a scalar
+    search; returns the maximizers and their values.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
+        left = fc >= fd  # the maximum lies in [a, d]: d becomes b
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        probe = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        f_probe = f(probe)
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        fc, fd = np.where(left, f_probe, fd), np.where(left, fc, f_probe)
+    best = fc >= fd
+    return np.where(best, c, d), np.where(best, fc, fd)
 
 
 def spectrum_scan(
@@ -336,9 +376,13 @@ def spectrum_scan(
     invisible (its Dirichlet kernel vanishes on the whole grid), whereas
     a single-period window keeps the worst-case attenuation at 2/pi.
     Clusters of above-threshold grid points are then refined at the full
-    horizon -- first by argmax over a dense zero-padded transform, then
-    by golden-section search inside the winning lobe -- and peaks closer
-    than one grid step are merged.
+    horizon: first by argmax over a dense zero-padded transform, then by
+    a golden-section search inside the winning lobe.  The searches of
+    all clusters run in lockstep, so each of their 66 steps is one
+    stacked rotated-mean evaluation over every cluster (in row blocks of
+    bounded size) and makes the same float decisions as a search of its
+    own.  Peaks closer than one grid step are merged, and peaks under
+    the leakage envelope of a taller one are dropped as its sidelobes.
     """
     if grid_size < 64:
         raise PreconditionError("grid_size must be >= 64")
@@ -380,17 +424,21 @@ def spectrum_scan(
         fine_norms = np.linalg.norm(fine_means, axis=1)
         fine_step = 2.0 * math.pi / n_fine
         ratio = n_fine / k
-
-        def peak_norm(phi: float) -> float:
-            return rotated_mean(x, cmath.exp(1j * phi)).mean_norm
-
+        j_stars = []
         for cluster in clusters:
             j_lo = int(math.floor((cluster[0] - 1) * ratio))
             j_hi = int(math.ceil((cluster[-1] + 1) * ratio))
             js = np.arange(j_lo, j_hi + 1) % n_fine
-            j_star = int(js[np.argmax(fine_norms[js])])
-            center = fine_step * j_star
-            phi, norm = _golden_max(peak_norm, center - fine_step, center + fine_step)
+            j_stars.append(js[np.argmax(fine_norms[js])])
+        centers = fine_step * np.array(j_stars, dtype=np.float64)
+
+        def peak_norms(phis: np.ndarray) -> np.ndarray:
+            thetas = np.array([require_unimodular(cmath.exp(1j * phi)) for phi in phis.tolist()])
+            means = _rotated_means(x.values, thetas, x.horizon)
+            return np.array([np.linalg.norm(m) for m in means])
+
+        phis, norms = _lockstep_golden_max(peak_norms, centers - fine_step, centers + fine_step)
+        for phi, norm in zip(phis.tolist(), norms.tolist()):
             if norm > epsilon:
                 detected.append(DetectedPoint(cmath.exp(1j * phi), norm))
     # Greedy acceptance, tallest first.  A candidate within one grid step
@@ -535,10 +583,10 @@ def extract_modes(x: BoundedSeq, thetas, n_used: int | None = None) -> ModeDecom
                 )
     modes = []
     residual = x.values[:n_used].copy()
-    for theta in thetas:
-        v = rotated_mean(x, theta, n_used).mean
-        modes.append(Mode(theta, v))
-        residual -= unimodular_powers(theta, n_used)[:, None] * v.data
+    means = _rotated_means(x.values, np.array(thetas, dtype=np.complex128), n_used)
+    for theta, v in zip(thetas, means):
+        modes.append(Mode(theta, CVector(v)))
+        residual -= unimodular_powers(theta, n_used)[:, None] * v
     res_stats = tail_norm(BoundedSeq(residual), n_used // 2)
     return ModeDecomp(tuple(modes), res_stats)
 

@@ -71,6 +71,22 @@ def naive_rotated_mean(values, theta, n_used):
     return weights @ vals / n_used
 
 
+def scalar_unimodular_powers(theta, count):
+    """Scalar-loop reference for unimodular_powers: one running value,
+    renormalized to unit modulus every 1024 steps."""
+    theta = complex(theta)
+    out = np.empty(count, dtype=np.complex128)
+    current = 1.0 + 0.0j
+    for start in range(0, count, 1024):
+        m = min(1024, count - start)
+        seg = np.cumprod(np.full(m, theta, dtype=np.complex128))
+        out[start] = current
+        out[start + 1 : start + m] = current * seg[: m - 1]
+        current = current * seg[m - 1]
+        current /= abs(current)
+    return out
+
+
 def companion_embedding(system):
     """Rewrite x_{n+p} = B x_n + y_n as a one-step system of dimension p*d.
 

@@ -17,7 +17,7 @@ from seqspectrum.dynamics import (
 )
 from seqspectrum.errors import PreconditionError, UnboundedTrajectoryError
 from seqspectrum.linalg import CMatrix, CVector
-from seqspectrum.sequences import angular_distance
+from seqspectrum.sequences import BoundedSeq, angular_distance
 
 
 def test_forcing_validation():
@@ -158,6 +158,17 @@ def test_recurrence_defect_is_zero_on_simulated_runs():
     system = DelaySystem(b, 2, [CVector(rng.standard_normal(3)) for _ in range(2)], forcing)
     seq2, _ = simulate_delay(system, 256)
     assert recurrence_defect(b, seq2, forcing.materialize(256, 3), p=2) <= 1e-12
+
+
+def test_recurrence_defect_reports_a_planted_perturbation():
+    b = CMatrix([[0.0, 1.0], [1.0, 0.0]])
+    seq, _ = simulate_forced(b, CVector([3.0, 4.0]), ForcingSpec.zero(), 64)
+    values = seq.values.copy()
+    values[20, 0] += 0.5
+    # x_20 - B x_19 is the perturbation, norm 0.5, against 1 + ||x_19|| = 6;
+    # x_21 - B x_20 has the same norm over a larger denominator
+    defect = recurrence_defect(b, BoundedSeq(values), np.zeros((64, 2)))
+    assert defect == 0.5 / 6.0
 
 
 def test_flow_linearity():

@@ -1,12 +1,17 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import helpers
+from seqspectrum.corpus import generate_corpus
+from seqspectrum.dynamics import DelaySystem, ForcingSpec, delay_limit_probe
 from seqspectrum.errors import PreconditionError
 from seqspectrum.sequences import (
+    _lockstep_golden_max,
+    _unimodular_power_stack,
     BoundedSeq,
     angular_distance,
     custom_table,
@@ -25,7 +30,7 @@ from seqspectrum.sequences import (
     unimodular_powers,
     vanishing_check,
 )
-from seqspectrum.linalg import CMatrix
+from seqspectrum.linalg import CMatrix, CVector
 
 
 def test_bounded_seq_validation():
@@ -67,6 +72,25 @@ def test_unimodular_powers_stay_on_circle():
     # spot-check a few against the closed form
     for n in (0, 1, 999, 99999):
         assert abs(pw[n] - cmath.exp(1.234j * n)) <= 1e-8 * (1 + n * 1e-6)
+
+
+def test_unimodular_power_stack_rows_match_scalar_powers():
+    # 3000 powers cross the renormalizations at 1024 and 2048
+    thetas = np.array([cmath.exp(1j * t) for t in (0.1, 1.234, -2.5, math.pi, 3e-4)])
+    stack = _unimodular_power_stack(thetas, 3000)
+    for theta, row in zip(thetas, stack):
+        assert row.tobytes() == unimodular_powers(theta, 3000).tobytes()
+        assert row.tobytes() == helpers.scalar_unimodular_powers(theta, 3000).tobytes()
+
+
+def test_lockstep_golden_max_finds_each_quadratic_maximum():
+    peaks = np.array([-1.0, 0.3, 2.0, 5.5, 0.0])
+    curvature = np.array([1.0, 0.01, 3.0, 100.0, 7.0])
+    lo = peaks - np.array([0.5, 0.01, 2.0, 0.1, 1.0])
+    hi = peaks + np.array([1.5, 0.2, 0.5, 3.0, 1e-3])
+    phis, values = _lockstep_golden_max(lambda p: -curvature * (p - peaks) ** 2, lo, hi)
+    assert np.abs(phis - peaks).max() <= 1e-12
+    assert np.array_equal(values, -curvature * (phis - peaks) ** 2)
 
 
 def test_tail_norm_trivial_cases():
@@ -191,6 +215,73 @@ def test_scan_detections_clear_threshold():
     for det in report.detected:
         res = rotated_mean(x, det.theta)
         assert res.mean_norm > report.threshold
+        # the scan refines with the evaluator rotated_mean uses
+        assert res.mean_norm == det.peak_mean_norm
+
+
+# float.hex of (theta.real, theta.imag, peak_mean_norm) per detection, as
+# the one-cluster-at-a-time golden-section refinement reported them
+PINNED_DETECTIONS = {
+    "delay-counterexample-37": [
+        ("-0x1.0000000000000p+0", "0x1.ab099a34c4c66p-30", "0x1.0000000000002p+0"),
+    ],
+    "delay-counterexample-100": [
+        ("-0x1.0000000000000p+0", "0x1.e2b7d469898ccp-31", "0x1.0000000000003p+0"),
+    ],
+    "delay-d4-p3-interior-128": [
+        ("0x1.e93a968a1874ep-1", "0x1.2dfcd15558bdep-2", "0x1.24f8ac182c8acp-1"),
+        ("-0x1.1fb3ecbe4331fp-6", "0x1.ffebca4b2fa65p-1", "0x1.8587076009ee6p-6"),
+        ("-0x1.779d7452fdd50p-1", "0x1.5beed50b1f9efp-1", "0x1.182ee9a787f20p-2"),
+        ("-0x1.c5489b4b894e5p-3", "-0x1.f34d485853877p-1", "0x1.eb2b7e08a3abep-3"),
+        ("0x1.a76ec1a3ebd7dp-3", "-0x1.f4efea79954b1p-1", "0x1.6326f7d41c5a0p-3"),
+    ],
+    "corpus-seed7-4096-two-mode-0": [
+        ("0x1.0c647a4c2c488p-4", "0x1.fee64ffb88080p-1", "0x1.4a70ed0537d9cp-1"),
+        ("-0x1.efc7b24072a57p-1", "0x1.ff686d20fb7a1p-3", "0x1.81fea2211cafep+0"),
+    ],
+}
+
+
+def test_scan_detections_keep_pinned_bytes():
+    counterexample = DelaySystem(
+        CMatrix.identity(1), 2, [CVector([1.0]), CVector([-1.0])], ForcingSpec.zero()
+    )
+    # one unit-circle eigenvalue, three inside the disk
+    b = CMatrix([
+        [cmath.exp(0.9j), 0.3, 0.0, 0.0],
+        [0.0, 0.9 * cmath.exp(2.2j), 0.2, 0.0],
+        [0.0, 0.0, 0.7, 0.1],
+        [0.0, 0.0, 0.0, -0.5j],
+    ])
+    initial = [CVector([1.0, 0.5j, -0.25, 2.0]), CVector([0.0, 1.0, 1.0j, -1.0]), CVector([0.5, 0.0, 0.0, 1.0])]
+    interior = DelaySystem(b, 3, initial, ForcingSpec.geometric(0.8, seed=3))
+    member = next(m for m in generate_corpus(seed=7, horizon=4096) if m.member_id == "two-mode-0")
+    found = {
+        "delay-counterexample-37": delay_limit_probe(counterexample, 37).scan_detected,
+        "delay-counterexample-100": delay_limit_probe(counterexample, 100).scan_detected,
+        "delay-d4-p3-interior-128": delay_limit_probe(interior, 128).scan_detected,
+        "corpus-seed7-4096-two-mode-0": spectrum_scan(member.seq).detected,
+    }
+    for name, detected in found.items():
+        got = [(d.theta.real.hex(), d.theta.imag.hex(), d.peak_mean_norm.hex()) for d in detected]
+        assert got == PINNED_DETECTIONS[name], name
+
+
+def test_scan_memory_stays_bounded_with_many_clusters():
+    # 64 clusters at horizon 16384 and d = 4: evaluating every cluster in
+    # one (clusters, horizon, d) product would take over 64 MB per step
+    rng = np.random.default_rng(5)
+    phis = 2.0 * math.pi * (np.arange(64) + rng.uniform(0.2, 0.8, 64)) / 64
+    modes = [(cmath.exp(1j * p), rng.standard_normal(4) + 1j * rng.standard_normal(4)) for p in phis]
+    x = modes_plus_decay(modes, 16384)
+    tracemalloc.start()
+    try:
+        report = spectrum_scan(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.detected) == 64
+    assert peak <= 16 * 2**20
 
 
 def test_scan_report_metadata():
