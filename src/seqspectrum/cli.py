@@ -21,14 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import generate_corpus
-from .dynamics import delay_limit_probe, simulate_delay, simulate_forced
+from .dynamics import delay_limit_probe, simulate_delay
 from .eigen import (
     DEFAULT_PERIPHERAL_TOL,
     cayley_hamilton_residual,
     gelfand_radius_estimate,
 )
 from .errors import ParseError, SeqSpectrumError, exit_code_for
-from .linalg import CVector, operator_norm
+from .linalg import operator_norm
 from .resolvent import (
     DEFAULT_QUADRATURE_NODES,
     cauchy_coefficient,
@@ -43,10 +43,9 @@ from .sequences import (
     spectrum_scan,
 )
 from .serialize import (
-    cnum,
+    cnum_array,
     dumps_report,
     load_json,
-    parse_cnum,
     parse_matrix,
     parse_sequence,
     parse_system,
@@ -97,7 +96,7 @@ def _load(path: str):
     if path == "-":
         try:
             return json.load(sys.stdin)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ParseError(f"standard input is not valid JSON: {exc}") from exc
     return load_json(path)
 
@@ -135,7 +134,7 @@ def _cmd_simulate(args) -> None:
     system, horizon = parse_system(_load(args.input))
     if system.p != 1:
         raise ParseError("simulate handles p = 1 systems; use delay-simulate for p > 1")
-    seq, report = simulate_forced(system.b, CVector(system.initial[0]), system.forcing, horizon)
+    seq, report = simulate_delay(system, horizon)
     envelope = {"sequence": sequence_to_json(seq, prefer_descriptor=False), "trajectory_report": to_jsonable(report)}
     summary = f"horizon {horizon}, growth {report.growth_class}, sup norm {report.sup_norm:.6g}"
     _emit(dumps_report(envelope), args.out, summary)
@@ -237,7 +236,7 @@ def _cmd_cauchy_recover(args) -> None:
     }
     if args.k < len(coeffs):
         err = float(np.linalg.norm(recovered.data - coeffs[args.k]))
-        report["table_coefficient"] = [cnum(z) for z in coeffs[args.k]]
+        report["table_coefficient"] = cnum_array(coeffs[args.k])
         report["abs_error"] = err
     _emit(
         dumps_report(report),
@@ -259,7 +258,7 @@ def _cmd_corpus(args) -> None:
                 "id": m.member_id,
                 "kind": m.kind,
                 "d": m.seq.dim,
-                "thetas": [cnum(t) for t in m.thetas],
+                "thetas": cnum_array(m.thetas),
                 "file": fname,
             }
         )

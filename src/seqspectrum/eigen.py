@@ -12,13 +12,12 @@ the infimum of a_n / n, so the minimum over a trailing window converges
 from above.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
-from .linalg import CMatrix, PowerNormEntry, mat_power_seq, operator_norm
+from .linalg import CMatrix, mat_power_seq, operator_norm
 from .trend import classify_from_logs
 
 _ROOT_TOL = 1e-14
@@ -85,20 +84,15 @@ def poly_roots(p: Polynomial, max_sweeps: int = _ROOT_MAX_SWEEPS) -> list[comple
     lead = p.coeffs[-1]
     if lead == 0:
         raise PreconditionError("leading coefficient must be nonzero")
-    monic = np.asarray(p.coeffs / lead, dtype=np.complex128)
+    monic = p.coeffs / lead
+    monic[-1] = 1.0  # lead / lead may round off 1 for complex lead
     if degree == 1:
         return [complex(-monic[0])]
+    q = Polynomial(monic)
 
     radius = 1.0 + float(np.max(np.abs(monic[:-1])))
     angles = 2.0 * np.pi * np.arange(degree) / degree + 0.4
     z = radius * np.exp(1j * angles)
-
-    def eval_monic(w):
-        acc = np.ones_like(w)
-        for c in monic[-2::-1]:
-            acc = acc * w + c
-        return acc
-
     converged = False
     for _ in range(max_sweeps):
         diff = z[:, None] - z[None, :]
@@ -107,14 +101,14 @@ def poly_roots(p: Polynomial, max_sweeps: int = _ROOT_MAX_SWEEPS) -> list[comple
         if small.any():
             diff[small] = 1e-30  # collision guard; next sweep separates them
         denom = diff.prod(axis=1)
-        update = eval_monic(z) / denom
+        update = q(z) / denom
         z = z - update
         if np.all(np.abs(update) < _ROOT_TOL * (1.0 + np.abs(z))):
             converged = True
             break
 
     if not converged:
-        residuals = np.abs(eval_monic(z))
+        residuals = np.abs(q(z))
         scale = _ROOT_RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(monic)))) * (1.0 + np.abs(z)) ** degree
         if not np.all(residuals <= scale):
             raise ConvergenceError(
@@ -198,12 +192,6 @@ class PowerBoundVerdict:
         )
 
 
-def _log_array(entries: list[PowerNormEntry]) -> np.ndarray:
-    return np.array(
-        [e.log_norm if e.log_norm is not None else -np.inf for e in entries], dtype=float
-    )
-
-
 def power_bounded_probe(a: CMatrix, n_max: int, bound: float) -> PowerBoundVerdict:
     """sup ||A^n|| for n <= n_max, plus a growth classification.
 
@@ -213,8 +201,7 @@ def power_bounded_probe(a: CMatrix, n_max: int, bound: float) -> PowerBoundVerdi
     """
     if n_max < 8:
         raise PreconditionError("n_max must be >= 8")
-    entries = mat_power_seq(a, n_max)
-    logs = _log_array(entries)
+    logs = mat_power_seq(a, n_max)
     sup_log = float(np.max(logs))
     sup = np.exp(sup_log) if sup_log < 700.0 else np.inf
     return PowerBoundVerdict(
@@ -248,14 +235,13 @@ def gelfand_radius_estimate(a: CMatrix, n_max: int) -> GelfandReport:
     """
     if n_max < 16:
         raise PreconditionError("n_max must be >= 16")
-    entries = mat_power_seq(a, n_max)
+    logs = mat_power_seq(a, n_max)
     eig_radius = spectrum_info(a).spectral_radius
-    samples = tuple(
-        (e.n, float(e.log_norm) / e.n) for e in entries if e.log_norm is not None
-    )
-    if any(e.scaled_norm == 0.0 for e in entries):
+    n = np.arange(1, n_max + 1)
+    nonzero = logs > -np.inf
+    ratios = logs[nonzero] / n[nonzero]
+    samples = tuple(zip(n[nonzero].tolist(), ratios.tolist()))
+    if not nonzero.all():
         return GelfandReport(samples, 0.0, eig_radius, eig_radius, True)
-    lo = max(1, n_max // 2)
-    tail = [ratio for (n, ratio) in samples if n >= lo]
-    estimate = float(np.exp(min(tail)))
+    estimate = float(np.exp(ratios[max(1, n_max // 2) - 1 :].min()))
     return GelfandReport(samples, estimate, eig_radius, abs(estimate - eig_radius), False)

@@ -218,64 +218,35 @@ def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class PowerNormEntry:
-    """One sample of the matrix power sequence.
+def mat_power_seq(a: CMatrix, n_max: int) -> np.ndarray:
+    """ln ||A^n|| for n = 1..n_max as a float64 array; -inf where A^n = 0.
 
-    ``log_norm`` is ``ln ||A^n||`` assembled from the rescaled residual
-    and the accumulated log scale; it is ``None`` (a tagged sentinel, not
-    a raw float) when the power is exactly zero.
-    """
-
-    n: int
-    scaled_norm: float
-    log_scale: float
-
-    @property
-    def log_norm(self) -> float | None:
-        if self.scaled_norm == 0.0:
-            return None
-        return float(np.log(self.scaled_norm) + self.log_scale)
-
-
-def mat_power_seq(a: CMatrix, n_max: int) -> list[PowerNormEntry]:
-    """ln ||A^n|| for n = 1..n_max with running rescaling.
-
-    Maintains P_n = A^n / exp(s_n) and renormalizes whenever the residual
+    Maintains P_n = A^n / exp(s_n), renormalizing whenever the residual
     leaves [1e-100, 1e100], so growing and nilpotent powers both stay in
-    range.  The rescaled stack is built first and its norms are then
-    evaluated in one call of the batched norm kernel.
+    range.  Entry n - 1 is ln ||P_n|| + s_n, the norms of the whole
+    rescaled stack taken in one call of the batched norm kernel.
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
     arr = a.data
-    p = arr.copy()
+    p = arr
     log_scale = 0.0
     stack: list[np.ndarray] = []
     scales: list[float] = []
-    zero_from = None
     for n in range(1, n_max + 1):
         if n > 1:
             p = arr @ p
         amax = float(np.max(np.abs(p)))
         if amax == 0.0:
-            # nilpotent from here on: every later power is exactly zero
-            zero_from = n
             break
         if not _POWER_RESCALE_LO <= amax <= _POWER_RESCALE_HI:
             p = p / amax
             log_scale += float(np.log(amax))
-        stack.append(p.copy())
+        stack.append(p)
         scales.append(log_scale)
-    out: list[PowerNormEntry] = []
+    out = np.full(n_max, -np.inf)
     if stack:
-        norms = _batched_spectral_norms(np.stack(stack))
-        out.extend(
-            PowerNormEntry(n, float(norm), s)
-            for n, (norm, s) in enumerate(zip(norms, scales), start=1)
-        )
-    if zero_from is not None:
-        out.extend(PowerNormEntry(k, 0.0, log_scale) for k in range(zero_from, n_max + 1))
+        out[: len(stack)] = np.log(_batched_spectral_norms(np.stack(stack))) + scales
     return out
 
 

@@ -22,10 +22,10 @@ from .linalg import (
     CVector,
     _batched_spectral_norms,
     _solve_array,
-    operator_norm,
     require_unitary,
 )
 from .eigen import spectrum_info
+from .trend import least_squares_slope
 
 #: Resolvent norms beyond this are reported as singular hits.
 SINGULAR_NORM_CUTOFF = 1e14
@@ -256,8 +256,5 @@ def pole_order_probe(u: CMatrix, theta: complex, radii: Sequence[float]) -> Pole
     direction = complex(math.cos(_PROBE_ANGLE), math.sin(_PROBE_ANGLE))
     stack = np.stack([resolvent_direct(u, theta + r * direction).data for r in radii])
     norms = _batched_spectral_norms(stack)
-    x = -np.log(np.asarray(radii))
-    y = np.log(np.asarray(norms))
-    x = x - x.mean()
-    order = float(x @ (y - y.mean()) / (x @ x))
+    order = least_squares_slope(-np.log(np.asarray(radii)), np.log(norms))
     return PoleProbeReport(theta, tuple(radii), tuple(norms.tolist()), order)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import PreconditionError
 from .eigen import power_bounded_probe, spectrum_info
 from .linalg import CMatrix, CVector, _batched_spectral_norms
-from .trend import GROWTH_BOUNDED, GROWTH_DECAYING, log_log_slope
+from .trend import GROWTH_BOUNDED, GROWTH_DECAYING, least_squares_slope
 
 DEFAULT_HORIZON = 16384
 DEFAULT_GRID_SIZE = 4096
@@ -254,7 +254,9 @@ def _stats_of_norms(norms: np.ndarray, window_start: int) -> TailStats:
     window = norms[window_start:]
     # indices offset by one so n = 0 stays out of the log fit
     idx = np.arange(window_start, norms.shape[0], dtype=np.float64) + 1.0
-    return TailStats(window_start, float(window.max()), log_log_slope(idx, window))
+    with np.errstate(divide="ignore"):
+        slope = least_squares_slope(np.log(idx), np.log(window))
+    return TailStats(window_start, float(window.max()), slope)
 
 
 def tail_norm(x: BoundedSeq, window_start: int | None = None) -> TailStats:
@@ -587,7 +589,7 @@ def extract_modes(x: BoundedSeq, thetas, n_used: int | None = None) -> ModeDecom
     for theta, v in zip(thetas, means):
         modes.append(Mode(theta, CVector(v)))
         residual -= unimodular_powers(theta, n_used)[:, None] * v
-    res_stats = tail_norm(BoundedSeq(residual), n_used // 2)
+    res_stats = _stats_of_norms(np.linalg.norm(residual, axis=1), n_used // 2)
     return ModeDecomp(tuple(modes), res_stats)
 
 
@@ -652,9 +654,11 @@ def ktz_check(
         for n in range(n_max):
             values[n] = (power @ shift).reshape(-1)
             power = t.data @ power
-        seq = BoundedSeq(values)
+        # an infinite bound admits powers that overflow to inf or nan
+        if not np.all(np.isfinite(values)):
+            raise PreconditionError("sequence values must all be finite")
         window = n_max // 2
-        tail = tail_norm(seq, window)
+        tail = _stats_of_norms(np.linalg.norm(values, axis=1), window)
         op_tail = float(np.max(_batched_spectral_norms(values[window:].reshape(-1, t.dim, t.dim))))
         attained = op_tail <= limit_tol
     return KtzVerdict(

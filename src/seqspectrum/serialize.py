@@ -29,6 +29,13 @@ def cnum(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def cnum_array(a) -> list:
+    """Complex array-like as nested lists of [re, im] pairs, nested as its
+    input: a vector becomes a list of pairs, a table a list of those."""
+    a = np.asarray(a, dtype=np.complex128)
+    return np.stack((a.real, a.imag), -1).tolist()
+
+
 def parse_cnum(obj, what: str = "complex number") -> complex:
     if (
         not isinstance(obj, (list, tuple))
@@ -43,8 +50,7 @@ def parse_cnum(obj, what: str = "complex number") -> complex:
 
 
 def vector_to_json(v) -> list[list[float]]:
-    data = v.data if isinstance(v, CVector) else np.asarray(v, dtype=np.complex128).reshape(-1)
-    return [cnum(z) for z in data]
+    return cnum_array(np.ravel(getattr(v, "data", v)))
 
 
 def parse_vector(obj, what: str = "vector") -> CVector:
@@ -54,7 +60,7 @@ def parse_vector(obj, what: str = "vector") -> CVector:
 
 
 def matrix_to_json(a: CMatrix) -> dict:
-    return {"d": a.dim, "entries": [cnum(z) for z in a.data.reshape(-1)]}
+    return {"d": a.dim, "entries": cnum_array(a.data.reshape(-1))}
 
 
 def parse_matrix(obj, what: str = "matrix") -> CMatrix:
@@ -112,10 +118,10 @@ def forcing_to_json(f: ForcingSpec) -> dict:
     if f.param is not None:
         out["param"] = f.param
     if f.kind == "custom_table":
-        out["values"] = [[cnum(z) for z in row] for row in f.table]
+        out["values"] = cnum_array(f.table)
     else:
         if f.direction is not None:
-            out["direction"] = [cnum(z) for z in f.direction]
+            out["direction"] = cnum_array(f.direction)
         out["seed"] = f.seed
     return out
 
@@ -149,7 +155,7 @@ def system_to_json(system: DelaySystem, horizon: int) -> dict:
     return {
         "B": matrix_to_json(system.b),
         "p": system.p,
-        "initial": [[cnum(z) for z in row] for row in system.initial],
+        "initial": cnum_array(system.initial),
         "forcing": forcing_to_json(system.forcing),
         "horizon": horizon,
     }
@@ -164,9 +170,7 @@ def sequence_to_json(x: BoundedSeq, prefer_descriptor: bool = True) -> dict:
         return {
             "kind": "modes_plus_decay",
             "d": x.dim,
-            "modes": [
-                {"theta": cnum(t), "v": [cnum(z) for z in v]} for t, v in desc["modes"]
-            ],
+            "modes": [{"theta": cnum(t), "v": cnum_array(v)} for t, v in desc["modes"]],
             "decay": {"type": "none", "param": None}
             if decay is None
             else {"type": decay[0], "param": decay[1]},
@@ -176,7 +180,7 @@ def sequence_to_json(x: BoundedSeq, prefer_descriptor: bool = True) -> dict:
     return {
         "kind": "materialized",
         "d": x.dim,
-        "values": [[cnum(z) for z in row] for row in x.values],
+        "values": cnum_array(x.values),
     }
 
 
@@ -298,5 +302,5 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc

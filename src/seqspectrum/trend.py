@@ -1,7 +1,9 @@
 """Trend fitting for norm sequences.
 
-A single log-log slope (ln of the norm against ln of the index) feeds
-both the growth classifier and the tail statistics.  Classification
+A single least-squares slope serves every fit in the package: ln of
+the norm against ln of the index for the growth classifier and the tail
+statistics, and ln of the resolvent norm against -ln of the radius for
+the pole-order probe.  Classification
 thresholds are heuristics: |slope| below 0.05 reads as bounded, a slope
 above 3 on the fitted window can no longer be explained by a polynomial
 of the dimensions this package handles and is flagged as exponential.
@@ -18,19 +20,18 @@ _SLOPE_FLAT = 0.05
 _SLOPE_EXPONENTIAL = 3.0
 
 
-def log_log_slope(indices: np.ndarray, values: np.ndarray) -> float:
-    """Least-squares slope of ln(values) vs ln(indices).
+def least_squares_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of y on x over the entries where both are finite.
 
-    Zero values cannot enter the fit; they are masked out.  With fewer
-    than two usable points the slope is reported as 0.0.
+    The slope is reported as 0.0 when fewer than two such entries remain
+    or when x has no spread over them.
     """
-    idx = np.asarray(indices, dtype=float)
-    val = np.asarray(values, dtype=float)
-    mask = (val > 0.0) & (idx > 0.0)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    mask = np.isfinite(x) & np.isfinite(y)
     if int(mask.sum()) < 2:
         return 0.0
-    x = np.log(idx[mask])
-    y = np.log(val[mask])
+    x, y = x[mask], y[mask]
     x = x - x.mean()
     denom = float(x @ x)
     if denom == 0.0:
@@ -53,16 +54,9 @@ def classify_from_logs(log_norms: np.ndarray, window_start: int | None = None) -
     indices = np.arange(max(0, window_start - 1) + 1, n + 1, dtype=float)
     if window.size == 0:
         return GROWTH_BOUNDED
-    mask = np.isfinite(window)
-    if not mask.any():
+    if not np.isfinite(window).any():
         return GROWTH_DECAYING
-    if int(mask.sum()) < 2:
-        return GROWTH_BOUNDED
-    x = np.log(indices[mask])
-    y = window[mask]
-    x = x - x.mean()
-    denom = float(x @ x)
-    slope = 0.0 if denom == 0.0 else float(x @ (y - y.mean()) / denom)
+    slope = least_squares_slope(np.log(indices), window)
     if slope >= _SLOPE_EXPONENTIAL:
         return GROWTH_EXPONENTIAL
     if slope >= _SLOPE_FLAT:

@@ -193,6 +193,25 @@ def test_missing_input_exits_parse_error(tmp_path, capsys):
     assert err["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("source", ["path", "stdin"])
+@pytest.mark.parametrize(
+    "content",
+    [b'\xff\xfe{"d": 1}', b"[" * 200000 + b"]" * 200000],
+    ids=["not-utf8", "deep-nesting"],
+)
+def test_undecodable_input_exits_parse_error(tmp_path, capsys, monkeypatch, content, source):
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(content), encoding="utf-8"))
+        path = "-"
+    else:
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+    rc = main(["cayley", str(path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+
+
 def test_precondition_exit_code(tmp_path, capsys):
     path = seq_file(tmp_path)
     rc = main(["modes", path, "--theta", "0,1", "--theta", "0,1"])

@@ -32,3 +32,25 @@ def test_library_uses_no_numpy_linalg_decompositions():
         if name != "norm"
     ]
     assert offenders == []
+
+
+def _unused_imports(tree):
+    """(line, name) for every name a module imports but never reads."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_library_has_no_unused_imports():
+    # __init__.py imports only to re-export
+    offenders = [
+        f"{path.name}:{line}: {name}"
+        for path in SOURCES
+        if path.name != "__init__.py"
+        for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert offenders == []
