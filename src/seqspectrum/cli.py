@@ -46,10 +46,10 @@ from .serialize import (
     cnum_array,
     dumps_report,
     load_json,
+    parse_cnum_array,
     parse_matrix,
     parse_sequence,
     parse_system,
-    parse_vector,
     resolvent_scan_csv,
     sequence_to_json,
     to_jsonable,
@@ -92,15 +92,6 @@ def _parse_radii(text: str) -> list[float]:
         raise ParseError(f"radii must be comma-separated numbers, got {text!r}")
 
 
-def _load(path: str):
-    if path == "-":
-        try:
-            return json.load(sys.stdin)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            raise ParseError(f"standard input is not valid JSON: {exc}") from exc
-    return load_json(path)
-
-
 def _emit(text: str, out: str, summary: str) -> None:
     if out == "-":
         sys.stdout.write(text)
@@ -110,7 +101,7 @@ def _emit(text: str, out: str, summary: str) -> None:
 
 
 def _cmd_spectrum_scan(args) -> None:
-    seq = parse_sequence(_load(args.input))
+    seq = parse_sequence(load_json(args.input))
     report = spectrum_scan(seq, args.grid_size, args.epsilon)
     summary = (
         f"detected {len(report.detected)} spectrum point(s) "
@@ -120,7 +111,7 @@ def _cmd_spectrum_scan(args) -> None:
 
 
 def _cmd_modes(args) -> None:
-    seq = parse_sequence(_load(args.input))
+    seq = parse_sequence(load_json(args.input))
     thetas = [_parse_theta(t) for t in args.theta or []]
     decomp = extract_modes(seq, thetas, args.n_used)
     summary = (
@@ -131,7 +122,7 @@ def _cmd_modes(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
-    system, horizon = parse_system(_load(args.input))
+    system, horizon = parse_system(load_json(args.input))
     if system.p != 1:
         raise ParseError("simulate handles p = 1 systems; use delay-simulate for p > 1")
     seq, report = simulate_delay(system, horizon)
@@ -141,7 +132,7 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_delay_simulate(args) -> None:
-    system, horizon = parse_system(_load(args.input))
+    system, horizon = parse_system(load_json(args.input))
     seq, report = simulate_delay(system, horizon)
     envelope = {"sequence": sequence_to_json(seq, prefer_descriptor=False), "trajectory_report": to_jsonable(report)}
     summary = f"p = {system.p}, horizon {horizon}, growth {report.growth_class}, sup norm {report.sup_norm:.6g}"
@@ -157,7 +148,7 @@ def _cmd_delay_simulate(args) -> None:
 
 
 def _cmd_gelfand(args) -> None:
-    a = parse_matrix(_load(args.input))
+    a = parse_matrix(load_json(args.input))
     report = gelfand_radius_estimate(a, args.n_max)
     summary = (
         f"spectral radius estimate {report.estimate:.12g} "
@@ -167,7 +158,7 @@ def _cmd_gelfand(args) -> None:
 
 
 def _cmd_ktz(args) -> None:
-    a = parse_matrix(_load(args.input))
+    a = parse_matrix(load_json(args.input))
     verdict = ktz_check(a, _parse_theta(args.theta), args.n_max, args.bound, args.limit_tol)
     if verdict.hypotheses_met:
         tail = "n/a" if verdict.operator_tail_sup is None else f"{verdict.operator_tail_sup:.6g}"
@@ -178,7 +169,7 @@ def _cmd_ktz(args) -> None:
 
 
 def _cmd_resolvent_scan(args) -> None:
-    a = parse_matrix(_load(args.input))
+    a = parse_matrix(load_json(args.input))
     grid = []
     for r in _parse_radii(args.radius):
         if r <= 0:
@@ -195,7 +186,7 @@ def _cmd_resolvent_scan(args) -> None:
 
 
 def _cmd_pole_probe(args) -> None:
-    u = parse_matrix(_load(args.input))
+    u = parse_matrix(load_json(args.input))
     report = pole_order_probe(u, _parse_theta(args.theta), _parse_radii(args.radii))
     summary = (
         f"fitted order {report.fitted_order:.4f} at theta = "
@@ -205,21 +196,17 @@ def _cmd_pole_probe(args) -> None:
 
 
 def _cmd_cayley(args) -> None:
-    a = parse_matrix(_load(args.input))
+    a = parse_matrix(load_json(args.input))
     residual = cayley_hamilton_residual(a)
     report = {"d": a.dim, "residual": residual, "matrix_norm": operator_norm(a)}
     _emit(dumps_report(report), args.out, f"characteristic-polynomial residual {residual:.6g}")
 
 
 def _cmd_cauchy_recover(args) -> None:
-    obj = _load(args.input)
+    obj = load_json(args.input)
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise ParseError("series table must be an object with a 'coeffs' list")
-    coeffs = [parse_vector(c, "series coefficient").data for c in obj["coeffs"]]
-    if not coeffs:
-        raise ParseError("series table must contain at least one coefficient")
-    if any(c.shape != coeffs[0].shape for c in coeffs):
-        raise ParseError("series coefficients must share one dimension")
+    coeffs = parse_cnum_array(obj["coeffs"], "series coefficients", 2)
 
     def oracle(z: complex) -> np.ndarray:
         acc = np.zeros_like(coeffs[0])

@@ -59,6 +59,8 @@ class ForcingSpec:
     def __init__(self, kind: str, param: float | None = None, direction=None, table=None, seed: int = 0):
         if kind not in FORCING_KINDS:
             raise PreconditionError(f"unknown forcing kind {kind!r}")
+        if int(seed) < 0:
+            raise PreconditionError(f"forcing seed must be >= 0, got {seed}")
         if kind == "geometric":
             if param is None or not 0.0 < float(param) < 1.0:
                 raise PreconditionError("geometric forcing needs ratio in (0,1)")

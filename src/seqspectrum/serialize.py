@@ -7,14 +7,18 @@ serialized with sorted keys and repr-quality floats, so identical
 inputs and seeds give byte-identical reports.  All input validation
 failures raise :class:`ParseError` (CLI exit 1), never a bare KeyError
 or ValueError.
+
+Pairs have one encoder, :func:`cnum_array`, and one decoder,
+:func:`parse_cnum_array`.  It takes JSON ints, floats and bools, no list
+empty or ragged, every value finite, and keeps each float's bits.
 """
 
 import csv
 import dataclasses
 import io
 import json
-import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -36,17 +40,29 @@ def cnum_array(a) -> list:
     return np.stack((a.real, a.imag), -1).tolist()
 
 
+_NESTING = ("a [re, im] pair", "a nonempty list of [re, im] pairs", "a nonempty list of equal-length lists of pairs")
+
+
+def parse_cnum_array(obj, what: str, ndim: int) -> np.ndarray:
+    """Lists of [re, im] pairs nested ``ndim`` deep (0 for one pair) as a
+    complex128 array of ``ndim`` axes; the inverse of :func:`cnum_array`."""
+    expected = f"{what} must be {_NESTING[ndim]} of finite real numbers"
+    try:
+        arr = np.array(obj)  # ValueError when ragged
+        # ints past int64 make an object array of numbers; strings, None and dicts do not
+        if arr.dtype.kind not in "biuf" and not all(isinstance(t, numbers.Real) for t in arr.flat):
+            raise TypeError
+        pairs = np.ascontiguousarray(arr, dtype=np.float64)  # OverflowError past float range
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ParseError(expected) from exc
+    if arr.shape[ndim:] != (2,) or not arr.size or not np.isfinite(pairs).all():
+        raise ParseError(expected)
+    # a view keeps each part's bits; re + 1j * im would turn an imaginary -0.0 into +0.0
+    return pairs.view(np.complex128)[..., 0]
+
+
 def parse_cnum(obj, what: str = "complex number") -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(t, numbers.Real) for t in obj)
-    ):
-        raise ParseError(f"{what} must be a [re, im] pair, got {obj!r}")
-    z = complex(float(obj[0]), float(obj[1]))
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ParseError(f"{what} must be finite, got {obj!r}")
-    return z
+    return complex(parse_cnum_array(obj, what, 0))
 
 
 def vector_to_json(v) -> list[list[float]]:
@@ -54,9 +70,7 @@ def vector_to_json(v) -> list[list[float]]:
 
 
 def parse_vector(obj, what: str = "vector") -> CVector:
-    if not isinstance(obj, list) or not obj:
-        raise ParseError(f"{what} must be a nonempty list of [re, im] pairs")
-    return CVector([parse_cnum(e, f"{what} entry") for e in obj])
+    return CVector(parse_cnum_array(obj, what, 1))
 
 
 def matrix_to_json(a: CMatrix) -> dict:
@@ -72,8 +86,7 @@ def parse_matrix(obj, what: str = "matrix") -> CMatrix:
         raise ParseError(f"{what}: 'd' must be an integer in [1, {MAX_DIM}], got {d!r}")
     if not isinstance(entries, list) or len(entries) != d * d:
         raise ParseError(f"{what}: 'entries' must list d*d = {d * d} pairs")
-    flat = [parse_cnum(e, f"{what} entry") for e in entries]
-    return CMatrix(np.array(flat, dtype=np.complex128).reshape(d, d))
+    return CMatrix(parse_cnum_array(entries, f"{what} entries", 1).reshape(d, d))
 
 
 def parse_forcing(obj, what: str = "forcing") -> ForcingSpec:
@@ -86,20 +99,14 @@ def parse_forcing(obj, what: str = "forcing") -> ForcingSpec:
         if kind == "zero":
             return ForcingSpec.zero()
         if kind == "custom_table":
-            values = obj.get("values")
-            if not isinstance(values, list) or not values:
-                raise ParseError(f"{what}: custom_table needs a nonempty 'values' list")
-            rows = [parse_vector(v, f"{what} value").data for v in values]
-            if any(r.shape != rows[0].shape for r in rows):
-                raise ParseError(f"{what}: table rows must share one dimension")
-            return ForcingSpec.custom(np.array(rows))
+            return ForcingSpec.custom(parse_cnum_array(obj.get("values"), f"{what} values", 2))
         if kind in ("geometric", "power", "log_decay"):
             param = obj.get("param")
             if kind != "log_decay" and not isinstance(param, numbers.Real):
                 raise ParseError(f"{what}: kind {kind!r} needs a numeric 'param'")
             direction = obj.get("direction")
             if direction is not None:
-                direction = parse_vector(direction, f"{what} direction").data
+                direction = parse_cnum_array(direction, f"{what} direction", 1)
             seed = obj.get("seed", 0)
             if not isinstance(seed, int):
                 raise ParseError(f"{what}: 'seed' must be an integer")
@@ -136,10 +143,7 @@ def parse_system(obj, what: str = "system") -> tuple[DelaySystem, int]:
     p = obj.get("p", 1)
     if not isinstance(p, int) or p < 1:
         raise ParseError(f"{what}: 'p' must be a positive integer")
-    initial_obj = obj["initial"]
-    if not isinstance(initial_obj, list) or not initial_obj:
-        raise ParseError(f"{what}: 'initial' must list the p starting vectors")
-    initial = [parse_vector(v, f"{what} initial vector") for v in initial_obj]
+    initial = parse_cnum_array(obj["initial"], f"{what} initial vectors", 2)
     forcing = parse_forcing(obj.get("forcing"), f"{what}.forcing")
     horizon = obj["horizon"]
     if not isinstance(horizon, int) or horizon < MIN_HORIZON:
@@ -195,18 +199,12 @@ def parse_sequence(obj, what: str = "sequence") -> BoundedSeq:
     kind = obj["kind"]
     if kind in ("materialized", "custom_table"):
         d = obj.get("d")
-        values = obj.get("values")
         if not isinstance(d, int) or not 1 <= d <= MAX_DIM:
             raise ParseError(f"{what}: 'd' must be an integer in [1, {MAX_DIM}]")
-        if not isinstance(values, list) or len(values) < MIN_HORIZON:
-            raise ParseError(f"{what}: 'values' must list at least {MIN_HORIZON} vectors")
-        rows = []
-        for v in values:
-            vec = parse_vector(v, f"{what} value")
-            if vec.dim != d:
-                raise ParseError(f"{what}: value of dimension {vec.dim} != d = {d}")
-            rows.append(vec.data)
-        return BoundedSeq(np.array(rows), {"kind": kind})
+        rows = parse_cnum_array(obj.get("values"), f"{what} values", 2)
+        if rows.shape[0] < MIN_HORIZON or rows.shape[1] != d:
+            raise ParseError(f"{what}: 'values' must list at least {MIN_HORIZON} vectors of dimension d = {d}")
+        return BoundedSeq(rows, {"kind": kind})
     if kind == "modes_plus_decay":
         modes_obj = obj.get("modes")
         if not isinstance(modes_obj, list):
@@ -215,19 +213,8 @@ def parse_sequence(obj, what: str = "sequence") -> BoundedSeq:
         for m in modes_obj:
             if not isinstance(m, dict) or "theta" not in m or "v" not in m:
                 raise ParseError(f"{what}: each mode needs 'theta' and 'v'")
-            modes.append(
-                (parse_cnum(m["theta"], f"{what} mode theta"), parse_vector(m["v"], f"{what} mode v").data)
-            )
-        decay_obj = obj.get("decay")
-        decay = None
-        if decay_obj is not None:
-            if not isinstance(decay_obj, dict) or "type" not in decay_obj:
-                raise ParseError(f"{what}: 'decay' must be an object with a 'type'")
-            if decay_obj["type"] != "none":
-                param = decay_obj.get("param")
-                if decay_obj["type"] != "log" and not isinstance(param, numbers.Real):
-                    raise ParseError(f"{what}: decay type {decay_obj['type']!r} needs a numeric 'param'")
-                decay = (decay_obj["type"], None if param is None else float(param))
+            theta = complex(parse_cnum_array(m["theta"], f"{what} mode theta", 0))
+            modes.append((theta, parse_cnum_array(m["v"], f"{what} mode v", 1)))
         horizon = obj.get("horizon")
         if not isinstance(horizon, int) or horizon < MIN_HORIZON:
             raise ParseError(f"{what}: 'horizon' must be an integer >= {MIN_HORIZON}")
@@ -236,6 +223,17 @@ def parse_sequence(obj, what: str = "sequence") -> BoundedSeq:
             raise ParseError(f"{what}: 'seed' must be an integer")
         dim = obj.get("d") if not modes else None
         try:
+            decay_obj = obj.get("decay")
+            decay = None
+            if decay_obj is not None:
+                if not isinstance(decay_obj, dict) or "type" not in decay_obj:
+                    raise ParseError(f"{what}: 'decay' must be an object with a 'type'")
+                if decay_obj["type"] != "none":
+                    param = decay_obj.get("param")
+                    if decay_obj["type"] != "log" and not isinstance(param, numbers.Real):
+                        raise ParseError(f"{what}: decay type {decay_obj['type']!r} needs a numeric 'param'")
+                    # float() inside the try: an int past float range is a ParseError
+                    decay = (decay_obj["type"], None if param is None else float(param))
             return modes_plus_decay(modes, horizon, decay=decay, seed=seed, dim=dim)
         except ParseError:
             raise
@@ -297,10 +295,15 @@ def resolvent_scan_csv(samples) -> str:
 
 
 def load_json(path: str):
+    """The JSON value in the file at ``path``, or on standard input for "-"."""
+    source = "standard input" if path == "-" else path
     try:
+        if path == "-":
+            return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    # JSONDecodeError, UnicodeDecodeError and the int digit limit are ValueErrors
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{source} is not valid JSON: {exc}") from exc

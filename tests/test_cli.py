@@ -196,8 +196,13 @@ def test_missing_input_exits_parse_error(tmp_path, capsys):
 @pytest.mark.parametrize("source", ["path", "stdin"])
 @pytest.mark.parametrize(
     "content",
-    [b'\xff\xfe{"d": 1}', b"[" * 200000 + b"]" * 200000],
-    ids=["not-utf8", "deep-nesting"],
+    [
+        b'\xff\xfe{"d": 1}',
+        b"[" * 200000 + b"]" * 200000,
+        b'{"d": 1, "entries": [[1' + b"0" * 400 + b", 0]]}",
+        b'{"d": 1, "entries": [[1' + b"0" * 4400 + b", 0]]}",
+    ],
+    ids=["not-utf8", "deep-nesting", "entry-past-float-range", "int-past-digit-limit"],
 )
 def test_undecodable_input_exits_parse_error(tmp_path, capsys, monkeypatch, content, source):
     if source == "stdin":
@@ -210,6 +215,36 @@ def test_undecodable_input_exits_parse_error(tmp_path, capsys, monkeypatch, cont
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ParseError"
+
+
+def _assert_parse_error(capsys, rc):
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+
+
+def test_cauchy_recover_rejects_non_list_coeffs(tmp_path, capsys):
+    path = write_json(tmp_path / "series.json", {"coeffs": 5})
+    _assert_parse_error(capsys, main(["cauchy-recover", path, "--k", "0"]))
+
+
+def test_decay_param_past_float_range_exits_parse_error(tmp_path, capsys):
+    x = modes_plus_decay([(1j, (1.0,))], 64, decay=("power", 1.5), seed=1)
+    desc = sequence_to_json(x)
+    desc["decay"]["param"] = 10**400
+    path = write_json(tmp_path / "seq.json", desc)
+    _assert_parse_error(capsys, main(["spectrum-scan", path]))
+
+
+def test_negative_forcing_seed_exits_parse_error(tmp_path, capsys):
+    system = {
+        "B": matrix_to_json(CMatrix([[0.5]])),
+        "initial": [[[1.0, 0.0]]],
+        "forcing": {"kind": "geometric", "param": 0.5, "seed": -1},
+        "horizon": 64,
+    }
+    path = write_json(tmp_path / "system.json", system)
+    _assert_parse_error(capsys, main(["simulate", path]))
 
 
 def test_precondition_exit_code(tmp_path, capsys):

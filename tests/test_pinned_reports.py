@@ -1,9 +1,10 @@
 """Report bytes pinned by sha256.
 
 Every report below goes through the power-norm sequence, the slope fit,
-the tail statistics or the [re, im] wire encoder.  The digests were taken
-from ``dumps_report`` (or the CLI's output files) of the code before
-those paths were merged, so any change in a float's last bit shows here.
+the tail statistics or the [re, im] wire encoder or decoder.  The digests
+were taken from ``dumps_report`` (or the CLI's output files) of the code
+before those paths were merged, so any change in a float's last bit
+shows here.
 """
 
 import cmath
@@ -106,6 +107,21 @@ def _wire_formats():
     }
 
 
+def _materialized():
+    """A materialized envelope whose values include -0.0 parts, JSON ints
+    and a subnormal, so the readers' decoding is pinned bit for bit."""
+    x = modes_plus_decay(
+        [(cmath.exp(1.1j), [1.0, -0.5j]), (1j, [0.25, 0.75])], 256, decay=("geometric", 0.9), seed=5
+    )
+    obj = sequence_to_json(x, prefer_descriptor=False)
+    values = obj["values"]
+    values[0] = [[1, 0], [-2, 3]]
+    values[1][0] = [-0.0, 5e-324]
+    values[2][1] = [0.5, -0.0]
+    values[3][0] = [-5e-324, 0]
+    return {"sequence": obj}
+
+
 REPORTS = {
     "gelfand-diagonal": lambda tmp: _bytes(
         gelfand_radius_estimate(CMatrix.diagonal([0.9, 0.5j, -0.3]), 64)
@@ -141,12 +157,22 @@ REPORTS = {
         {"series.json": {"coeffs": [[[1.0, 0.0], [0.5, -0.5]], [[0.0, 2.0], [-1.5, 0.25]]]}},
     ),
     "cli-corpus": _corpus_bytes,
+    "cli-scan-materialized": lambda tmp: _cli_bytes(
+        tmp, ["spectrum-scan"], {"seq.json": _materialized()}
+    ),
+    "cli-modes-materialized": lambda tmp: _cli_bytes(
+        tmp,
+        ["modes", "--theta", f"{cmath.exp(1.1j).real!r},{cmath.exp(1.1j).imag!r}", "--theta", "0,1"],
+        {"seq.json": _materialized()},
+    ),
 }
 
 PINNED = {
     "cli-cauchy-recover": "b859ed4941e15eb9ed9e1c366a6aa9494cd63ae8361d5bbc9738e7a11cc8b31a",
     "cli-cayley": "3ab089caddb8036415641f2ca45a00f3e443f9fd3843832166076fe531c3db7c",
     "cli-corpus": "466b8f5e857236860c0f33060090e4fa48ab27ce28d0f2defb0cdddfb583e211",
+    "cli-modes-materialized": "2ba1f9ce726851869c6db1cbc16baabd7833c1460f13dacab5804f88b20b55da",
+    "cli-scan-materialized": "3c0a0494d97dfdca590292ee37533b1d2b69fc779f9cfc691e11edf9a4b9ace9",
     "cli-simulate": "dcbe2ff0fedf00e72fcdf6a4c662621736a8a37e3928dcb06be4579b2d6fe896",
     "corpus-modes": "c8ca70ca3db8fff889c359cc3fe9ea3a6f75fd7f5b6739c5c16e9eab8beb091a",
     "corpus-vanishing": "e0f90d309424554e2a8911e932f5902ed8d42c9dc4f188c0f94f4395cd0ac2d2",

@@ -1,9 +1,13 @@
+import copy
 import json
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from seqspectrum.dynamics import DelaySystem, ForcingSpec, simulate_delay
 from seqspectrum.errors import ParseError
@@ -12,11 +16,13 @@ from seqspectrum.resolvent import ResolventSample, resolvent_neumann
 from seqspectrum.sequences import BoundedSeq, custom_table, modes_plus_decay
 from seqspectrum.serialize import (
     cnum,
+    cnum_array,
     dumps_report,
     forcing_to_json,
     load_json,
     matrix_to_json,
     parse_cnum,
+    parse_cnum_array,
     parse_forcing,
     parse_matrix,
     parse_sequence,
@@ -237,3 +243,94 @@ def test_readme_json_examples_parse():
             parse_matrix(obj)
         else:
             parse_sequence(obj)
+
+
+# Arbitrary JSON over the wire-format keys.  Integers come only from
+# [-100, 4096] or past float range: a mid-size horizon or dimension such
+# as 2**40 would make the generators allocate or loop without bound.
+WIRE_KEYS = [
+    "kind", "d", "entries", "values", "modes", "theta", "v", "decay", "type",
+    "param", "horizon", "seed", "B", "p", "initial", "forcing", "direction", "sequence",
+]
+WIRE_WORDS = [
+    "materialized", "custom_table", "modes_plus_decay", "forced_system_output",
+    "zero", "geometric", "power", "log_decay", "log", "none",
+]
+json_ints = st.integers(-100, 4096) | st.sampled_from([10**400, -(10**400)])
+json_numbers = json_ints | st.floats() | st.booleans()  # floats include +-inf and NaN
+pairs = st.lists(json_numbers, max_size=3)  # mostly the wrong length or not finite
+json_values = st.recursive(
+    st.none() | json_numbers | st.sampled_from(WIRE_WORDS) | st.text(max_size=3) | pairs,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(WIRE_KEYS), inner, max_size=6),
+    max_leaves=30,
+)
+
+
+def _valid_wire_objects():
+    """One small valid input of every wire form, as JSON data."""
+    x = modes_plus_decay([(1j, [1.0, -0.5]), (-1.0, [0.0, 2.0])], 16, decay=("power", 1.5), seed=3)
+    system = DelaySystem(
+        CMatrix([[0.5, 0.25j], [0.0, -0.5]]), 2, [CVector([1.0, 0.0]), CVector([0.0, 1.0j])],
+        ForcingSpec.geometric(0.5, direction=[1.0, 1.0j], seed=2),
+    )
+    forced = system_to_json(system, 32)
+    forced["kind"] = "forced_system_output"
+    forcings = [ForcingSpec.custom(np.ones((3, 2))), ForcingSpec.log_decay(seed=1), ForcingSpec.power(2.0)]
+    objs = [sequence_to_json(x), sequence_to_json(x, prefer_descriptor=False), forced, system_to_json(system, 32)]
+    objs += [forcing_to_json(f) for f in forcings] + [vector_to_json(CVector([1.0, 2.0j])), [0.5, -0.0]]
+    return json.loads(json.dumps(objs))
+
+
+VALID_WIRE_OBJECTS = _valid_wire_objects()
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def corrupted_wire_objects(draw):
+    """A valid wire object with one member replaced by arbitrary JSON, or
+    removed, so that every check on the way in gets reached."""
+    obj = copy.deepcopy(draw(st.sampled_from(VALID_WIRE_OBJECTS)))
+    path = draw(st.sampled_from(list(_paths(obj))))
+    if not path:
+        return draw(json_values)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(json_values)
+    return obj
+
+
+@given(json_values | corrupted_wire_objects())
+def test_parsers_raise_only_parse_error(obj):
+    for parse in (parse_cnum, parse_vector, parse_matrix, parse_forcing, parse_system, parse_sequence):
+        try:
+            parse(obj)
+        except ParseError:
+            pass
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1.7e308, -1.7e308]
+pair_arrays = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=4).map(lambda shape: shape + (2,)),
+    elements=st.sampled_from(SPECIAL_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(pair_arrays)
+def test_parse_cnum_array_inverts_cnum_array_bitwise(parts):
+    a = parts.view(np.complex128)[..., 0]
+    for wire in (cnum_array(a), json.loads(json.dumps(cnum_array(a)))):
+        got = parse_cnum_array(wire, "values", a.ndim)
+        assert got.dtype == np.complex128 and got.shape == a.shape
+        # compared as integers, since -0.0 == 0.0 as floats
+        assert np.array_equal(np.atleast_1d(got).view(np.uint64), np.atleast_1d(a).view(np.uint64))
