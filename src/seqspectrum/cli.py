@@ -38,6 +38,7 @@ from .resolvent import (
 from .sequences import (
     DEFAULT_GRID_SIZE,
     DEFAULT_HORIZON,
+    MAX_HORIZON,
     extract_modes,
     ktz_check,
     spectrum_scan,
@@ -45,6 +46,7 @@ from .sequences import (
 from .serialize import (
     cnum_array,
     dumps_report,
+    json_default,
     load_json,
     parse_cnum_array,
     parse_matrix,
@@ -52,7 +54,6 @@ from .serialize import (
     parse_system,
     resolvent_scan_csv,
     sequence_to_json,
-    to_jsonable,
 )
 
 
@@ -126,7 +127,7 @@ def _cmd_simulate(args) -> None:
     if system.p != 1:
         raise ParseError("simulate handles p = 1 systems; use delay-simulate for p > 1")
     seq, report = simulate_delay(system, horizon)
-    envelope = {"sequence": sequence_to_json(seq, prefer_descriptor=False), "trajectory_report": to_jsonable(report)}
+    envelope = {"sequence": sequence_to_json(seq, prefer_descriptor=False), "trajectory_report": report}
     summary = f"horizon {horizon}, growth {report.growth_class}, sup norm {report.sup_norm:.6g}"
     _emit(dumps_report(envelope), args.out, summary)
 
@@ -134,13 +135,11 @@ def _cmd_simulate(args) -> None:
 def _cmd_delay_simulate(args) -> None:
     system, horizon = parse_system(load_json(args.input))
     seq, report = simulate_delay(system, horizon)
-    envelope = {"sequence": sequence_to_json(seq, prefer_descriptor=False), "trajectory_report": to_jsonable(report)}
+    envelope = {"sequence": sequence_to_json(seq, prefer_descriptor=False), "trajectory_report": report}
     summary = f"p = {system.p}, horizon {horizon}, growth {report.growth_class}, sup norm {report.sup_norm:.6g}"
     if args.probe:
-        probe = delay_limit_probe(
-            system, horizon, args.peripheral_tol, args.grid_size
-        )
-        envelope["delay_probe"] = to_jsonable(probe)
+        probe = delay_limit_probe(system, seq, args.peripheral_tol, args.grid_size)
+        envelope["delay_probe"] = probe
         one = "n/a" if probe.one_step is None else f"{probe.one_step.tail_sup:.6g}"
         pstep = "n/a" if probe.p_step is None else f"{probe.p_step.tail_sup:.6g}"
         summary += f"; probe tails one-step {one}, p-step {pstep}"
@@ -233,6 +232,8 @@ def _cmd_cauchy_recover(args) -> None:
 
 
 def _cmd_corpus(args) -> None:
+    if args.horizon > MAX_HORIZON:
+        raise ParseError(f"--horizon must be at most {MAX_HORIZON}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     members = generate_corpus(args.seed, args.horizon)
@@ -324,8 +325,8 @@ def main(argv=None) -> int:
         for name in ("blow_up_index", "payload"):
             extra = getattr(exc, name, None)
             if extra is not None:
-                payload[name] = to_jsonable(extra)
-        sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
+                payload[name] = extra
+        sys.stderr.write(json.dumps(payload, sort_keys=True, default=json_default) + "\n")
         return exit_code_for(exc)
 
 

@@ -187,9 +187,10 @@ class PowerBoundVerdict:
 
     @property
     def sup_norm(self) -> float:
-        return float(np.exp(self.sup_log_norm)) if np.isfinite(self.sup_log_norm) else (
-            0.0 if self.sup_log_norm == -np.inf else np.inf
-        )
+        with np.errstate(over="ignore"):  # a finite log past 709.78 is inf, as intended
+            return float(np.exp(self.sup_log_norm)) if np.isfinite(self.sup_log_norm) else (
+                0.0 if self.sup_log_norm == -np.inf else np.inf
+            )
 
 
 def power_bounded_probe(a: CMatrix, n_max: int, bound: float) -> PowerBoundVerdict:

@@ -25,9 +25,10 @@ from .trend import GROWTH_BOUNDED, GROWTH_DECAYING, least_squares_slope
 DEFAULT_HORIZON = 16384
 DEFAULT_GRID_SIZE = 4096
 MIN_HORIZON = 16
+MAX_HORIZON = 2**20  # longest window an input may ask for
 
 #: Running unimodular powers are renormalized this often to stop
-#: modulus drift over horizons up to 2**20.
+#: modulus drift over horizons up to MAX_HORIZON.
 _RENORM_INTERVAL = 1024
 
 _UNIMODULAR_TOL = 1e-12
@@ -651,10 +652,11 @@ def ktz_check(
         shift = t.data - theta * np.eye(t.dim)
         values = np.empty((n_max, t.dim * t.dim), dtype=np.complex128)
         power = np.eye(t.dim, dtype=np.complex128)
-        for n in range(n_max):
-            values[n] = (power @ shift).reshape(-1)
-            power = t.data @ power
         # an infinite bound admits powers that overflow to inf or nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(n_max):
+                values[n] = (power @ shift).reshape(-1)
+                power = t.data @ power
         if not np.all(np.isfinite(values)):
             raise PreconditionError("sequence values must all be finite")
         window = n_max // 2

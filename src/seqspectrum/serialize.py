@@ -9,8 +9,11 @@ failures raise :class:`ParseError` (CLI exit 1), never a bare KeyError
 or ValueError.
 
 Pairs have one encoder, :func:`cnum_array`, and one decoder,
-:func:`parse_cnum_array`.  It takes JSON ints, floats and bools, no list
-empty or ragged, every value finite, and keeps each float's bits.
+:func:`parse_cnum_array`.  The encoder gives the float64 pair array,
+which wire dicts hold as it is and :func:`dumps_report` lists; one
+``json.dumps`` pass whose hook, :func:`json_default`, converts one level
+at a time.  The decoder takes JSON ints, floats and bools, no list empty
+or ragged, every value finite, and keeps each float's bits.
 """
 
 import csv
@@ -18,6 +21,7 @@ import dataclasses
 import io
 import json
 import numbers
+import re
 import sys
 
 import numpy as np
@@ -25,7 +29,7 @@ import numpy as np
 from .dynamics import DelaySystem, ForcingSpec, simulate_delay
 from .errors import ParseError
 from .linalg import CMatrix, CVector, MAX_DIM
-from .sequences import BoundedSeq, MIN_HORIZON, modes_plus_decay
+from .sequences import BoundedSeq, MAX_HORIZON, MIN_HORIZON, modes_plus_decay
 
 
 def cnum(z: complex) -> list[float]:
@@ -33,11 +37,11 @@ def cnum(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def cnum_array(a) -> list:
-    """Complex array-like as nested lists of [re, im] pairs, nested as its
-    input: a vector becomes a list of pairs, a table a list of those."""
+def cnum_array(a) -> np.ndarray:
+    """Complex array-like as a float64 array of [re, im] pairs on a new
+    last axis: a vector becomes a (n, 2) array, a table a (n, d, 2) one."""
     a = np.asarray(a, dtype=np.complex128)
-    return np.stack((a.real, a.imag), -1).tolist()
+    return np.stack((a.real, a.imag), -1)
 
 
 _NESTING = ("a [re, im] pair", "a nonempty list of [re, im] pairs", "a nonempty list of equal-length lists of pairs")
@@ -65,7 +69,7 @@ def parse_cnum(obj, what: str = "complex number") -> complex:
     return complex(parse_cnum_array(obj, what, 0))
 
 
-def vector_to_json(v) -> list[list[float]]:
+def vector_to_json(v) -> np.ndarray:
     return cnum_array(np.ravel(getattr(v, "data", v)))
 
 
@@ -81,12 +85,12 @@ def parse_matrix(obj, what: str = "matrix") -> CMatrix:
     if not isinstance(obj, dict):
         raise ParseError(f"{what} must be an object with 'd' and 'entries'")
     d = obj.get("d")
-    entries = obj.get("entries")
     if not isinstance(d, int) or not 1 <= d <= MAX_DIM:
         raise ParseError(f"{what}: 'd' must be an integer in [1, {MAX_DIM}], got {d!r}")
-    if not isinstance(entries, list) or len(entries) != d * d:
+    entries = parse_cnum_array(obj.get("entries"), f"{what} entries", 1)
+    if len(entries) != d * d:
         raise ParseError(f"{what}: 'entries' must list d*d = {d * d} pairs")
-    return CMatrix(parse_cnum_array(entries, f"{what} entries", 1).reshape(d, d))
+    return CMatrix(entries.reshape(d, d))
 
 
 def parse_forcing(obj, what: str = "forcing") -> ForcingSpec:
@@ -133,6 +137,12 @@ def forcing_to_json(f: ForcingSpec) -> dict:
     return out
 
 
+def _parse_horizon(horizon, what: str) -> int:
+    if not isinstance(horizon, int) or not MIN_HORIZON <= horizon <= MAX_HORIZON:
+        raise ParseError(f"{what}: 'horizon' must be an integer in [{MIN_HORIZON}, {MAX_HORIZON}]")
+    return horizon
+
+
 def parse_system(obj, what: str = "system") -> tuple[DelaySystem, int]:
     if not isinstance(obj, dict):
         raise ParseError(f"{what} must be an object")
@@ -145,9 +155,7 @@ def parse_system(obj, what: str = "system") -> tuple[DelaySystem, int]:
         raise ParseError(f"{what}: 'p' must be a positive integer")
     initial = parse_cnum_array(obj["initial"], f"{what} initial vectors", 2)
     forcing = parse_forcing(obj.get("forcing"), f"{what}.forcing")
-    horizon = obj["horizon"]
-    if not isinstance(horizon, int) or horizon < MIN_HORIZON:
-        raise ParseError(f"{what}: 'horizon' must be an integer >= {MIN_HORIZON}")
+    horizon = _parse_horizon(obj["horizon"], what)
     try:
         system = DelaySystem(b, p, initial, forcing)
     except Exception as exc:
@@ -215,13 +223,13 @@ def parse_sequence(obj, what: str = "sequence") -> BoundedSeq:
                 raise ParseError(f"{what}: each mode needs 'theta' and 'v'")
             theta = complex(parse_cnum_array(m["theta"], f"{what} mode theta", 0))
             modes.append((theta, parse_cnum_array(m["v"], f"{what} mode v", 1)))
-        horizon = obj.get("horizon")
-        if not isinstance(horizon, int) or horizon < MIN_HORIZON:
-            raise ParseError(f"{what}: 'horizon' must be an integer >= {MIN_HORIZON}")
+        horizon = _parse_horizon(obj.get("horizon"), what)
         seed = obj.get("seed", 0)
         if not isinstance(seed, int):
             raise ParseError(f"{what}: 'seed' must be an integer")
-        dim = obj.get("d") if not modes else None
+        dim = obj.get("d") if not modes else len(modes[0][1])
+        if not isinstance(dim, int) or not 1 <= dim <= MAX_DIM:
+            raise ParseError(f"{what}: 'd' and the mode vectors' length must be in [1, {MAX_DIM}]")
         try:
             decay_obj = obj.get("decay")
             decay = None
@@ -249,18 +257,13 @@ def parse_sequence(obj, what: str = "sequence") -> BoundedSeq:
     raise ParseError(f"{what}: unknown kind {kind!r}")
 
 
-def to_jsonable(obj):
-    """Recursively convert package objects into JSON-serializable data."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return obj
+def json_default(obj):
+    """One level of a package object as JSON data: json's ``default`` hook,
+    which json calls again on whatever the result still holds."""
     if isinstance(obj, complex):
         return cnum(obj)
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):
         return obj.item()
-    if isinstance(obj, np.complexfloating):
-        return cnum(complex(obj))
     if isinstance(obj, CVector):
         return vector_to_json(obj)
     if isinstance(obj, CMatrix):
@@ -268,20 +271,45 @@ def to_jsonable(obj):
     if isinstance(obj, BoundedSeq):
         return sequence_to_json(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
+        return cnum_array(obj) if np.iscomplexobj(obj) else obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+_PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
 
 
 def dumps_report(obj) -> str:
     """Deterministic JSON text: sorted keys, two-space indent, one
-    trailing newline."""
-    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    trailing newline.  Each float64 array is a placeholder string here,
+    then spliced back as json's C-encoded compact text indented by
+    replacement: every float sits ``ndim`` lists deep, so the separator
+    "]" * c + ", " + "[" * c between two floats closes c lists."""
+    blocks = []
+
+    def default(o):
+        if isinstance(o, np.ndarray) and o.dtype == np.float64 and o.ndim and o.size:
+            blocks.append(o)
+            return f"\0{len(blocks) - 1}"
+        return json_default(o)
+
+    def splice(m: re.Match) -> str:
+        a = blocks[int(m.group(1))]
+        k = a.ndim
+        line = m.string[m.string.rfind("\n", 0, m.start()) + 1 : m.start()]
+        nl = ["\n" + " " * (len(line) - len(line.lstrip(" ")) + 2 * j) for j in range(k + 1)]
+        close = ["".join(nl[j] + "]" for j in reversed(range(k - c, k))) for c in range(k + 1)]
+        open_ = ["".join("[" + nl[j + 1] for j in range(k - c, k)) for c in range(k + 1)]
+        text = json.dumps(a.tolist())
+        for c in range(k - 1, -1, -1):
+            text = text.replace("]" * c + ", " + "[" * c, close[c] + "," + nl[k - c] + open_[c])
+        return open_[k] + text[k : len(text) - k] + close[k]
+
+    text = json.dumps(obj, sort_keys=True, indent=2, default=default)
+    if sorted(int(i) for i in _PLACEHOLDER.findall(text)) != list(range(len(blocks))):
+        raise ValueError("a report string collides with a float block placeholder")
+    return _PLACEHOLDER.sub(splice, text) + "\n"
 
 
 def resolvent_scan_csv(samples) -> str:

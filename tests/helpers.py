@@ -4,9 +4,13 @@ Tests are free to lean on numpy.linalg (eig/svd/inv) as an independent
 oracle; the library itself never does.
 """
 
+import dataclasses
+
 import numpy as np
 
 from seqspectrum.linalg import CMatrix, CVector
+from seqspectrum.sequences import BoundedSeq
+from seqspectrum.serialize import matrix_to_json, sequence_to_json, vector_to_json
 
 
 def random_unitary(rng, d):
@@ -85,6 +89,34 @@ def scalar_unimodular_powers(theta, count):
         current = current * seg[m - 1]
         current /= abs(current)
     return out
+
+
+def jsonable_oracle(obj):
+    """Reference for ``dumps_report``: the recursive pre-walk it replaced,
+    turning every package object and array into plain JSON data."""
+    if obj is None or isinstance(obj, (bool, int, str, float)):
+        return obj
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, np.complexfloating):
+        return jsonable_oracle(complex(obj))
+    if isinstance(obj, CVector):
+        return jsonable_oracle(vector_to_json(obj))
+    if isinstance(obj, CMatrix):
+        return jsonable_oracle(matrix_to_json(obj))
+    if isinstance(obj, BoundedSeq):
+        return jsonable_oracle(sequence_to_json(obj))
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: jsonable_oracle(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return [jsonable_oracle(v) for v in obj.tolist()]
+    if isinstance(obj, (list, tuple)):
+        return [jsonable_oracle(v) for v in obj]
+    if isinstance(obj, dict):
+        return {str(k): jsonable_oracle(v) for k, v in obj.items()}
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def companion_embedding(system):

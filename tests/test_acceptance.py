@@ -32,6 +32,7 @@ from seqspectrum import (
     pole_order_probe,
     resolvent_direct,
     resolvent_neumann,
+    simulate_delay,
     simulate_forced,
     single_mode_check,
     vanishing_check,
@@ -268,7 +269,7 @@ def test_criterion_10_delay_counterexample():
     worst_one = 0.0
     worst_p = 0.0
     for horizon in horizons:
-        probe = delay_limit_probe(system, horizon)
+        probe = delay_limit_probe(system, simulate_delay(system, horizon)[0])
         worst_one = max(worst_one, abs(probe.one_step.tail_sup - 2.0))
         worst_p = max(worst_p, probe.p_step.tail_sup)
     ok = worst_one <= 1e-12 and worst_p <= 1e-12

@@ -6,11 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from seqspectrum import eigen, linalg
+from seqspectrum import cli, dynamics, eigen, linalg
 from seqspectrum.cli import main
 from seqspectrum.dynamics import DelaySystem, ForcingSpec
 from seqspectrum.linalg import CMatrix, CVector
-from seqspectrum.sequences import modes_plus_decay
+from seqspectrum.sequences import MAX_HORIZON, modes_plus_decay
 from seqspectrum.serialize import dumps_report, matrix_to_json, sequence_to_json, system_to_json
 
 
@@ -113,6 +113,21 @@ def test_delay_simulate_with_probe(tmp_path, capsys):
     assert probe["one_step"]["tail_sup"] == 2.0
     assert probe["p_step"]["tail_sup"] == 0.0
     assert probe["scan_contained"] is True
+
+
+def test_delay_simulate_with_probe_simulates_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    simulate = dynamics.simulate_delay
+
+    def counted(system, horizon):
+        calls.append(horizon)
+        return simulate(system, horizon)
+
+    monkeypatch.setattr(dynamics, "simulate_delay", counted)
+    monkeypatch.setattr(cli, "simulate_delay", counted)
+    sys_path = write_json(tmp_path / "system.json", alternating_system_json())
+    assert main(["delay-simulate", sys_path, "--probe", "--out", str(tmp_path / "out.json")]) == 0
+    assert calls == [256]
 
 
 def test_gelfand_command(tmp_path, capsys):
@@ -267,6 +282,46 @@ def test_unbounded_simulation_exit_code(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "UnboundedTrajectoryError"
     assert err["blow_up_index"] > 0
+
+
+def test_ktz_infinite_bound_writes_one_error_line(tmp_path):
+    path = write_json(tmp_path / "m.json", matrix_to_json(CMatrix([[2.0]])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "seqspectrum.cli", "ktz", path, "--theta", "1", "--bound", "inf", "--n-max", "2048"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "PreconditionError"
+
+
+def _descriptor(**fields):
+    return {"kind": "modes_plus_decay", "modes": [{"theta": [0, 1], "v": [[1, 0]]}], "horizon": 64, **fields}
+
+
+OVERSIZED_HORIZONS = [10**400, 2**40, MAX_HORIZON + 1]
+
+
+@pytest.mark.parametrize(
+    "command, obj",
+    [("simulate", {**alternating_system_json(), "p": 1, "initial": [[[1, 0]]], "horizon": h}) for h in OVERSIZED_HORIZONS]
+    + [("spectrum-scan", _descriptor(horizon=h)) for h in OVERSIZED_HORIZONS]
+    + [("spectrum-scan", _descriptor(modes=[], d=1000))],
+)
+def test_oversized_input_exits_parse_error(tmp_path, capsys, command, obj):
+    rc = main([command, write_json(tmp_path / "in.json", obj)])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("horizon", OVERSIZED_HORIZONS)
+def test_corpus_oversized_horizon_exits_parse_error(tmp_path, capsys, horizon):
+    rc = main(["corpus", "--out-dir", str(tmp_path / "corpus"), "--horizon", str(horizon)])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+    assert not (tmp_path / "corpus").exists()
 
 
 def test_bad_theta_flag(tmp_path, capsys):

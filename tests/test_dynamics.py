@@ -6,6 +6,7 @@ import pytest
 
 import helpers
 from seqspectrum.dynamics import (
+    OVERFLOW_LIMIT,
     DelaySystem,
     ForcingSpec,
     delay_limit_probe,
@@ -104,6 +105,35 @@ def test_simulate_forced_overflow():
     with pytest.raises(UnboundedTrajectoryError) as err:
         simulate_forced(CMatrix(2.0 * np.eye(1)), CVector([1.0]), ForcingSpec.zero(), 1024)
     assert 300 <= err.value.blow_up_index <= 400  # 2^n crosses 1e100 near n = 333
+
+
+def _per_step_blow_up(system, horizon):
+    """The first step whose norm passes OVERFLOW_LIMIT, one step at a time."""
+    y = system.forcing.materialize(horizon, system.dim)
+    x = np.empty((horizon, system.dim), dtype=np.complex128)
+    x[: system.p] = system.initial
+    for n in range(horizon - system.p):
+        x[n + system.p] = system.b.data @ x[n] + y[n]
+        if np.linalg.norm(x[n + system.p]) > OVERFLOW_LIMIT:
+            return n + system.p
+    return None
+
+
+@pytest.mark.parametrize(
+    "b, p, forcing",
+    [
+        ([[2.0]], 1, ForcingSpec.zero()),
+        ([[1.17, 0.3j], [0.0, -0.9]], 1, ForcingSpec.geometric(0.5, seed=1)),  # past the first block
+        ([[0.2, 1.0], [-1.0, 1.1j]], 3, ForcingSpec.power(1.5, seed=2)),
+    ],
+)
+def test_simulate_blow_up_index_matches_per_step_loop(b, p, forcing):
+    system = DelaySystem(CMatrix(b), p, [CVector(np.ones(len(b)) * (1 + k)) for k in range(p)], forcing)
+    want = _per_step_blow_up(system, 8192)
+    assert want is not None
+    with pytest.raises(UnboundedTrajectoryError, match=f"at step {want}$") as err:
+        simulate_delay(system, 8192)
+    assert err.value.blow_up_index == want
 
 
 def test_simulate_delay_alternating_orbit():
@@ -240,7 +270,7 @@ def test_delay_probe_counterexample_family():
     system = DelaySystem(
         CMatrix.identity(1), 2, [CVector([1.0]), CVector([-1.0])], ForcingSpec.zero()
     )
-    report = delay_limit_probe(system, 1024)
+    report = delay_limit_probe(system, simulate_delay(system, 1024)[0])
     assert report.hypotheses_met
     assert report.one_step.tail_sup == pytest.approx(2.0, abs=1e-12)
     assert report.p_step.tail_sup <= 1e-12
@@ -257,7 +287,7 @@ def test_delay_probe_constant_orbit():
     system = DelaySystem(
         CMatrix.identity(1), 2, [CVector([1.0]), CVector([1.0])], ForcingSpec.zero()
     )
-    report = delay_limit_probe(system, 256)
+    report = delay_limit_probe(system, simulate_delay(system, 256)[0])
     assert report.one_step.tail_sup <= 1e-12
     assert report.p_step.tail_sup <= 1e-12
     assert report.one_step_holds and report.p_step_holds
@@ -265,7 +295,7 @@ def test_delay_probe_constant_orbit():
 
 def test_delay_probe_p1_degeneracy():
     system = DelaySystem(CMatrix([[1j]]), 1, [CVector([1.0])], ForcingSpec.zero())
-    report = delay_limit_probe(system, 256)
+    report = delay_limit_probe(system, simulate_delay(system, 256)[0])
     assert report.one_step.tail_sup == pytest.approx(report.p_step.tail_sup, abs=1e-15)
 
 
@@ -274,7 +304,7 @@ def test_delay_probe_alternating_initial_all_horizons():
         initial = [CVector([(-1.0) ** j]) for j in range(p)]
         system = DelaySystem(CMatrix.identity(1), p, initial, ForcingSpec.zero())
         for horizon in (16, 33, 100, 1024):
-            report = delay_limit_probe(system, horizon)
+            report = delay_limit_probe(system, simulate_delay(system, horizon)[0])
             assert report.one_step.tail_sup >= 1.0
             assert report.p_step.tail_sup <= 1e-12
 
@@ -283,14 +313,14 @@ def test_delay_probe_two_peripheral_points_not_met():
     system = DelaySystem(
         CMatrix(np.diag([1.0, -1.0])), 1, [CVector([1.0, 1.0])], ForcingSpec.zero()
     )
-    report = delay_limit_probe(system, 256)
+    report = delay_limit_probe(system, simulate_delay(system, 256)[0])
     assert not report.hypotheses_met
     assert report.notes
 
 
 def test_delay_probe_empty_peripheral_defaults_to_one():
     system = DelaySystem(CMatrix([[0.5]]), 1, [CVector([1.0])], ForcingSpec.zero())
-    report = delay_limit_probe(system, 256)
+    report = delay_limit_probe(system, simulate_delay(system, 256)[0])
     assert report.hypotheses_met
     assert abs(report.theta - 1.0) <= 1e-12
     assert report.notes  # says theta was defaulted

@@ -92,6 +92,12 @@ def _system():
     return DelaySystem(b, 1, [CVector([1.0, -2.0j])], forcing)
 
 
+def _delay_system():
+    b = CMatrix([[cmath.exp(0.9j), 0.3], [0.0, 0.4]])
+    forcing = ForcingSpec.geometric(0.8, direction=[0.5j, 1.0])
+    return DelaySystem(b, 2, [CVector([1.0, -0.5j]), CVector([0.25, 1.0])], forcing)
+
+
 def _wire_formats():
     x = modes_plus_decay(
         [(cmath.exp(0.4j), [1.0, 0.5j]), (-1.0, [0.25, -1.0])], 64, decay=("power", 1.5), seed=3
@@ -114,7 +120,7 @@ def _materialized():
         [(cmath.exp(1.1j), [1.0, -0.5j]), (1j, [0.25, 0.75])], 256, decay=("geometric", 0.9), seed=5
     )
     obj = sequence_to_json(x, prefer_descriptor=False)
-    values = obj["values"]
+    values = obj["values"] = obj["values"].tolist()  # lists keep the planted JSON ints
     values[0] = [[1, 0], [-2, 3]]
     values[1][0] = [-0.0, 5e-324]
     values[2][1] = [0.5, -0.0]
@@ -150,6 +156,9 @@ REPORTS = {
     "cli-simulate": lambda tmp: _cli_bytes(
         tmp, ["simulate"], {"system.json": system_to_json(_system(), 300)}
     ),
+    "cli-delay-probe": lambda tmp: _cli_bytes(
+        tmp, ["delay-simulate", "--probe"], {"system.json": system_to_json(_delay_system(), 128)}
+    ),
     "cli-cayley": lambda tmp: _cli_bytes(tmp, ["cayley"], {"a.json": matrix_to_json(_ginibre(5, 5))}),
     "cli-cauchy-recover": lambda tmp: _cli_bytes(
         tmp,
@@ -170,6 +179,7 @@ REPORTS = {
 PINNED = {
     "cli-cauchy-recover": "b859ed4941e15eb9ed9e1c366a6aa9494cd63ae8361d5bbc9738e7a11cc8b31a",
     "cli-cayley": "3ab089caddb8036415641f2ca45a00f3e443f9fd3843832166076fe531c3db7c",
+    "cli-delay-probe": "e2b3e20c56e188414b7cfe31ea62107df5f4eacb32051052910f553c3c4edc12",
     "cli-corpus": "466b8f5e857236860c0f33060090e4fa48ab27ce28d0f2defb0cdddfb583e211",
     "cli-modes-materialized": "2ba1f9ce726851869c6db1cbc16baabd7833c1460f13dacab5804f88b20b55da",
     "cli-scan-materialized": "3c0a0494d97dfdca590292ee37533b1d2b69fc779f9cfc691e11edf9a4b9ace9",

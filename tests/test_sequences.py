@@ -7,7 +7,7 @@ import pytest
 
 import helpers
 from seqspectrum.corpus import generate_corpus
-from seqspectrum.dynamics import DelaySystem, ForcingSpec, delay_limit_probe
+from seqspectrum.dynamics import DelaySystem, ForcingSpec, delay_limit_probe, simulate_delay
 from seqspectrum.errors import PreconditionError
 from seqspectrum.sequences import (
     _lockstep_golden_max,
@@ -257,9 +257,9 @@ def test_scan_detections_keep_pinned_bytes():
     interior = DelaySystem(b, 3, initial, ForcingSpec.geometric(0.8, seed=3))
     member = next(m for m in generate_corpus(seed=7, horizon=4096) if m.member_id == "two-mode-0")
     found = {
-        "delay-counterexample-37": delay_limit_probe(counterexample, 37).scan_detected,
-        "delay-counterexample-100": delay_limit_probe(counterexample, 100).scan_detected,
-        "delay-d4-p3-interior-128": delay_limit_probe(interior, 128).scan_detected,
+        "delay-counterexample-37": delay_limit_probe(counterexample, simulate_delay(counterexample, 37)[0]).scan_detected,
+        "delay-counterexample-100": delay_limit_probe(counterexample, simulate_delay(counterexample, 100)[0]).scan_detected,
+        "delay-d4-p3-interior-128": delay_limit_probe(interior, simulate_delay(interior, 128)[0]).scan_detected,
         "corpus-seed7-4096-two-mode-0": spectrum_scan(member.seq).detected,
     }
     for name, detected in found.items():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -9,11 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import helpers
 from seqspectrum.dynamics import DelaySystem, ForcingSpec, simulate_delay
 from seqspectrum.errors import ParseError
 from seqspectrum.linalg import CMatrix, CVector
 from seqspectrum.resolvent import ResolventSample, resolvent_neumann
-from seqspectrum.sequences import BoundedSeq, custom_table, modes_plus_decay
+from seqspectrum.sequences import MAX_HORIZON, BoundedSeq, custom_table, modes_plus_decay
 from seqspectrum.serialize import (
     cnum,
     cnum_array,
@@ -31,7 +33,6 @@ from seqspectrum.serialize import (
     resolvent_scan_csv,
     sequence_to_json,
     system_to_json,
-    to_jsonable,
     vector_to_json,
 )
 
@@ -162,11 +163,11 @@ def test_parse_sequence_unknown_kind():
         parse_sequence({"kind": "mystery"})
 
 
-def test_to_jsonable_basic_values():
-    assert to_jsonable(1 + 2j) == [1.0, 2.0]
-    assert to_jsonable(CVector([1j])) == [[0.0, 1.0]]
-    assert to_jsonable((1, "a")) == [1, "a"]
-    assert to_jsonable({"k": np.float64(0.5)}) == {"k": 0.5}
+def test_dumps_report_basic_values():
+    assert json.loads(dumps_report(1 + 2j)) == [1.0, 2.0]
+    assert json.loads(dumps_report(CVector([1j]))) == [[0.0, 1.0]]
+    assert json.loads(dumps_report((1, "a"))) == [1, "a"]
+    assert json.loads(dumps_report({"k": np.float64(0.5)})) == {"k": 0.5}
 
 
 def test_dumps_report_is_stable():
@@ -246,8 +247,8 @@ def test_readme_json_examples_parse():
 
 
 # Arbitrary JSON over the wire-format keys.  Integers come only from
-# [-100, 4096] or past float range: a mid-size horizon or dimension such
-# as 2**40 would make the generators allocate or loop without bound.
+# [-100, 4096], past float range, or just past MAX_HORIZON and at 2**40:
+# sizes the parsers must reject before anything is allocated.
 WIRE_KEYS = [
     "kind", "d", "entries", "values", "modes", "theta", "v", "decay", "type",
     "param", "horizon", "seed", "B", "p", "initial", "forcing", "direction", "sequence",
@@ -256,7 +257,7 @@ WIRE_WORDS = [
     "materialized", "custom_table", "modes_plus_decay", "forced_system_output",
     "zero", "geometric", "power", "log_decay", "log", "none",
 ]
-json_ints = st.integers(-100, 4096) | st.sampled_from([10**400, -(10**400)])
+json_ints = st.integers(-100, 4096) | st.sampled_from([10**400, -(10**400), MAX_HORIZON + 1, 2**40])
 json_numbers = json_ints | st.floats() | st.booleans()  # floats include +-inf and NaN
 pairs = st.lists(json_numbers, max_size=3)  # mostly the wrong length or not finite
 json_values = st.recursive(
@@ -278,7 +279,7 @@ def _valid_wire_objects():
     forcings = [ForcingSpec.custom(np.ones((3, 2))), ForcingSpec.log_decay(seed=1), ForcingSpec.power(2.0)]
     objs = [sequence_to_json(x), sequence_to_json(x, prefer_descriptor=False), forced, system_to_json(system, 32)]
     objs += [forcing_to_json(f) for f in forcings] + [vector_to_json(CVector([1.0, 2.0j])), [0.5, -0.0]]
-    return json.loads(json.dumps(objs))
+    return json.loads(dumps_report(objs))
 
 
 VALID_WIRE_OBJECTS = _valid_wire_objects()
@@ -329,8 +330,62 @@ pair_arrays = hnp.arrays(
 @given(pair_arrays)
 def test_parse_cnum_array_inverts_cnum_array_bitwise(parts):
     a = parts.view(np.complex128)[..., 0]
-    for wire in (cnum_array(a), json.loads(json.dumps(cnum_array(a)))):
+    for wire in (cnum_array(a), json.loads(dumps_report(cnum_array(a)))):
         got = parse_cnum_array(wire, "values", a.ndim)
         assert got.dtype == np.complex128 and got.shape == a.shape
         # compared as integers, since -0.0 == 0.0 as floats
         assert np.array_equal(np.atleast_1d(got).view(np.uint64), np.atleast_1d(a).view(np.uint64))
+
+
+# Emitter inputs: float and complex arrays of depth 1-4 with sides 0-4 and
+# awkward floats, numpy scalars and package objects, nested in dicts,
+# lists, tuples and dataclasses.
+AWKWARD_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 1e-5]
+
+
+@dataclasses.dataclass(frozen=True)
+class _Node:
+    left: object
+    right: object
+
+
+float_arrays = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=4),
+    elements=st.sampled_from(AWKWARD_FLOATS) | st.floats(),
+)
+complex_arrays = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=4).map(lambda shape: shape + (2,)),
+    elements=st.sampled_from(AWKWARD_FLOATS) | st.floats(),
+).map(lambda parts: parts.view(np.complex128)[..., 0])
+numpy_scalars = st.sampled_from(
+    [np.float64(-0.0), np.float64("nan"), np.float32(0.1), np.int64(-7), np.complex128(1 - 2j), np.complex64(0.5j)]
+)
+package_objects = st.sampled_from(
+    [CVector([1.0, -0.0j]), CMatrix([[0.5, 1j], [-2.0, 1e-5]]), BoundedSeq(np.arange(32).reshape(16, 2) * (1 - 0.5j))]
+)
+# a string of a placeholder's exact form makes the emitter raise (tested below)
+report_strings = st.text(max_size=3).filter(lambda t: not re.fullmatch("\x00[0-9]+", t))
+report_leaves = (
+    float_arrays | complex_arrays | numpy_scalars | package_objects
+    | st.floats() | st.integers() | st.complex_numbers() | st.booleans() | st.none() | report_strings
+)
+report_objects = st.recursive(
+    report_leaves,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(report_strings, inner, max_size=3)
+    | st.builds(_Node, inner, inner),
+    max_leaves=8,
+)
+
+
+@given(report_objects)
+def test_dumps_report_matches_the_indented_encoder(obj):
+    assert dumps_report(obj) == json.dumps(helpers.jsonable_oracle(obj), sort_keys=True, indent=2) + "\n"
+
+
+def test_dumps_report_refuses_a_placeholder_string():
+    with pytest.raises(ValueError, match="placeholder"):
+        dumps_report({"a": np.ones(2), "b": "\x000"})
