@@ -39,6 +39,7 @@ from .sequences import (
     DEFAULT_GRID_SIZE,
     DEFAULT_HORIZON,
     MAX_HORIZON,
+    MIN_HORIZON,
     extract_modes,
     ktz_check,
     spectrum_scan,
@@ -232,8 +233,8 @@ def _cmd_cauchy_recover(args) -> None:
 
 
 def _cmd_corpus(args) -> None:
-    if args.horizon > MAX_HORIZON:
-        raise ParseError(f"--horizon must be at most {MAX_HORIZON}")
+    if not MIN_HORIZON <= args.horizon <= MAX_HORIZON:
+        raise ParseError(f"--horizon must be in [{MIN_HORIZON}, {MAX_HORIZON}]")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     members = generate_corpus(args.seed, args.horizon)

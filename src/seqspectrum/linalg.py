@@ -4,6 +4,12 @@ Matrices are small (dimension capped at 64) dense complex arrays.  The
 operator norm is the spectral 2-norm throughout the package, computed by
 one kernel that squares the Gram matrix until a two-sided bound closes,
 so every norm it returns is certified and every run is reproducible.
+Every linear solve goes through one elimination kernel, ``_solve_array``:
+a (s, d, d) stack in, with a right-hand side broadcasting to (s, d, k),
+and ``(x, ok)`` out, ``ok`` masking the zero matrices, those with a
+pivot at most ``PIVOT_RTOL`` times their largest entry and those whose
+solution overflows.  Each matrix gets bit for bit the arithmetic of a
+one-matrix elimination.
 All values are immutable after construction and every operation is a
 pure function of its inputs.
 """
@@ -106,43 +112,55 @@ def mat_mul(a: CMatrix, b: CMatrix) -> CMatrix:
     return CMatrix(a.data @ b.data)
 
 
-def _solve_array(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Row-pivoted Gaussian elimination; raises on pivots below threshold."""
-    d = a.shape[0]
-    m = a.astype(np.complex128, copy=True)
-    x = rhs.astype(np.complex128, copy=True)
-    amax = float(np.max(np.abs(m))) if m.size else 0.0
-    if amax == 0.0:
-        raise SingularMatrixError("matrix is identically zero")
-    threshold = PIVOT_RTOL * amax
-    for col in range(d):
-        p = int(np.argmax(np.abs(m[col:, col]))) + col
-        if abs(m[p, col]) <= threshold:
-            raise SingularMatrixError(
-                f"pivot {abs(m[p, col]):.3e} below threshold {threshold:.3e} at column {col}"
-            )
-        if p != col:
-            m[[col, p]] = m[[p, col]]
-            x[[col, p]] = x[[p, col]]
-        factors = m[col + 1 :, col] / m[col, col]
-        m[col + 1 :, col:] -= np.outer(factors, m[col, col:])
-        x[col + 1 :] -= np.outer(factors, x[col])
-    for col in range(d - 1, -1, -1):
-        x[col] = (x[col] - m[col, col + 1 :] @ x[col + 1 :]) / m[col, col]
-    return x
+def _solve_array(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-pivoted elimination of a (s, d, d) stack; returns ``(x, ok)``.
+
+    Each column is one vectorized step over the stack: the first largest
+    pivot candidate, row swaps where it is off the diagonal, the rank-1
+    update.  Every matrix runs with its floating-point warnings silenced,
+    so a solution that overflows is masked too; a masked ``x`` is
+    meaningless.
+    """
+    m = a.astype(np.complex128)
+    s, d, _ = m.shape
+    x = np.broadcast_to(rhs, (s, d, rhs.shape[-1])).astype(np.complex128, order="C")
+    threshold = PIVOT_RTOL * np.abs(m).max(axis=(1, 2))
+    ok = np.ones(s, dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for col in range(d):
+            p = np.argmax(np.abs(m[:, col:, col]), axis=1) + col
+            ok &= ~(np.abs(m[np.arange(s), p, col]) <= threshold)
+            swap = np.flatnonzero(p != col)
+            for arr in (m, x):
+                arr[swap, col], arr[swap, p[swap]] = arr[swap, p[swap]], arr[swap, col]
+            factors = m[:, col + 1 :, col] / m[:, col, col, None]
+            m[:, col + 1 :, col:] -= factors[:, :, None] * m[:, None, col, col:]
+            x[:, col + 1 :] -= factors[:, :, None] * x[:, None, col]
+        for col in range(d - 1, -1, -1):
+            dot = np.matmul(m[:, col, None, col + 1 :], x[:, col + 1 :])[:, 0]
+            x[:, col] = (x[:, col] - dot) / m[:, col, col, None]
+    return x, ok & np.isfinite(x).all(axis=(1, 2))
+
+
+def _solve_one(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The s = 1 case of ``_solve_array``; raises SingularMatrixError."""
+    x, ok = _solve_array(a[None], rhs)
+    if not ok[0]:
+        raise SingularMatrixError("matrix is numerically singular: a pivot below threshold or an overflowing solve")
+    return x[0]
 
 
 def mat_solve(a: CMatrix, rhs: CMatrix) -> CMatrix:
     """Solve a @ X = rhs by row-pivoted elimination."""
     if a.dim != rhs.dim:
         raise PreconditionError(f"dimension mismatch: {a.dim} vs {rhs.dim}")
-    return CMatrix(_solve_array(a.data, rhs.data))
+    return CMatrix(_solve_one(a.data, rhs.data))
 
 
 def solve_vector(a: CMatrix, rhs: CVector) -> CVector:
     if a.dim != rhs.dim:
         raise PreconditionError(f"dimension mismatch: {a.dim} vs {rhs.dim}")
-    return CVector(_solve_array(a.data, rhs.data.reshape(-1, 1))[:, 0])
+    return CVector(_solve_one(a.data, rhs.data.reshape(-1, 1))[:, 0])
 
 
 def operator_norm(a: CMatrix | np.ndarray) -> float:

@@ -37,13 +37,26 @@ _PROBE_ANGLE = math.pi / 4.0
 DEFAULT_QUADRATURE_NODES = 256
 
 
+def _resolvents(a: CMatrix, lams: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda I - A)^-1 for every lambda in one stacked solve against the
+    identity, with the solve kernel's mask of the lambdas it could solve."""
+    lams = np.asarray(lams, dtype=np.complex128)
+    eye = np.eye(a.dim)
+    return _solve_array(lams[:, None, None] * eye - a.data, eye)
+
+
+def _nonspectral_resolvents(a: CMatrix, lams: Sequence[complex]) -> np.ndarray:
+    """``_resolvents`` that raises SingularMatrixError at the first masked lambda."""
+    stack, ok = _resolvents(a, lams)
+    if not ok.all():
+        lam = complex(lams[int(np.argmin(ok))])
+        raise SingularMatrixError(f"lambda = {lam!r} is numerically spectral: a pivot below threshold or an overflowing solve")
+    return stack
+
+
 def resolvent_direct(a: CMatrix, lam: complex) -> CMatrix:
     """(lambda I - A)^-1 by row-pivoted solve against the identity."""
-    shifted = complex(lam) * np.eye(a.dim) - a.data
-    try:
-        return CMatrix(_solve_array(shifted, np.eye(a.dim)))
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(f"lambda = {lam!r} is numerically spectral: {exc}") from exc
+    return CMatrix(_nonspectral_resolvents(a, [lam])[0])
 
 
 @dataclass(frozen=True)
@@ -159,19 +172,11 @@ def resolvent_norm_scan(a: CMatrix, grid: Sequence[complex]) -> list[ResolventSa
     kernel call.
     """
     lams = [complex(lam) for lam in grid]
-    solved, stack = [], []
-    for i, lam in enumerate(lams):
-        try:
-            stack.append(resolvent_direct(a, lam).data)
-        except SingularMatrixError:
-            continue
-        solved.append(i)
+    stack, ok = _resolvents(a, lams)
     norms = np.zeros(len(lams))
-    if stack:
-        norms[solved] = _batched_spectral_norms(np.stack(stack))
-    hit = np.ones(len(lams), dtype=bool)
-    hit[solved] = False
-    flags = hit | (norms > SINGULAR_NORM_CUTOFF)
+    if ok.any():
+        norms[ok] = _batched_spectral_norms(stack[ok])
+    flags = ~ok | (norms > SINGULAR_NORM_CUTOFF)
     return [ResolventSample(lam, float(n), bool(f)) for lam, n, f in zip(lams, norms, flags)]
 
 
@@ -198,24 +203,19 @@ def isometry_bound_check(
     modulus; the matrix must be unitary to 1e-10.
     """
     require_unitary(u)
-    lams = [complex(lam) for lam in samples]
-    gaps = []
-    for lam in lams:
-        gap = abs(abs(lam) - 1.0)
-        if gap < 1e-6:
-            raise PreconditionError(f"sample {lam!r} is within 1e-6 of the unit circle")
-        gaps.append(gap)
-    if not lams:
+    lams = np.asarray([complex(lam) for lam in samples], dtype=np.complex128)
+    gaps = np.abs(np.abs(lams) - 1.0)
+    near = np.flatnonzero(gaps < 1e-6)
+    if near.size:
+        raise PreconditionError(f"sample {complex(lams[near[0]])!r} is within 1e-6 of the unit circle")
+    if not lams.size:
         return IsometryBoundReport(0, 0, math.inf, complex(0.0))
-    d = u.dim
-    eye = np.eye(d, dtype=np.complex128)
-    stack = np.stack([_solve_array(lam * eye - u.data, eye) for lam in lams])
-    norms = _batched_spectral_norms(stack)
-    bounds = 1.0 / np.asarray(gaps)
+    norms = _batched_spectral_norms(_nonspectral_resolvents(u, lams))
+    bounds = 1.0 / gaps
     slacks = bounds - norms
     violations = int(np.count_nonzero(norms > bounds + slack))
     worst_i = int(np.argmin(slacks))
-    return IsometryBoundReport(len(lams), violations, float(slacks[worst_i]), lams[worst_i])
+    return IsometryBoundReport(lams.size, violations, float(slacks[worst_i]), complex(lams[worst_i]))
 
 
 @dataclass(frozen=True)
@@ -254,7 +254,6 @@ def pole_order_probe(u: CMatrix, theta: complex, radii: Sequence[float]) -> Pole
             f"eigenvalue separation {min_sep:.3e} below twice the largest radius {max(radii):.3e}"
         )
     direction = complex(math.cos(_PROBE_ANGLE), math.sin(_PROBE_ANGLE))
-    stack = np.stack([resolvent_direct(u, theta + r * direction).data for r in radii])
-    norms = _batched_spectral_norms(stack)
+    norms = _batched_spectral_norms(_nonspectral_resolvents(u, [theta + r * direction for r in radii]))
     order = least_squares_slope(-np.log(np.asarray(radii)), np.log(norms))
     return PoleProbeReport(theta, tuple(radii), tuple(norms.tolist()), order)

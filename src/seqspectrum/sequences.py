@@ -46,6 +46,23 @@ PROXY_DISCLAIMER = (
 )
 
 
+def _row_norms(arr: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a complex (N, d) array.
+
+    Rows whose plain norm overflows are recomputed scaled by their largest
+    modulus (Blue, ACM TOMS 1978), so only a norm beyond the float range
+    reads inf; every other row keeps the plain norm's bits.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(arr, axis=1)
+    big = np.isinf(norms)
+    if big.any():
+        rows = arr[big]
+        amax = np.abs(rows).max(axis=1)
+        norms[big] = amax * np.linalg.norm(rows / amax[:, None], axis=1)
+    return norms
+
+
 def default_epsilon(sup_norm: float) -> float:
     """Scan threshold that scales with the sequence: max(1e-6, 1% of sup)."""
     return max(1e-6, 0.01 * sup_norm)
@@ -131,7 +148,7 @@ class BoundedSeq:
         arr.setflags(write=False)
         self.values = arr
         self.descriptor = descriptor
-        self.norms = np.linalg.norm(arr, axis=1)
+        self.norms = _row_norms(arr)
         self.sup_norm = float(self.norms.max())
 
     @property
@@ -278,7 +295,7 @@ def difference_tail(x: BoundedSeq, theta: complex, step: int = 1, window_start: 
         raise PreconditionError(f"step {step} outside [1, {x.horizon - 2}]")
     theta = require_unimodular(theta)
     diffs = x.values[step:] - theta * x.values[:-step]
-    norms = np.linalg.norm(diffs, axis=1)
+    norms = _row_norms(diffs)
     if window_start is None:
         window_start = x.horizon // 2
     return _stats_of_norms(norms, min(window_start, norms.shape[0] - 1))
@@ -590,7 +607,7 @@ def extract_modes(x: BoundedSeq, thetas, n_used: int | None = None) -> ModeDecom
     for theta, v in zip(thetas, means):
         modes.append(Mode(theta, CVector(v)))
         residual -= unimodular_powers(theta, n_used)[:, None] * v
-    res_stats = _stats_of_norms(np.linalg.norm(residual, axis=1), n_used // 2)
+    res_stats = _stats_of_norms(_row_norms(residual), n_used // 2)
     return ModeDecomp(tuple(modes), res_stats)
 
 
@@ -660,7 +677,7 @@ def ktz_check(
         if not np.all(np.isfinite(values)):
             raise PreconditionError("sequence values must all be finite")
         window = n_max // 2
-        tail = _stats_of_norms(np.linalg.norm(values, axis=1), window)
+        tail = _stats_of_norms(_row_norms(values), window)
         op_tail = float(np.max(_batched_spectral_norms(values[window:].reshape(-1, t.dim, t.dim))))
         attained = op_tail <= limit_tol
     return KtzVerdict(

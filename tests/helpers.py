@@ -8,9 +8,36 @@ import dataclasses
 
 import numpy as np
 
-from seqspectrum.linalg import CMatrix, CVector
+from seqspectrum.errors import SingularMatrixError
+from seqspectrum.linalg import PIVOT_RTOL, CMatrix, CVector
 from seqspectrum.sequences import BoundedSeq
 from seqspectrum.serialize import matrix_to_json, sequence_to_json, vector_to_json
+
+
+def loop_solve(a, rhs):
+    """Reference for ``linalg._solve_array``: the one-matrix row-pivoted
+    elimination it replaced, raising SingularMatrixError on a zero matrix
+    or a pivot at most ``PIVOT_RTOL`` times the largest entry."""
+    d = a.shape[0]
+    m = a.astype(np.complex128, copy=True)
+    x = rhs.astype(np.complex128, copy=True)
+    amax = float(np.max(np.abs(m))) if m.size else 0.0
+    if amax == 0.0:
+        raise SingularMatrixError("matrix is identically zero")
+    threshold = PIVOT_RTOL * amax
+    for col in range(d):
+        p = int(np.argmax(np.abs(m[col:, col]))) + col
+        if abs(m[p, col]) <= threshold:
+            raise SingularMatrixError(f"pivot {abs(m[p, col]):.3e} below threshold {threshold:.3e} at column {col}")
+        if p != col:
+            m[[col, p]] = m[[p, col]]
+            x[[col, p]] = x[[p, col]]
+        factors = m[col + 1 :, col] / m[col, col]
+        m[col + 1 :, col:] -= np.outer(factors, m[col, col:])
+        x[col + 1 :] -= np.outer(factors, x[col])
+    for col in range(d - 1, -1, -1):
+        x[col] = (x[col] - m[col, col + 1 :] @ x[col + 1 :]) / m[col, col]
+    return x
 
 
 def random_unitary(rng, d):

@@ -10,7 +10,7 @@ from seqspectrum import cli, dynamics, eigen, linalg
 from seqspectrum.cli import main
 from seqspectrum.dynamics import DelaySystem, ForcingSpec
 from seqspectrum.linalg import CMatrix, CVector
-from seqspectrum.sequences import MAX_HORIZON, modes_plus_decay
+from seqspectrum.sequences import MAX_HORIZON, MIN_HORIZON, modes_plus_decay
 from seqspectrum.serialize import dumps_report, matrix_to_json, sequence_to_json, system_to_json
 
 
@@ -321,6 +321,16 @@ def test_corpus_oversized_horizon_exits_parse_error(tmp_path, capsys, horizon):
     rc = main(["corpus", "--out-dir", str(tmp_path / "corpus"), "--horizon", str(horizon)])
     assert rc == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+    assert not (tmp_path / "corpus").exists()
+
+
+@pytest.mark.parametrize("horizon", [5, MIN_HORIZON - 1, 0, -16])
+def test_corpus_short_horizon_exits_parse_error(tmp_path, capsys, horizon):
+    rc = main(["corpus", "--out-dir", str(tmp_path / "corpus"), "--horizon", str(horizon)])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ParseError"
     assert not (tmp_path / "corpus").exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,64 @@ def test_mat_solve_blocks():
 def test_solve_singular_raises():
     with pytest.raises(SingularMatrixError):
         solve_vector(CMatrix([[1.0, 1.0], [1.0, 1.0]]), CVector([1.0, 0.0]))
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr).view(np.uint64)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16, 32, 64])
+def test_stacked_solve_is_bitwise_the_loop(d):
+    rng = np.random.default_rng(100 + d)
+    gaussian = rng.standard_normal((12, d, d)) + 1j * rng.standard_normal((12, d, d))
+    # entries of equal modulus: columns tie for the pivot, some matrices are singular
+    signs = rng.choice(np.array([1, -1, 1j, -1j]), (12, d, d))
+    for stack in (gaussian, signs):
+        for rhs in (np.eye(d), rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))):
+            x, ok = linalg._solve_array(stack, rhs)
+            for i, a in enumerate(stack):
+                try:
+                    want = helpers.loop_solve(a, rhs)
+                except SingularMatrixError:
+                    assert not ok[i]
+                    continue
+                assert ok[i]
+                assert np.array_equal(_bits(x[i]), _bits(want))
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8, 16, 32, 64])
+def test_stacked_solve_matches_numpy(d):
+    rng = np.random.default_rng(200 + d)
+    # U diag(s) W with s in [1, 4]: condition number at most 4
+    stack = np.stack(
+        [
+            helpers.random_unitary(rng, d) @ np.diag(rng.uniform(1.0, 4.0, d)) @ helpers.random_unitary(rng, d)
+            for _ in range(8)
+        ]
+    )
+    rhs = rng.standard_normal((8, d, 2)) + 1j * rng.standard_normal((8, d, 2))
+    x, ok = linalg._solve_array(stack, rhs)
+    assert ok.all()
+    want = np.linalg.solve(stack, rhs)
+    err = np.linalg.norm(x - want, axis=(1, 2))
+    assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=(1, 2)))
+
+
+def test_stacked_solve_masks_only_singular_members():
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((7, 6, 6)) + 1j * rng.standard_normal((7, 6, 6))
+    stack[2] = 0.0
+    stack[4, 3] = stack[4, 1]  # equal rows stay equal under elimination: an exact zero pivot
+    stack[5] *= 1e-310  # pivots fine relative to the entries, but the inverse overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, ok = linalg._solve_array(stack, np.eye(6))
+    assert ok.tolist() == [True, True, False, True, False, False, True]
+    for i in (2, 4):
+        with pytest.raises(SingularMatrixError):
+            helpers.loop_solve(stack[i], np.eye(6))
+    want = np.stack([helpers.loop_solve(stack[i], np.eye(6)) for i in np.flatnonzero(ok)])
+    assert np.array_equal(_bits(x[ok]), _bits(want))
 
 
 def test_operator_norm_matches_svd():

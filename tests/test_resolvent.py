@@ -1,10 +1,12 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 
 import helpers
+from seqspectrum import resolvent
 from seqspectrum.errors import DivergenceError, PreconditionError, SingularMatrixError
 from seqspectrum.linalg import CMatrix, CVector, operator_norm
 from seqspectrum.resolvent import (
@@ -135,6 +137,44 @@ def test_scan_flags_spectral_hit():
     assert not samples[1].singular_flag
 
 
+def test_scan_eigenvalue_point_is_flagged_and_the_rest_bitwise_unchanged():
+    rng = np.random.default_rng(37)
+    # upper triangular with 0.5 on the diagonal: lambda = 0.5 zeroes the first column
+    a = CMatrix(np.diag([0.5, 0.25j, -0.75, 0.1]) + np.triu(rng.standard_normal((4, 4)), 1))
+    grid = [0.5 * cmath.exp(2j * math.pi * m / 16) for m in range(16)]
+    assert grid[0] == 0.5
+    samples = resolvent_norm_scan(a, grid)
+    assert [s.singular_flag for s in samples] == [True] + [False] * 15
+    for lam, sample in zip(grid[1:], samples[1:]):
+        alone = resolvent_norm_scan(a, [lam])[0].resolvent_norm
+        assert np.float64(sample.resolvent_norm).view(np.uint64) == np.float64(alone).view(np.uint64)
+
+
+def test_scan_flags_an_overflowing_resolvent():
+    # the pivot 1e-313 clears 1e-14 of the largest entry, yet 1/1e-313 is inf
+    samples = resolvent_norm_scan(CMatrix(1e-300 * np.eye(2)), [1e-300 + 1e-313, 1.0])
+    assert [s.singular_flag for s in samples] == [True, False]
+
+
+def test_resolvent_grids_solve_in_one_stack(monkeypatch):
+    calls = []
+    solve = resolvent._solve_array
+
+    def counted(a, rhs):
+        calls.append(a.shape[0])
+        return solve(a, rhs)
+
+    monkeypatch.setattr(resolvent, "_solve_array", counted)
+    rng = np.random.default_rng(41)
+    u = CMatrix(helpers.random_unitary(rng, 4))
+    resolvent_norm_scan(u, [1.5 * cmath.exp(2j * math.pi * m / 32) for m in range(32)])
+    assert calls == [32]
+    isometry_bound_check(u, [2.0, 0.5j, -3.0])
+    assert calls == [32, 3]
+    pole_order_probe(CMatrix(np.diag([1.0, -1.0])), 1.0, [1e-2, 1e-3, 1e-4, 1e-5])
+    assert calls == [32, 3, 4]
+
+
 def test_isometry_bound_on_random_unitaries():
     rng = np.random.default_rng(23)
     u = CMatrix(helpers.random_unitary(rng, 5))
@@ -156,6 +196,12 @@ def test_isometry_bound_known_value():
 def test_isometry_bound_rejects_near_circle_sample():
     with pytest.raises(PreconditionError):
         isometry_bound_check(CMatrix(np.diag([1j, -1j])), [1.0000001])
+
+
+def test_isometry_bound_names_the_first_near_circle_sample():
+    samples = [2.0, 0.5, 1.0 + 1e-7j, 3.0, 1.0 - 1e-8]
+    with pytest.raises(PreconditionError, match=re.escape(f"sample {complex(1.0 + 1e-7j)!r} is within")):
+        isometry_bound_check(CMatrix(np.diag([1j, -1j])), samples)
 
 
 def test_isometry_bound_requires_unitary():

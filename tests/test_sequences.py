@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -354,6 +355,16 @@ def test_difference_tail_step():
     x = BoundedSeq((-1.0) ** np.arange(64))
     assert difference_tail(x, 1.0).tail_sup == pytest.approx(2.0)
     assert difference_tail(x, 1.0, step=2).tail_sup == 0.0
+
+
+def test_row_norms_of_huge_values_do_not_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert BoundedSeq(np.full((16, 1), 1e200)).sup_norm == pytest.approx(1e200, rel=1e-15)
+        x = BoundedSeq(np.full((16, 16), 1e200))
+        assert x.sup_norm == pytest.approx(4e200, rel=1e-15)
+        assert difference_tail(x, -1).tail_sup == pytest.approx(8e200, rel=1e-15)
+        assert extract_modes(x, []).residual.tail_sup == pytest.approx(4e200, rel=1e-15)
 
 
 def test_extract_modes_exact_two_mode():
