@@ -19,7 +19,6 @@ from .linalg import (
     CVector,
     MAX_DIM,
     hermitian_defect,
-    mat_mul,
     mat_power_seq,
     mat_solve,
     operator_norm,

@@ -319,6 +319,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "grid_size", 0) > MAX_HORIZON:  # spectrum-scan and delay-simulate
+            raise ParseError(f"--grid-size must be at most {MAX_HORIZON}")
         args.func(args)
         return 0
     except SeqSpectrumError as exc:

@@ -260,11 +260,7 @@ class DecompositionVerdict:
 
 
 def verify_asymptotic_decomposition(
-    b: CMatrix,
-    trajectory: BoundedSeq,
-    peripheral_tol: float = DEFAULT_PERIPHERAL_TOL,
-    residual_tol: float = 1e-6,
-    cauchy_tol: float | None = None,
+    b: CMatrix, trajectory: BoundedSeq, residual_tol: float = 1e-6
 ) -> tuple[ModeDecomp, DecompositionVerdict]:
     """Check x_n = sum theta_j^n v_j + o(1) with thetas from B's
     unit-circle eigenvalues.
@@ -274,17 +270,16 @@ def verify_asymptotic_decomposition(
     index 0; the residual tail is therefore measured where the transient
     has already decayed.  When no unit-circle eigenvalue exists, or only
     the point 1, the conclusion includes an actual limit; that is tested
-    via the tail-window deviation from the final element.
+    via the tail-window deviation from the final element, which must be
+    at most 2 * ``residual_tol``.
     """
-    if cauchy_tol is None:
-        cauchy_tol = 2.0 * residual_tol
     growth = classify_growth(trajectory.norms, trajectory.horizon // 2)
     if growth not in (GROWTH_DECAYING, GROWTH_BOUNDED):
         raise PreconditionError(
             f"trajectory is not bounded (growth class {growth}); the decomposition "
             "only applies to bounded solutions"
         )
-    peripheral = spectrum_info(b, peripheral_tol).peripheral
+    peripheral = spectrum_info(b).peripheral
     burn_in = trajectory.horizon // 2 if trajectory.horizon >= 2 * MIN_HORIZON else 0
     shifted = trajectory.shifted(burn_in) if burn_in else trajectory
     n_used = shifted.horizon
@@ -315,7 +310,7 @@ def verify_asymptotic_decomposition(
     if limit_tested:
         window = trajectory.values[trajectory.horizon // 2 :]
         deviation = float(np.abs(np.linalg.norm(window - window[-1], axis=1)).max())
-        limit_exists = deviation <= cauchy_tol
+        limit_exists = deviation <= 2.0 * residual_tol
         if len(peripheral) == 0:
             limit_value = CVector(np.zeros(trajectory.dim))
         else:
@@ -372,14 +367,11 @@ class DelayProbeReport:
 
 
 def delay_limit_probe(
-    system: DelaySystem,
-    seq: BoundedSeq,
-    peripheral_tol: float = DEFAULT_PERIPHERAL_TOL,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    tol_vanish: float | None = None,
+    system: DelaySystem, seq: BoundedSeq, peripheral_tol: float = DEFAULT_PERIPHERAL_TOL, grid_size: int = DEFAULT_GRID_SIZE
 ) -> DelayProbeReport:
     """Probe whether x_{n+1} - theta x_n (and the p-step analogue)
-    vanish along ``seq``, a trajectory of ``system`` from :func:`simulate_delay`."""
+    vanish along ``seq``, a trajectory of ``system`` from
+    :func:`simulate_delay`, to the tail tolerance ``default_tol_vanish``."""
     notes: list[str] = []
     peripheral = spectrum_info(system.b, peripheral_tol).peripheral
     if len(peripheral) == 0:
@@ -399,8 +391,7 @@ def delay_limit_probe(
     bounded = growth in (GROWTH_DECAYING, GROWTH_BOUNDED)
     if not bounded:
         notes.append(f"trajectory is not bounded (growth class {growth})")
-    if tol_vanish is None:
-        tol_vanish = default_tol_vanish(seq.sup_norm)
+    tol_vanish = default_tol_vanish(seq.sup_norm)
     p = system.p
     one_stats = difference_tail(seq, theta, 1)
     p_stats = difference_tail(seq, theta, p) if p <= seq.horizon - 2 else None
@@ -443,22 +434,17 @@ class ContainmentVerdict:
     tolerance: float
 
 
-def spectrum_containment_check(
-    b: CMatrix,
-    trajectory: BoundedSeq,
-    peripheral_tol: float = DEFAULT_PERIPHERAL_TOL,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    angular_tol: float = 1e-2,
-) -> ContainmentVerdict:
-    """Every detection on the trajectory should sit near some unit-circle
-    eigenvalue of the driving matrix; vacuously true with no detections."""
-    peripheral = spectrum_info(b, peripheral_tol).peripheral
-    scan = spectrum_scan(trajectory, grid_size)
+def spectrum_containment_check(b: CMatrix, trajectory: BoundedSeq) -> ContainmentVerdict:
+    """Every detection of a default scan of the trajectory should sit
+    within 1e-2 rad of some unit-circle eigenvalue of the driving matrix;
+    vacuously true with no detections."""
+    peripheral = spectrum_info(b).peripheral
+    scan = spectrum_scan(trajectory)
     worst = 0.0
     ok = True
     for d in scan.detected:
         dist = min((angular_distance(d.theta, p) for p in peripheral), default=math.inf)
         worst = max(worst, dist)
-        if dist > angular_tol:
+        if dist > 1e-2:
             ok = False
-    return ContainmentVerdict(ok, scan.detected, peripheral, worst, float(angular_tol))
+    return ContainmentVerdict(ok, scan.detected, peripheral, worst, 1e-2)

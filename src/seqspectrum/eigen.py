@@ -67,12 +67,12 @@ def char_poly(a: CMatrix) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def poly_roots(p: Polynomial, max_sweeps: int = _ROOT_MAX_SWEEPS) -> list[complex]:
+def poly_roots(p: Polynomial) -> list[complex]:
     """All roots with multiplicity by simultaneous (Durand-Kerner) iteration.
 
     Starts on a circle of radius 1 + max |coeff| at roots of unity rotated
     by 0.4 rad to break symmetry.  Stops when every update falls below
-    1e-14 * (1 + |root|); if the sweep budget runs out, the iterate is
+    1e-14 * (1 + |root|); if 500 sweeps do not get there, the iterate is
     accepted anyway when every residual |p(z)| is negligible against the
     coefficient scale (multiple roots stall at their attainable accuracy
     without ever meeting the update rule), otherwise a failure carrying
@@ -94,7 +94,7 @@ def poly_roots(p: Polynomial, max_sweeps: int = _ROOT_MAX_SWEEPS) -> list[comple
     angles = 2.0 * np.pi * np.arange(degree) / degree + 0.4
     z = radius * np.exp(1j * angles)
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(_ROOT_MAX_SWEEPS):
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, 1.0)
         small = np.abs(diff) < 1e-30

@@ -4,6 +4,9 @@ Matrices are small (dimension capped at 64) dense complex arrays.  The
 operator norm is the spectral 2-norm throughout the package, computed by
 one kernel that squares the Gram matrix until a two-sided bound closes,
 so every norm it returns is certified and every run is reproducible.
+The kernel takes a stack of any size, empty included, and entries of
+any finite magnitude, subnormal ones too: a matrix whose Frobenius norm
+under- or overflows is rescaled by an exact power of two first.
 Every linear solve goes through one elimination kernel, ``_solve_array``:
 a (s, d, d) stack in, with a right-hand side broadcasting to (s, d, k),
 and ``(x, ok)`` out, ``ok`` masking the zero matrices, those with a
@@ -37,10 +40,8 @@ _POWER_RESCALE_LO = 1e-100
 _POWER_RESCALE_HI = 1e100
 
 
-def _as_complex_array(values, shape=None) -> np.ndarray:
+def _as_complex_array(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
-    if shape is not None:
-        arr = arr.reshape(shape)
     if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
         raise PreconditionError("entries must be finite (no NaN/Inf)")
     arr = arr.copy()
@@ -94,22 +95,11 @@ class CMatrix:
         return cls(np.eye(dim))
 
     @classmethod
-    def zeros(cls, dim: int) -> "CMatrix":
-        return cls(np.zeros((dim, dim)))
-
-    @classmethod
     def diagonal(cls, entries: Iterable[complex]) -> "CMatrix":
         return cls(np.diag(np.asarray(list(entries), dtype=np.complex128)))
 
     def __repr__(self):
         return f"CMatrix(dim={self.dim})"
-
-
-def mat_mul(a: CMatrix, b: CMatrix) -> CMatrix:
-    """Matrix product a @ b."""
-    if a.dim != b.dim:
-        raise PreconditionError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return CMatrix(a.data @ b.data)
 
 
 def _solve_array(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,7 +170,12 @@ def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
     along the top right singular direction, and its Rayleigh quotient,
     taken on the input matrix itself, is a lower bound and the returned
     value.  A matrix leaves the stack once its bracket closes to
-    ``_NORM_RTOL`` relative; a zero matrix is closed at 0.  A relative
+    ``_NORM_RTOL`` relative.  A matrix whose Frobenius norm is 0 or inf
+    (entries below about 1e-162 or above about 1e154) is first scaled by
+    the power of two that brings its largest real or imaginary part into
+    [0.5, 1), exactly even for subnormal entries, and its norm is scaled
+    back; a zero matrix is closed at 0, and every other matrix keeps the
+    bits of an unscaled run.  A relative
     gap g between the top two singular values closes in about
     log2(1/g) + 4 squarings, an exact tie in at most 48.  See Golub &
     Van Loan, *Matrix Computations*, sections 7.3 and 8.2.
@@ -190,12 +185,17 @@ def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
     """
     mats = np.asarray(mats, dtype=np.complex128)
     s, d, _ = mats.shape
-    scale = np.linalg.norm(mats.reshape(s, -1), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf
+        scale = np.linalg.norm(mats.reshape(s, d * d), axis=1)
     out = np.zeros(s)
-    nonzero = scale > 0.0
-    if not nonzero.all():
-        if nonzero.any():
-            out[nonzero] = _batched_spectral_norms(mats[nonzero])
+    plain = (scale > 0.0) & (scale < np.inf)
+    if not plain.all():
+        amax = np.maximum(np.abs(mats.real), np.abs(mats.imag)).max(axis=(1, 2))
+        exps = np.where(plain, 0, np.frexp(amax)[1])
+        scaled = np.ldexp(mats.real, -exps[:, None, None]) + 1j * np.ldexp(mats.imag, -exps[:, None, None])
+        nonzero = amax > 0.0
+        with np.errstate(over="ignore"):  # a norm past the float range is inf
+            out[nonzero] = np.ldexp(_batched_spectral_norms(scaled[nonzero]), exps[nonzero])
         return out
     # conj(A)/|A| times A, then /|A|: the Gram stack with at most two
     # stack-sized arrays alive and no entry above |A|, so nothing overflows.
@@ -273,7 +273,9 @@ def hermitian_defect(u: CMatrix) -> float:
     return operator_norm(u.data.conj().T @ u.data - np.eye(u.dim))
 
 
-def require_unitary(u: CMatrix, tol: float = 1e-10) -> None:
+def require_unitary(u: CMatrix) -> None:
+    """Raise PreconditionError unless U is unitary to 1e-10 in the defect
+    ||U^H U - I||."""
     defect = hermitian_defect(u)
-    if defect > tol:
-        raise PreconditionError(f"matrix is not unitary: ||U^H U - I|| = {defect:.3e} > {tol:.1e}")
+    if defect > 1e-10:
+        raise PreconditionError(f"matrix is not unitary: ||U^H U - I|| = {defect:.3e} > 1.0e-10")

@@ -174,8 +174,7 @@ def resolvent_norm_scan(a: CMatrix, grid: Sequence[complex]) -> list[ResolventSa
     lams = [complex(lam) for lam in grid]
     stack, ok = _resolvents(a, lams)
     norms = np.zeros(len(lams))
-    if ok.any():
-        norms[ok] = _batched_spectral_norms(stack[ok])
+    norms[ok] = _batched_spectral_norms(stack[ok])
     flags = ~ok | (norms > SINGULAR_NORM_CUTOFF)
     return [ResolventSample(lam, float(n), bool(f)) for lam, n, f in zip(lams, norms, flags)]
 

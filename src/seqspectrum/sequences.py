@@ -73,11 +73,11 @@ def default_tol_vanish(sup_norm: float) -> float:
     return max(1e-9, 1e-3 * sup_norm)
 
 
-def require_unimodular(theta: complex, tol: float = _UNIMODULAR_TOL) -> complex:
-    """Check | |theta| - 1 | <= tol and return theta normalized to unit modulus."""
+def require_unimodular(theta: complex) -> complex:
+    """Check | |theta| - 1 | <= 1e-12 and return theta normalized to unit modulus."""
     theta = complex(theta)
     mod = abs(theta)
-    if abs(mod - 1.0) > tol:
+    if abs(mod - 1.0) > _UNIMODULAR_TOL:
         raise PreconditionError(f"theta = {theta!r} is not unimodular: | |theta|-1 | = {abs(mod - 1.0):.3e}")
     return theta / mod
 
@@ -159,9 +159,6 @@ class BoundedSeq:
     def horizon(self) -> int:
         return self.values.shape[0]
 
-    def vector(self, n: int) -> CVector:
-        return CVector(self.values[n])
-
     def shifted(self, k: int) -> "BoundedSeq":
         """The window x_k .. x_(N-1) as a sequence in its own right."""
         if not 0 <= k <= self.horizon - MIN_HORIZON:
@@ -200,18 +197,13 @@ def _seeded_direction(dim: int, seed: int) -> np.ndarray:
 
 
 def modes_plus_decay(
-    modes,
-    horizon: int,
-    decay: tuple[str, float] | None = None,
-    seed: int = 0,
-    dim: int | None = None,
-    decay_direction=None,
+    modes, horizon: int, decay: tuple[str, float] | None = None, seed: int = 0, dim: int | None = None
 ) -> BoundedSeq:
     """sum_j theta_j^n v_j plus a decaying term along a seeded direction.
 
     ``modes`` is an iterable of (theta, v) pairs; ``decay`` is None or a
-    (kind, param) pair.  The decay direction defaults to a seeded random
-    unit vector so the envelope parameter is also the term's norm.
+    (kind, param) pair.  The decay direction is a seeded random unit
+    vector, so the envelope parameter is also the term's norm.
     """
     modes = [(require_unimodular(t), np.asarray(getattr(v, "data", v), dtype=np.complex128).reshape(-1)) for t, v in modes]
     if modes:
@@ -230,14 +222,7 @@ def modes_plus_decay(
     if decay is not None:
         kind, param = decay
         if kind != "none":
-            env = decay_envelope(kind, param, horizon)
-            if decay_direction is None:
-                direction = _seeded_direction(d, seed)
-            else:
-                direction = np.asarray(getattr(decay_direction, "data", decay_direction), dtype=np.complex128).reshape(-1)
-                if direction.shape[0] != d:
-                    raise PreconditionError("decay direction has the wrong dimension")
-            values += env[:, None] * direction
+            values += decay_envelope(kind, param, horizon)[:, None] * _seeded_direction(d, seed)
     descriptor = {
         "kind": "modes_plus_decay",
         "modes": [(t, tuple(v.tolist())) for t, v in modes],
@@ -283,8 +268,9 @@ def tail_norm(x: BoundedSeq, window_start: int | None = None) -> TailStats:
     return _stats_of_norms(x.norms, window_start)
 
 
-def difference_tail(x: BoundedSeq, theta: complex, step: int = 1, window_start: int | None = None) -> TailStats:
-    """Tail statistics of d_n = x_{n+step} - theta x_n.
+def difference_tail(x: BoundedSeq, theta: complex, step: int = 1) -> TailStats:
+    """Tail statistics of d_n = x_{n+step} - theta x_n from n = horizon // 2
+    (or its last entry, when the difference is that short).
 
     The difference sequence is one ``step`` shorter than the window, so
     this works directly on the values rather than through a BoundedSeq
@@ -295,10 +281,7 @@ def difference_tail(x: BoundedSeq, theta: complex, step: int = 1, window_start: 
         raise PreconditionError(f"step {step} outside [1, {x.horizon - 2}]")
     theta = require_unimodular(theta)
     diffs = x.values[step:] - theta * x.values[:-step]
-    norms = _row_norms(diffs)
-    if window_start is None:
-        window_start = x.horizon // 2
-    return _stats_of_norms(norms, min(window_start, norms.shape[0] - 1))
+    return _stats_of_norms(_row_norms(diffs), min(x.horizon // 2, diffs.shape[0] - 1))
 
 
 @dataclass(frozen=True)
@@ -361,9 +344,9 @@ def _next_pow2(n: int) -> int:
     return 1 << max(int(n) - 1, 1).bit_length()
 
 
-def _lockstep_golden_max(f, a: np.ndarray, b: np.ndarray, iters: int = 64):
+def _lockstep_golden_max(f, a: np.ndarray, b: np.ndarray):
     """Golden-section maximization of unimodal functions on [a_c, b_c], all
-    brackets advancing together.
+    brackets advancing together for 64 iterations.
 
     ``f`` maps an array of points (one per bracket) to their values.
     Every bracket makes the comparisons and float steps of a scalar
@@ -373,7 +356,7 @@ def _lockstep_golden_max(f, a: np.ndarray, b: np.ndarray, iters: int = 64):
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(64):
         left = fc >= fd  # the maximum lies in [a, d]: d becomes b
         a, b = np.where(left, a, c), np.where(left, d, b)
         probe = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
@@ -502,18 +485,13 @@ class VanishingVerdict:
     consistent: bool
 
 
-def vanishing_check(
-    x: BoundedSeq,
-    tol_vanish: float | None = None,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    epsilon: float | None = None,
-) -> VanishingVerdict:
-    """Operational test of: the spectrum is empty iff x_n -> 0."""
-    if tol_vanish is None:
-        tol_vanish = default_tol_vanish(x.sup_norm)
+def vanishing_check(x: BoundedSeq, grid_size: int = DEFAULT_GRID_SIZE) -> VanishingVerdict:
+    """Operational test of: the spectrum is empty iff x_n -> 0, with the
+    tail tolerance ``default_tol_vanish`` and the scan's default threshold."""
+    tol_vanish = default_tol_vanish(x.sup_norm)
     tail = tail_norm(x)
     vanishing = tail.tail_sup <= tol_vanish
-    report = spectrum_scan(x, grid_size, epsilon)
+    report = spectrum_scan(x, grid_size)
     scan_empty = len(report.detected) == 0
     return VanishingVerdict(
         vanishing=vanishing,
@@ -538,21 +516,15 @@ class SingleModeVerdict:
     consistent: bool
 
 
-def single_mode_check(
-    x: BoundedSeq,
-    theta: complex,
-    tol_vanish: float | None = None,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    epsilon: float | None = None,
-) -> SingleModeVerdict:
+def single_mode_check(x: BoundedSeq, theta: complex) -> SingleModeVerdict:
     """Operational test of: the spectrum equals {theta} iff the one-step
-    theta-difference vanishes."""
+    theta-difference vanishes, with the tail tolerance
+    ``default_tol_vanish`` and a default scan."""
     theta = require_unimodular(theta)
-    if tol_vanish is None:
-        tol_vanish = default_tol_vanish(x.sup_norm)
+    tol_vanish = default_tol_vanish(x.sup_norm)
     tail = difference_tail(x, theta)
     difference_vanishes = tail.tail_sup <= tol_vanish
-    report = spectrum_scan(x, grid_size, epsilon)
+    report = spectrum_scan(x)
     scan_matches = len(report.detected) == 1 and angular_distance(
         report.detected[0].theta, theta
     ) <= 1e-3
@@ -636,23 +608,17 @@ class KtzVerdict:
     reason: str | None
 
 
-def ktz_check(
-    t: CMatrix,
-    theta: complex,
-    n_max: int = 512,
-    bound: float = 1e6,
-    limit_tol: float = 1e-8,
-    peripheral_tol: float = 1e-6,
-) -> KtzVerdict:
+def ktz_check(t: CMatrix, theta: complex, n_max: int = 512, bound: float = 1e6, limit_tol: float = 1e-8) -> KtzVerdict:
     """Check that T^n (T - theta I) -> 0 for power-bounded T whose
-    unit-circle spectrum is contained in {theta}."""
+    unit-circle spectrum is contained in {theta}: every peripheral
+    eigenvalue within 1e-6 rad of theta."""
     if n_max < MIN_HORIZON:
         raise PreconditionError(f"n_max must be >= {MIN_HORIZON}")
     theta = require_unimodular(theta)
     probe = power_bounded_probe(t, n_max, bound)
     power_bounded = probe.bounded and probe.growth_class in (GROWTH_DECAYING, GROWTH_BOUNDED)
     info = spectrum_info(t)
-    peripheral_ok = all(angular_distance(p, theta) <= peripheral_tol for p in info.peripheral)
+    peripheral_ok = all(angular_distance(p, theta) <= 1e-6 for p in info.peripheral)
     hypotheses_met = power_bounded and peripheral_ok
     reasons = []
     if not power_bounded:

@@ -65,16 +65,16 @@ def parse_cnum_array(obj, what: str, ndim: int) -> np.ndarray:
     return pairs.view(np.complex128)[..., 0]
 
 
-def parse_cnum(obj, what: str = "complex number") -> complex:
-    return complex(parse_cnum_array(obj, what, 0))
+def parse_cnum(obj) -> complex:
+    return complex(parse_cnum_array(obj, "complex number", 0))
 
 
 def vector_to_json(v) -> np.ndarray:
     return cnum_array(np.ravel(getattr(v, "data", v)))
 
 
-def parse_vector(obj, what: str = "vector") -> CVector:
-    return CVector(parse_cnum_array(obj, what, 1))
+def parse_vector(obj) -> CVector:
+    return CVector(parse_cnum_array(obj, "vector", 1))
 
 
 def matrix_to_json(a: CMatrix) -> dict:

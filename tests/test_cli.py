@@ -177,6 +177,13 @@ def test_cayley_command(tmp_path, capsys):
     assert report["residual"] <= 1e-10
 
 
+def test_cayley_command_at_tiny_magnitudes(tmp_path, capsys):
+    # the Frobenius norm of this matrix underflows to 0
+    path = write_json(tmp_path / "m.json", matrix_to_json(CMatrix(np.diag([1e-200, 5e-201]))))
+    assert main(["cayley", path]) == 0
+    assert json.loads(capsys.readouterr().out)["matrix_norm"] == pytest.approx(1e-200, rel=1e-14, abs=0.0)
+
+
 def test_cauchy_recover_command(tmp_path, capsys):
     payload = {"coeffs": [[[1.0, 0.0]], [[0.0, 2.0]], [[3.0, 0.0]]]}
     path = write_json(tmp_path / "series.json", payload)
@@ -316,6 +323,17 @@ def test_oversized_input_exits_parse_error(tmp_path, capsys, command, obj):
     assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("command", [["spectrum-scan"], ["delay-simulate", "--probe"]])
+@pytest.mark.parametrize("grid_size", [MAX_HORIZON + 1, 2**40])
+def test_oversized_grid_size_exits_parse_error(tmp_path, capsys, command, grid_size):
+    path = write_json(tmp_path / "in.json", alternating_system_json() if command[0] == "delay-simulate" else _descriptor())
+    rc = main(command + [path, "--grid-size", str(grid_size)])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ParseError"
+
+
 @pytest.mark.parametrize("horizon", OVERSIZED_HORIZONS)
 def test_corpus_oversized_horizon_exits_parse_error(tmp_path, capsys, horizon):
     rc = main(["corpus", "--out-dir", str(tmp_path / "corpus"), "--horizon", str(horizon)])
@@ -364,7 +382,7 @@ def test_norm_kernel_failure_reports_payload(tmp_path, capsys, monkeypatch):
 
 
 def test_root_finder_failure_reports_complex_payload(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(eigen.poly_roots, "__defaults__", (1,))  # one sweep
+    monkeypatch.setattr(eigen, "_ROOT_MAX_SWEEPS", 1)  # one sweep
     path = write_json(tmp_path / "m.json", matrix_to_json(CMatrix([[1.0, 2.0], [3.0, 4.0]])))
     rc = main(["gelfand", path, "--n-max", "16"])
     assert rc == 2

@@ -154,6 +154,37 @@ def test_operator_norm_zero_matrix():
     assert operator_norm(CMatrix(np.zeros((3, 3)))) == 0.0
 
 
+def test_norm_kernel_takes_an_empty_stack():
+    norms = linalg._batched_spectral_norms(np.zeros((0, 3, 3)))
+    assert norms.shape == (0,)
+
+
+EXTREME_MATRICES = [
+    np.diag([1e-200, 5e-201]),  # Frobenius norm underflows to 0
+    np.diag([1e200, 5e199]),  # Frobenius norm overflows to inf
+    np.full((2, 2), 5e-324),  # subnormal entries
+    np.array([[1e200, 3e199j], [-2e199, 5e199]]),
+]
+
+
+@pytest.mark.parametrize("a", EXTREME_MATRICES)
+def test_operator_norm_at_extreme_magnitudes_matches_svd(a):
+    # RuntimeWarnings are errors in this suite, so this also checks for none
+    want = np.linalg.svd(a, compute_uv=False)[0]
+    assert operator_norm(CMatrix(a)) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_rescaled_matrices_leave_the_rest_of_the_stack_bitwise():
+    rng = np.random.default_rng(3)
+    plain = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    mixed = np.concatenate([plain[:2], np.zeros((1, 3, 3)), 1e-200 * plain[2:3], plain[2:], 1e200 * plain[3:]])
+    norms = linalg._batched_spectral_norms(mixed)
+    np.testing.assert_array_equal(norms[[0, 1, 4, 5]], linalg._batched_spectral_norms(plain))
+    assert norms[2] == 0.0
+    want = np.linalg.svd(mixed[[3, 6]], compute_uv=False)[:, 0]
+    np.testing.assert_allclose(norms[[3, 6]], want, rtol=1e-14)
+
+
 def test_mat_power_seq_diagonal_decay():
     logs = mat_power_seq(CMatrix(np.diag([0.5, 0.25])), 12)
     assert logs.dtype == np.float64 and logs.shape == (12,)

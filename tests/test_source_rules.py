@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "seqspectrum").glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _linalg_uses(tree):
@@ -54,3 +55,54 @@ def test_library_has_no_unused_imports():
         for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert offenders == []
+
+
+def _defaulted_params(tree):
+    """(function, parameter, position) for every defaulted parameter of a
+    module-level function; position is None for keyword-only ones."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            for i in range(len(positional) - len(args.defaults), len(positional)):
+                yield node.name, positional[i].arg, i
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+
+
+def _passed_params(trees):
+    """(callee name, positional count or None when starred, keyword names)
+    for every call; a ``**`` argument counts as passing every keyword."""
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name is None:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            yield name, None if starred else len(node.args), keywords
+
+
+def _unset_defaults():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES + TESTS}
+    calls: dict[str, list] = {}
+    for name, count, keywords in _passed_params(trees.values()):
+        calls.setdefault(name, []).append((count, keywords))
+    unset = []
+    for path in SOURCES:
+        for func, param, pos in _defaulted_params(trees[path]):
+            if not any(
+                param in keywords or None in keywords or count is None or (pos is not None and count > pos)
+                for count, keywords in calls.get(func, [])
+            ):
+                unset.append(f"{path.name}: {func}({param})")
+    return sorted(unset)
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    # a default that no call overrides is a constant in disguise
+    assert _unset_defaults() == []
