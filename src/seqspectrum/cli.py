@@ -128,7 +128,7 @@ def _cmd_simulate(args) -> None:
     if system.p != 1:
         raise ParseError("simulate handles p = 1 systems; use delay-simulate for p > 1")
     seq, report = simulate_delay(system, horizon)
-    envelope = {"sequence": sequence_to_json(seq, prefer_descriptor=False), "trajectory_report": report}
+    envelope = {"sequence": sequence_to_json(seq), "trajectory_report": report}
     summary = f"horizon {horizon}, growth {report.growth_class}, sup norm {report.sup_norm:.6g}"
     _emit(dumps_report(envelope), args.out, summary)
 
@@ -136,7 +136,7 @@ def _cmd_simulate(args) -> None:
 def _cmd_delay_simulate(args) -> None:
     system, horizon = parse_system(load_json(args.input))
     seq, report = simulate_delay(system, horizon)
-    envelope = {"sequence": sequence_to_json(seq, prefer_descriptor=False), "trajectory_report": report}
+    envelope = {"sequence": sequence_to_json(seq), "trajectory_report": report}
     summary = f"p = {system.p}, horizon {horizon}, growth {report.growth_class}, sup norm {report.sup_norm:.6g}"
     if args.probe:
         probe = delay_limit_probe(system, seq, args.peripheral_tol, args.grid_size)

@@ -10,6 +10,7 @@ adjudicating between them; on delay systems they genuinely differ (see
 """
 
 import cmath
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .eigen import spectrum_info, DEFAULT_PERIPHERAL_TOL
 from .errors import PreconditionError, UnboundedTrajectoryError
-from .linalg import CMatrix, CVector
+from .linalg import CMatrix, CVector, _as_complex_array
 from .sequences import (
     BoundedSeq,
     DetectedPoint,
@@ -64,27 +65,21 @@ class ForcingSpec:
             raise PreconditionError(f"unknown forcing kind {kind!r}")
         if int(seed) < 0:
             raise PreconditionError(f"forcing seed must be >= 0, got {seed}")
-        if kind == "geometric":
-            if param is None or not 0.0 < float(param) < 1.0:
-                raise PreconditionError("geometric forcing needs ratio in (0,1)")
+        if kind in ("geometric", "power"):
+            if param is None:
+                raise PreconditionError(f"{kind} forcing needs a parameter")
             param = float(param)
-        elif kind == "power":
-            if param is None or not float(param) > 0.0:
-                raise PreconditionError("power forcing needs exponent > 0")
-            param = float(param)
+            decay_envelope(kind, param, 0)  # the decay law checks its own range
         elif param is not None:
             raise PreconditionError(f"forcing kind {kind!r} takes no parameter")
         if kind == "custom_table":
             if table is None:
                 raise PreconditionError("custom_table forcing needs a table")
-            arr = np.asarray(table, dtype=np.complex128)
-            if arr.ndim == 1:
-                arr = arr[:, None]
-            if arr.ndim != 2 or arr.shape[0] < 1:
+            table = _as_complex_array(table)
+            if table.ndim == 1:
+                table = table[:, None]
+            if table.ndim != 2 or table.shape[0] < 1:
                 raise PreconditionError("forcing table must be a nonempty (N, d) array")
-            if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
-                raise PreconditionError("forcing table must be finite")
-            table = arr
         elif table is not None:
             raise PreconditionError("only custom_table forcing takes a table")
         if direction is not None:
@@ -190,7 +185,7 @@ class TrajectoryReport:
 
 def _classify(values: np.ndarray, descriptor: dict) -> tuple[BoundedSeq, TrajectoryReport]:
     seq = BoundedSeq(values, descriptor)
-    growth = classify_growth(seq.norms, seq.horizon // 2)
+    growth = classify_growth(seq.norms)
     return seq, TrajectoryReport(
         sup_norm=seq.sup_norm,
         growth_class=growth,
@@ -273,7 +268,7 @@ def verify_asymptotic_decomposition(
     via the tail-window deviation from the final element, which must be
     at most 2 * ``residual_tol``.
     """
-    growth = classify_growth(trajectory.norms, trajectory.horizon // 2)
+    growth = classify_growth(trajectory.norms)
     if growth not in (GROWTH_DECAYING, GROWTH_BOUNDED):
         raise PreconditionError(
             f"trajectory is not bounded (growth class {growth}); the decomposition "
@@ -283,24 +278,12 @@ def verify_asymptotic_decomposition(
     burn_in = trajectory.horizon // 2 if trajectory.horizon >= 2 * MIN_HORIZON else 0
     shifted = trajectory.shifted(burn_in) if burn_in else trajectory
     n_used = shifted.horizon
-    min_sep = 10.0 / n_used
-    for i in range(len(peripheral)):
-        for j in range(i + 1, len(peripheral)):
-            if angular_distance(peripheral[i], peripheral[j]) < min_sep:
-                raise PreconditionError(
-                    f"unit-circle eigenvalues {peripheral[i]!r} and {peripheral[j]!r} are "
-                    f"closer than {min_sep:.3e}; rerun with a larger horizon to separate them"
-                )
     raw = extract_modes(shifted, peripheral, n_used)
     # undo the burn-in shift: the mean of the shifted window estimates theta^burn_in v
     modes = tuple(
         Mode(m.theta, CVector(m.v.data * (m.theta ** (-burn_in)))) for m in raw.modes
     )
-    residual = TailStats(
-        window_start=burn_in + raw.residual.window_start,
-        tail_sup=raw.residual.tail_sup,
-        trend_slope=raw.residual.trend_slope,
-    )
+    residual = dataclasses.replace(raw.residual, window_start=burn_in + raw.residual.window_start)
     decomp = ModeDecomp(modes, residual)
     only_one = all(angular_distance(t, 1.0) <= 1e-8 for t in peripheral)
     limit_tested = len(peripheral) == 0 or only_one
@@ -387,7 +370,7 @@ def delay_limit_probe(
         notes.append(
             f"unit-circle spectrum has {len(peripheral)} points; the probe needs exactly one"
         )
-    growth = classify_growth(seq.norms, seq.horizon // 2)
+    growth = classify_growth(seq.norms)
     bounded = growth in (GROWTH_DECAYING, GROWTH_BOUNDED)
     if not bounded:
         notes.append(f"trajectory is not bounded (growth class {growth})")

@@ -208,7 +208,7 @@ def power_bounded_probe(a: CMatrix, n_max: int, bound: float) -> PowerBoundVerdi
     return PowerBoundVerdict(
         sup_log_norm=sup_log,
         bounded=bool(sup <= bound),
-        growth_class=classify_from_logs(logs, n_max // 2),
+        growth_class=classify_from_logs(logs),
         n_max=n_max,
         bound=float(bound),
     )

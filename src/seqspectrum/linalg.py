@@ -133,7 +133,11 @@ def _solve_array(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _solve_one(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The s = 1 case of ``_solve_array``; raises SingularMatrixError."""
+    """The s = 1 case of ``_solve_array``; raises PreconditionError when
+    ``rhs`` has a different row count and SingularMatrixError when ``a``
+    is masked."""
+    if a.shape[0] != rhs.shape[0]:
+        raise PreconditionError(f"dimension mismatch: {a.shape[0]} vs {rhs.shape[0]}")
     x, ok = _solve_array(a[None], rhs)
     if not ok[0]:
         raise SingularMatrixError("matrix is numerically singular: a pivot below threshold or an overflowing solve")
@@ -142,14 +146,10 @@ def _solve_one(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def mat_solve(a: CMatrix, rhs: CMatrix) -> CMatrix:
     """Solve a @ X = rhs by row-pivoted elimination."""
-    if a.dim != rhs.dim:
-        raise PreconditionError(f"dimension mismatch: {a.dim} vs {rhs.dim}")
     return CMatrix(_solve_one(a.data, rhs.data))
 
 
 def solve_vector(a: CMatrix, rhs: CVector) -> CVector:
-    if a.dim != rhs.dim:
-        raise PreconditionError(f"dimension mismatch: {a.dim} vs {rhs.dim}")
     return CVector(_solve_one(a.data, rhs.data.reshape(-1, 1))[:, 0])
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .eigen import power_bounded_probe, spectrum_info
-from .linalg import CMatrix, CVector, _batched_spectral_norms
+from .linalg import CMatrix, CVector, _as_complex_array, _batched_spectral_norms
 from .trend import GROWTH_BOUNDED, GROWTH_DECAYING, least_squares_slope
 
 DEFAULT_HORIZON = 16384
@@ -133,7 +133,7 @@ class BoundedSeq:
     """
 
     def __init__(self, values, descriptor: dict | None = None):
-        arr = np.asarray(values, dtype=np.complex128)
+        arr = _as_complex_array(values)
         if arr.ndim == 1:
             arr = arr[:, None]
         if arr.ndim != 2:
@@ -142,10 +142,6 @@ class BoundedSeq:
             raise PreconditionError(f"horizon must be >= {MIN_HORIZON}, got {arr.shape[0]}")
         if arr.shape[1] < 1:
             raise PreconditionError("sequence dimension must be >= 1")
-        if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
-            raise PreconditionError("sequence values must all be finite")
-        arr = arr.copy()
-        arr.setflags(write=False)
         self.values = arr
         self.descriptor = descriptor
         self.norms = _row_norms(arr)
@@ -570,8 +566,8 @@ def extract_modes(x: BoundedSeq, thetas, n_used: int | None = None) -> ModeDecom
             sep = angular_distance(thetas[i], thetas[j])
             if sep < min_sep:
                 raise PreconditionError(
-                    f"thetas {i} and {j} are separated by {sep:.3e} < {min_sep:.3e}; "
-                    "increase n_used or drop one of the pair"
+                    f"thetas {i} and {j} are separated by {sep:.3e} < 10 / n_used = {min_sep:.3e}; "
+                    "use a longer horizon or n_used, or drop one of the pair"
                 )
     modes = []
     residual = x.values[:n_used].copy()

@@ -173,11 +173,13 @@ def system_to_json(system: DelaySystem, horizon: int) -> dict:
     }
 
 
-def sequence_to_json(x: BoundedSeq, prefer_descriptor: bool = True) -> dict:
-    """Emit a sequence; generator-born sequences keep their compact
-    descriptor form when it can regenerate them exactly."""
+def sequence_to_json(x: BoundedSeq) -> dict:
+    """Emit a sequence: in its modes-plus-decay descriptor form whenever
+    it has one (the descriptor regenerates it exactly), otherwise
+    materialized.  ``sequence_to_json(BoundedSeq(x.values))`` is the
+    materialized form of any sequence."""
     desc = x.descriptor
-    if prefer_descriptor and desc is not None and desc.get("kind") == "modes_plus_decay":
+    if desc is not None and desc.get("kind") == "modes_plus_decay":
         decay = desc["decay"]
         return {
             "kind": "modes_plus_decay",

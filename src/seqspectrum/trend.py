@@ -3,10 +3,11 @@
 A single least-squares slope serves every fit in the package: ln of
 the norm against ln of the index for the growth classifier and the tail
 statistics, and ln of the resolvent norm against -ln of the radius for
-the pole-order probe.  Classification
-thresholds are heuristics: |slope| below 0.05 reads as bounded, a slope
-above 3 on the fitted window can no longer be explained by a polynomial
-of the dimensions this package handles and is flagged as exponential.
+the pole-order probe.  The growth classifier always fits the last half
+of the range.  Classification thresholds are heuristics: |slope| below
+0.05 reads as bounded, a slope above 3 on the fitted window can no
+longer be explained by a polynomial of the dimensions this package
+handles and is flagged as exponential.
 """
 
 import numpy as np
@@ -39,19 +40,18 @@ def least_squares_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(x @ (y - y.mean()) / denom)
 
 
-def classify_from_logs(log_norms: np.ndarray, window_start: int | None = None) -> str:
-    """Classify growth from ln-norm samples over a trailing window.
+def classify_from_logs(log_norms: np.ndarray) -> str:
+    """Classify growth from ln-norm samples over the last half of the range.
 
     ``log_norms[k]`` is ln of the norm at index k+1 (1-based indices keep
     the log-log fit well defined); -inf marks exactly-zero norms.  The
-    window defaults to the last half of the range.
+    window runs from index n // 2 to n, for n samples.
     """
     logs = np.asarray(log_norms, dtype=float)
     n = logs.shape[0]
-    if window_start is None:
-        window_start = n // 2
-    window = logs[max(0, window_start - 1):]
-    indices = np.arange(max(0, window_start - 1) + 1, n + 1, dtype=float)
+    start = max(0, n // 2 - 1)
+    window = logs[start:]
+    indices = np.arange(start + 1, n + 1, dtype=float)
     if window.size == 0:
         return GROWTH_BOUNDED
     if not np.isfinite(window).any():
@@ -66,9 +66,9 @@ def classify_from_logs(log_norms: np.ndarray, window_start: int | None = None) -
     return GROWTH_DECAYING
 
 
-def classify_growth(norms: np.ndarray, window_start: int | None = None) -> str:
+def classify_growth(norms: np.ndarray) -> str:
     """Classify a norm sequence; see :func:`classify_from_logs`."""
     norms = np.asarray(norms, dtype=float)
     with np.errstate(divide="ignore"):
         logs = np.where(norms > 0.0, np.log(np.maximum(norms, 1e-300)), -np.inf)
-    return classify_from_logs(logs, window_start)
+    return classify_from_logs(logs)

@@ -19,7 +19,7 @@ from seqspectrum.dynamics import DelaySystem, ForcingSpec
 from seqspectrum.eigen import gelfand_radius_estimate, power_bounded_probe
 from seqspectrum.linalg import CMatrix, CVector
 from seqspectrum.resolvent import pole_order_probe
-from seqspectrum.sequences import extract_modes, ktz_check, modes_plus_decay, vanishing_check
+from seqspectrum.sequences import BoundedSeq, extract_modes, ktz_check, modes_plus_decay, vanishing_check
 from seqspectrum.serialize import (
     dumps_report,
     forcing_to_json,
@@ -109,7 +109,7 @@ def _wire_formats():
         "forcing_table": forcing_to_json(table),
         "system": system_to_json(_system(), 128),
         "descriptor": sequence_to_json(x),
-        "materialized": sequence_to_json(x, prefer_descriptor=False),
+        "materialized": sequence_to_json(BoundedSeq(x.values)),
     }
 
 
@@ -119,7 +119,7 @@ def _materialized():
     x = modes_plus_decay(
         [(cmath.exp(1.1j), [1.0, -0.5j]), (1j, [0.25, 0.75])], 256, decay=("geometric", 0.9), seed=5
     )
-    obj = sequence_to_json(x, prefer_descriptor=False)
+    obj = sequence_to_json(BoundedSeq(x.values))
     values = obj["values"] = obj["values"].tolist()  # lists keep the planted JSON ints
     values[0] = [[1, 0], [-2, 3]]
     values[1][0] = [-0.0, 5e-324]

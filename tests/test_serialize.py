@@ -277,7 +277,7 @@ def _valid_wire_objects():
     forced = system_to_json(system, 32)
     forced["kind"] = "forced_system_output"
     forcings = [ForcingSpec.custom(np.ones((3, 2))), ForcingSpec.log_decay(seed=1), ForcingSpec.power(2.0)]
-    objs = [sequence_to_json(x), sequence_to_json(x, prefer_descriptor=False), forced, system_to_json(system, 32)]
+    objs = [sequence_to_json(x), sequence_to_json(BoundedSeq(x.values)), forced, system_to_json(system, 32)]
     objs += [forcing_to_json(f) for f in forcings] + [vector_to_json(CVector([1.0, 2.0j])), [0.5, -0.0]]
     return json.loads(dumps_report(objs))
 
