@@ -58,6 +58,16 @@ from .serialize import (
 )
 
 
+#: Complex values a count flag may make one op hold: points * radii * d^2,
+#: n_max * d^2 or nodes * d.
+_MAX_COUNT_VALUES = 2**24
+
+
+def _check_count(flag: str, count: int, values_each: int) -> None:
+    if count * values_each > _MAX_COUNT_VALUES:
+        raise ParseError(f"{flag} {count} makes {count * values_each} complex values; at most {_MAX_COUNT_VALUES}")
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse reserves exit status 2 for usage errors; this package
     uses 1, so usage failures are rethrown as parse errors.
@@ -149,6 +159,7 @@ def _cmd_delay_simulate(args) -> None:
 
 def _cmd_gelfand(args) -> None:
     a = parse_matrix(load_json(args.input))
+    _check_count("--n-max", args.n_max, a.dim * a.dim)
     report = gelfand_radius_estimate(a, args.n_max)
     summary = (
         f"spectral radius estimate {report.estimate:.12g} "
@@ -159,6 +170,7 @@ def _cmd_gelfand(args) -> None:
 
 def _cmd_ktz(args) -> None:
     a = parse_matrix(load_json(args.input))
+    _check_count("--n-max", args.n_max, a.dim * a.dim)
     verdict = ktz_check(a, _parse_theta(args.theta), args.n_max, args.bound, args.limit_tol)
     if verdict.hypotheses_met:
         tail = "n/a" if verdict.operator_tail_sup is None else f"{verdict.operator_tail_sup:.6g}"
@@ -170,8 +182,12 @@ def _cmd_ktz(args) -> None:
 
 def _cmd_resolvent_scan(args) -> None:
     a = parse_matrix(load_json(args.input))
+    radii = _parse_radii(args.radius)
+    if args.points < 1:
+        raise ParseError(f"--points must be at least 1, got {args.points}")
+    _check_count("--points", args.points, len(radii) * a.dim * a.dim)
     grid = []
-    for r in _parse_radii(args.radius):
+    for r in radii:
         if r <= 0:
             raise ParseError(f"grid radius must be positive, got {r}")
         angles = 2.0 * np.pi * np.arange(args.points) / args.points
@@ -207,6 +223,7 @@ def _cmd_cauchy_recover(args) -> None:
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise ParseError("series table must be an object with a 'coeffs' list")
     coeffs = parse_cnum_array(obj["coeffs"], "series coefficients", 2)
+    _check_count("--nodes", args.nodes, coeffs.shape[1])
 
     def oracle(z: complex) -> np.ndarray:
         acc = np.zeros_like(coeffs[0])

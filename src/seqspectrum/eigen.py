@@ -76,7 +76,8 @@ def poly_roots(p: Polynomial) -> list[complex]:
     accepted anyway when every residual |p(z)| is negligible against the
     coefficient scale (multiple roots stall at their attainable accuracy
     without ever meeting the update rule), otherwise a failure carrying
-    the per-root residuals is raised.
+    the per-root residuals is raised.  A sweep that leaves the float range
+    fails at once with its index and the last finite iterate.
     """
     degree = p.degree
     if degree < 1:
@@ -94,15 +95,19 @@ def poly_roots(p: Polynomial) -> list[complex]:
     angles = 2.0 * np.pi * np.arange(degree) / degree + 0.4
     z = radius * np.exp(1j * angles)
     converged = False
-    for _ in range(_ROOT_MAX_SWEEPS):
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        small = np.abs(diff) < 1e-30
-        if small.any():
-            diff[small] = 1e-30  # collision guard; next sweep separates them
-        denom = diff.prod(axis=1)
-        update = q(z) / denom
-        z = z - update
+    for sweep in range(_ROOT_MAX_SWEEPS):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            diff = z[:, None] - z[None, :]
+            np.fill_diagonal(diff, 1.0)
+            small = np.abs(diff) < 1e-30
+            if small.any():
+                diff[small] = 1e-30  # collision guard; next sweep separates them
+            update = q(z) / diff.prod(axis=1)
+            z_next = z - update
+        if not np.isfinite(z_next).all():  # a non-finite iterate never recovers
+            payload = {"sweep": sweep, "roots": z.tolist()}
+            raise ConvergenceError(f"root iteration left the float range at sweep {sweep}", payload)
+        z = z_next
         if np.all(np.abs(update) < _ROOT_TOL * (1.0 + np.abs(z))):
             converged = True
             break
@@ -188,9 +193,7 @@ class PowerBoundVerdict:
     @property
     def sup_norm(self) -> float:
         with np.errstate(over="ignore"):  # a finite log past 709.78 is inf, as intended
-            return float(np.exp(self.sup_log_norm)) if np.isfinite(self.sup_log_norm) else (
-                0.0 if self.sup_log_norm == -np.inf else np.inf
-            )
+            return float(np.exp(self.sup_log_norm))
 
 
 def power_bounded_probe(a: CMatrix, n_max: int, bound: float) -> PowerBoundVerdict:

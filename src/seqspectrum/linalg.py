@@ -153,6 +153,16 @@ def solve_vector(a: CMatrix, rhs: CVector) -> CVector:
     return CVector(_solve_one(a.data, rhs.data.reshape(-1, 1))[:, 0])
 
 
+def _pow2_scaled(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(scaled, e)``: each ``arr[i]`` times the power of two 2^-e[i] that
+    brings its largest real or imaginary part into [0.5, 1).  The scaling
+    is exact, subnormal entries included; an all-zero slice gets e = 0."""
+    amax = np.maximum(np.abs(arr.real), np.abs(arr.imag)).max(axis=tuple(range(1, arr.ndim)))
+    exps = np.frexp(amax)[1]
+    e = -exps.reshape((-1,) + (1,) * (arr.ndim - 1))
+    return np.ldexp(arr.real, e) + 1j * np.ldexp(arr.imag, e), exps
+
+
 def operator_norm(a: CMatrix | np.ndarray) -> float:
     """Spectral 2-norm, certified to ``_NORM_RTOL`` relative."""
     arr = a.data if isinstance(a, CMatrix) else np.asarray(a, dtype=np.complex128)
@@ -190,12 +200,13 @@ def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
     out = np.zeros(s)
     plain = (scale > 0.0) & (scale < np.inf)
     if not plain.all():
-        amax = np.maximum(np.abs(mats.real), np.abs(mats.imag)).max(axis=(1, 2))
-        exps = np.where(plain, 0, np.frexp(amax)[1])
-        scaled = np.ldexp(mats.real, -exps[:, None, None]) + 1j * np.ldexp(mats.imag, -exps[:, None, None])
-        nonzero = amax > 0.0
+        out[plain] = _batched_spectral_norms(mats[plain])
+        fix = np.flatnonzero(~plain)
+        scaled, exps = _pow2_scaled(mats[fix])
+        # e = 0 here only for a zero (or non-finite) matrix, which stays at 0
+        live = exps != 0
         with np.errstate(over="ignore"):  # a norm past the float range is inf
-            out[nonzero] = np.ldexp(_batched_spectral_norms(scaled[nonzero]), exps[nonzero])
+            out[fix[live]] = np.ldexp(_batched_spectral_norms(scaled[live]), exps[live])
         return out
     # conj(A)/|A| times A, then /|A|: the Gram stack with at most two
     # stack-sized arrays alive and no entry above |A|, so nothing overflows.

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .eigen import power_bounded_probe, spectrum_info
-from .linalg import CMatrix, CVector, _as_complex_array, _batched_spectral_norms
+from .linalg import CMatrix, CVector, _as_complex_array, _batched_spectral_norms, _pow2_scaled
 from .trend import GROWTH_BOUNDED, GROWTH_DECAYING, least_squares_slope
 
 DEFAULT_HORIZON = 16384
@@ -49,17 +49,18 @@ PROXY_DISCLAIMER = (
 def _row_norms(arr: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a complex (N, d) array.
 
-    Rows whose plain norm overflows are recomputed scaled by their largest
-    modulus (Blue, ACM TOMS 1978), so only a norm beyond the float range
-    reads inf; every other row keeps the plain norm's bits.
+    Rows whose plain norm overflows, or is below 1e-140 where the squares
+    that matter may underflow, are recomputed scaled by an exact power of
+    two (Blue, ACM TOMS 1978); every other row keeps the plain norm's bits.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.linalg.norm(arr, axis=1)
-    big = np.isinf(norms)
-    if big.any():
-        rows = arr[big]
-        amax = np.abs(rows).max(axis=1)
-        norms[big] = amax * np.linalg.norm(rows / amax[:, None], axis=1)
+    fix = np.flatnonzero((norms < 1e-140) | np.isinf(norms))
+    fix = fix[arr[fix].any(axis=1)]  # a zero row's plain norm is exact
+    if fix.size:
+        scaled, exps = _pow2_scaled(arr[fix])
+        with np.errstate(over="ignore"):  # a norm past the float range is inf
+            norms[fix] = np.ldexp(np.linalg.norm(scaled, axis=1), exps)
     return norms
 
 
@@ -552,8 +553,9 @@ def extract_modes(x: BoundedSeq, thetas, n_used: int | None = None) -> ModeDecom
 
     Requires pairwise angular separation >= 10 / n_used; below that the
     cross-term O(1/(n sep)) contamination exceeds any useful tolerance.
-    The residual x_n - sum theta_j^n v_j is reported as tail statistics
-    over the second half of the window.
+    This is the package's one separation check.  The residual
+    x_n - sum theta_j^n v_j over the first n_used entries is reported as
+    tail statistics over the last half, from index n_used // 2.
     """
     if n_used is None:
         n_used = x.horizon

@@ -9,6 +9,7 @@ import pytest
 from seqspectrum import cli, dynamics, eigen, linalg
 from seqspectrum.cli import main
 from seqspectrum.dynamics import DelaySystem, ForcingSpec
+from seqspectrum.errors import ParseError
 from seqspectrum.linalg import CMatrix, CVector
 from seqspectrum.sequences import MAX_HORIZON, MIN_HORIZON, modes_plus_decay
 from seqspectrum.serialize import dumps_report, matrix_to_json, sequence_to_json, system_to_json
@@ -29,6 +30,20 @@ def alternating_system_json(horizon=256):
         CMatrix.identity(1), 2, [CVector([1.0]), CVector([-1.0])], ForcingSpec.zero()
     )
     return system_to_json(system, horizon)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def _error_line(stderr: str) -> dict:
+    """The error object a failing command writes: exactly one stderr line,
+    strict JSON (NaN and Infinity rejected), with an 'error' key."""
+    lines = stderr.splitlines()
+    assert len(lines) == 1, stderr
+    err = json.loads(lines[0], parse_constant=_reject_constant)
+    assert "error" in err
+    return err
 
 
 def test_help_exits_zero():
@@ -100,7 +115,7 @@ def test_simulate_rejects_delay_systems(tmp_path, capsys):
     sys_path = write_json(tmp_path / "system.json", alternating_system_json())
     rc = main(["simulate", sys_path])
     assert rc == 1
-    err = json.loads(capsys.readouterr().err)
+    err = _error_line(capsys.readouterr().err)
     assert "delay-simulate" in err["message"]
 
 
@@ -211,7 +226,7 @@ def test_corpus_command_deterministic(tmp_path, capsys):
 def test_missing_input_exits_parse_error(tmp_path, capsys):
     rc = main(["spectrum-scan", str(tmp_path / "nope.json")])
     assert rc == 1
-    err = json.loads(capsys.readouterr().err)
+    err = _error_line(capsys.readouterr().err)
     assert err["error"] == "ParseError"
 
 
@@ -235,13 +250,13 @@ def test_undecodable_input_exits_parse_error(tmp_path, capsys, monkeypatch, cont
         path.write_bytes(content)
     rc = main(["cayley", str(path)])
     assert rc == 1
-    err = json.loads(capsys.readouterr().err)
+    err = _error_line(capsys.readouterr().err)
     assert err["error"] == "ParseError"
 
 
 def _assert_parse_error(capsys, rc):
     assert rc == 1
-    err = json.loads(capsys.readouterr().err)
+    err = _error_line(capsys.readouterr().err)
     assert err["error"] == "ParseError"
 
 
@@ -273,7 +288,7 @@ def test_precondition_exit_code(tmp_path, capsys):
     path = seq_file(tmp_path)
     rc = main(["modes", path, "--theta", "0,1", "--theta", "0,1"])
     assert rc == 3  # coincident thetas breach the separation precondition
-    err = json.loads(capsys.readouterr().err)
+    err = _error_line(capsys.readouterr().err)
     assert err["error"] == "PreconditionError"
 
 
@@ -286,7 +301,7 @@ def test_unbounded_simulation_exit_code(tmp_path, capsys):
     path = write_json(tmp_path / "system.json", system)
     rc = main(["simulate", path])
     assert rc == 2
-    err = json.loads(capsys.readouterr().err)
+    err = _error_line(capsys.readouterr().err)
     assert err["error"] == "UnboundedTrajectoryError"
     assert err["blow_up_index"] > 0
 
@@ -299,9 +314,7 @@ def test_ktz_infinite_bound_writes_one_error_line(tmp_path):
         text=True,
     )
     assert proc.returncode == 3
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "PreconditionError"
+    assert _error_line(proc.stderr)["error"] == "PreconditionError"
 
 
 def _descriptor(**fields):
@@ -320,7 +333,7 @@ OVERSIZED_HORIZONS = [10**400, 2**40, MAX_HORIZON + 1]
 def test_oversized_input_exits_parse_error(tmp_path, capsys, command, obj):
     rc = main([command, write_json(tmp_path / "in.json", obj)])
     assert rc == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+    assert _error_line(capsys.readouterr().err)["error"] == "ParseError"
 
 
 @pytest.mark.parametrize("command", [["spectrum-scan"], ["delay-simulate", "--probe"]])
@@ -329,16 +342,14 @@ def test_oversized_grid_size_exits_parse_error(tmp_path, capsys, command, grid_s
     path = write_json(tmp_path / "in.json", alternating_system_json() if command[0] == "delay-simulate" else _descriptor())
     rc = main(command + [path, "--grid-size", str(grid_size)])
     assert rc == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "ParseError"
+    assert _error_line(capsys.readouterr().err)["error"] == "ParseError"
 
 
 @pytest.mark.parametrize("horizon", OVERSIZED_HORIZONS)
 def test_corpus_oversized_horizon_exits_parse_error(tmp_path, capsys, horizon):
     rc = main(["corpus", "--out-dir", str(tmp_path / "corpus"), "--horizon", str(horizon)])
     assert rc == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+    assert _error_line(capsys.readouterr().err)["error"] == "ParseError"
     assert not (tmp_path / "corpus").exists()
 
 
@@ -346,17 +357,13 @@ def test_corpus_oversized_horizon_exits_parse_error(tmp_path, capsys, horizon):
 def test_corpus_short_horizon_exits_parse_error(tmp_path, capsys, horizon):
     rc = main(["corpus", "--out-dir", str(tmp_path / "corpus"), "--horizon", str(horizon)])
     assert rc == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "ParseError"
+    assert _error_line(capsys.readouterr().err)["error"] == "ParseError"
     assert not (tmp_path / "corpus").exists()
 
 
 def test_bad_theta_flag(tmp_path, capsys):
     path = seq_file(tmp_path)
-    rc = main(["modes", path, "--theta", "zero"])
-    assert rc == 1
-    capsys.readouterr()
+    _assert_parse_error(capsys, main(["modes", path, "--theta", "zero"]))
 
 
 @pytest.mark.parametrize("theta, code", [("-1,0", 0), ("-0.6,-0.8", 0), ("-0.5,0.2", 3)])
@@ -366,6 +373,8 @@ def test_negative_theta_as_separate_argument(tmp_path, capsys, theta, code):
     rc = main(["ktz", path, "--theta", theta, "--n-max", "64"])
     separate = capsys.readouterr()
     assert rc == code
+    if code:
+        assert _error_line(separate.err)["error"] == "PreconditionError"
     assert main(["ktz", path, f"--theta={theta}", "--n-max", "64"]) == code
     assert capsys.readouterr() == separate
 
@@ -375,7 +384,7 @@ def test_norm_kernel_failure_reports_payload(tmp_path, capsys, monkeypatch):
     path = write_json(tmp_path / "m.json", matrix_to_json(CMatrix(np.diag([1.0, 1.0 - 1e-7, 0.5]))))
     rc = main(["cayley", path])
     assert rc == 2
-    err = json.loads(capsys.readouterr().err)
+    err = _error_line(capsys.readouterr().err)
     assert err["error"] == "ConvergenceError"
     assert sorted(err["payload"]) == ["index", "lower", "upper"]
     assert err["payload"]["lower"] <= err["payload"]["upper"]
@@ -386,10 +395,49 @@ def test_root_finder_failure_reports_complex_payload(tmp_path, capsys, monkeypat
     path = write_json(tmp_path / "m.json", matrix_to_json(CMatrix([[1.0, 2.0], [3.0, 4.0]])))
     rc = main(["gelfand", path, "--n-max", "16"])
     assert rc == 2
-    err = json.loads(capsys.readouterr().err)
+    err = _error_line(capsys.readouterr().err)
     assert err["error"] == "ConvergenceError"
     assert len(err["payload"]["roots"]) == 2
     assert all(len(z) == 2 for z in err["payload"]["roots"])
+
+
+def test_root_finder_overflow_writes_one_strict_error_line(tmp_path):
+    # radius 2 at d = 64: the start circle's 64th powers leave the float range
+    rng = np.random.default_rng(64)
+    g = (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))) / np.sqrt(2.0)
+    g *= 2.0 / np.max(np.abs(np.linalg.eigvals(g)))
+    path = write_json(tmp_path / "m.json", matrix_to_json(CMatrix(g)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "seqspectrum.cli", "gelfand", path, "--n-max", "16"], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    err = _error_line(proc.stderr)
+    assert err["error"] == "ConvergenceError"
+    assert sorted(err["payload"]) == ["roots", "sweep"]
+    assert len(err["payload"]["roots"]) == 64
+
+
+@pytest.mark.parametrize("points", [2**40, 0, -1])
+def test_resolvent_scan_rejects_unbounded_points(tmp_path, capsys, points):
+    path = write_json(tmp_path / "m.json", matrix_to_json(CMatrix(np.eye(2))))
+    _assert_parse_error(capsys, main(["resolvent-scan", path, "--points", str(points)]))
+
+
+def test_cauchy_recover_rejects_unbounded_nodes(tmp_path, capsys):
+    path = write_json(tmp_path / "series.json", {"coeffs": [[[1.0, 0.0], [0.5, -0.5]]]})
+    _assert_parse_error(capsys, main(["cauchy-recover", path, "--k", "0", "--nodes", str(2**40)]))
+
+
+@pytest.mark.parametrize("command", [["gelfand"], ["ktz", "--theta", "1"]])
+def test_power_commands_reject_unbounded_n_max(tmp_path, capsys, command):
+    path = write_json(tmp_path / "m.json", matrix_to_json(CMatrix(np.eye(2))))
+    _assert_parse_error(capsys, main([command[0], path, *command[1:], "--n-max", str(2**40)]))
+
+
+def test_count_bound_admits_exactly_the_bound():
+    cli._check_count("--points", 2**12, 2**12)
+    with pytest.raises(ParseError, match="at most 16777216"):
+        cli._check_count("--points", 2**12 + 1, 2**12)
 
 
 def test_installed_entry_point_help():

@@ -4,6 +4,7 @@ import pytest
 import helpers
 from seqspectrum.eigen import (
     Polynomial,
+    _cluster_peripheral,
     cayley_hamilton_residual,
     char_poly,
     gelfand_radius_estimate,
@@ -87,6 +88,12 @@ def test_peripheral_selection():
     # peripheral points come back exactly unimodular
     for t in per:
         assert abs(abs(t) - 1.0) <= 1e-15
+
+
+def test_peripheral_cluster_merges_across_angle_zero():
+    points = [np.exp(1e-9j), np.exp(-1e-9j)]
+    (rep,) = _cluster_peripheral(points, 1e-8)
+    assert abs(rep - 1.0) <= 1e-15
 
 
 def test_cayley_hamilton_residual():

@@ -185,7 +185,7 @@ PINNED = {
     "cli-scan-materialized": "3c0a0494d97dfdca590292ee37533b1d2b69fc779f9cfc691e11edf9a4b9ace9",
     "cli-simulate": "dcbe2ff0fedf00e72fcdf6a4c662621736a8a37e3928dcb06be4579b2d6fe896",
     "corpus-modes": "c8ca70ca3db8fff889c359cc3fe9ea3a6f75fd7f5b6739c5c16e9eab8beb091a",
-    "corpus-vanishing": "e0f90d309424554e2a8911e932f5902ed8d42c9dc4f188c0f94f4395cd0ac2d2",
+    "corpus-vanishing": "ef7a95df3df47b255fc023e83491596ba867f09852e9250c617af9acf37ec083",
     "gelfand-diagonal": "47a553121c1726ed960361c9e237459d0a82d3b7ca5e02e7d123cfb6b0db5336",
     "gelfand-jordan": "cbca9abc93e3d1052b984ca6247bd2a69f81f47fca0a185c8aa5b707b6adc168",
     "gelfand-nilpotent": "2da75310a676b38f09676310c9dd1e41d361b4bdf8977f9fe4b69faf735d3646",

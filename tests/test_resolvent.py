@@ -89,6 +89,22 @@ def test_cauchy_recovers_polynomial_coefficients():
         assert np.linalg.norm(got.data - c.data) <= 1e-12
 
 
+def test_neumann_overflow_guard_raises_divergence():
+    with pytest.raises(DivergenceError, match="series terms exceed 1e150"):
+        resolvent_neumann(CMatrix(10.0 * np.eye(2)), 1.0, 200)
+
+
+def test_cauchy_recovers_coefficients_with_an_odd_node_count():
+    rng = np.random.default_rng(33)
+    coeffs = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+
+    def oracle(z):
+        return ((coeffs[3] * z + coeffs[2]) * z + coeffs[1]) * z + coeffs[0]
+
+    for k, c in enumerate(coeffs):
+        assert np.linalg.norm(cauchy_coefficient(oracle, k, nodes=33).data - c) <= 1e-14
+
+
 def test_cauchy_liouville_echo_is_exactly_zero():
     # bounded entire function: all higher coefficients vanish, and the
     # symmetric node table cancels them without round-off
@@ -202,6 +218,12 @@ def test_isometry_bound_names_the_first_near_circle_sample():
     samples = [2.0, 0.5, 1.0 + 1e-7j, 3.0, 1.0 - 1e-8]
     with pytest.raises(PreconditionError, match=re.escape(f"sample {complex(1.0 + 1e-7j)!r} is within")):
         isometry_bound_check(CMatrix(np.diag([1j, -1j])), samples)
+
+
+def test_isometry_bound_with_no_samples_checks_nothing():
+    report = isometry_bound_check(CMatrix(np.diag([1j, -1j])), [])
+    assert (report.samples_checked, report.violations) == (0, 0)
+    assert report.ok
 
 
 def test_isometry_bound_requires_unitary():

@@ -109,6 +109,16 @@ def test_tail_norm_harmonic_window():
     assert stats.trend_slope < -0.5  # clearly decaying
 
 
+@pytest.mark.parametrize("entry", [1e-200, 5e-324, 1e-150 - 3e-151j, 1e300])
+def test_row_norms_keep_tiny_and_huge_entries(entry):
+    x = BoundedSeq(np.full((16, 2), entry))
+    true_norm = math.sqrt(2.0) * abs(entry)
+    assert x.sup_norm == pytest.approx(true_norm, rel=1e-15, abs=0.0)
+    assert tail_norm(x).tail_sup == x.sup_norm
+    ones = np.ones((16, 2))
+    assert np.array_equal(BoundedSeq(np.vstack([ones, np.full((16, 2), entry)])).norms[:16], BoundedSeq(ones).norms)
+
+
 def test_tail_norm_window_validation():
     with pytest.raises(PreconditionError):
         tail_norm(BoundedSeq(np.ones(32)), 32)
