@@ -58,14 +58,19 @@ from .serialize import (
 )
 
 
-#: Complex values a count flag may make one op hold: points * radii * d^2,
-#: n_max * d^2 or nodes * d.
+#: Complex values a count flag may make one op hold or compute: points *
+#: radii * d^2, n_max * d^2 or nodes * len(coeffs) * d.  The Python-level
+#: steps behind them (grid points, powers, Horner steps) are at most
+#: MAX_HORIZON.
 _MAX_COUNT_VALUES = 2**24
 
 
-def _check_count(flag: str, count: int, values_each: int) -> None:
-    if count * values_each > _MAX_COUNT_VALUES:
-        raise ParseError(f"{flag} {count} makes {count * values_each} complex values; at most {_MAX_COUNT_VALUES}")
+def _check_count(flag: str, count: int, steps: int, values_each: int) -> None:
+    if steps > MAX_HORIZON or steps * values_each > _MAX_COUNT_VALUES:
+        raise ParseError(
+            f"{flag} {count} makes {steps} steps of {steps * values_each} complex values; "
+            f"at most {MAX_HORIZON} steps and {_MAX_COUNT_VALUES} values"
+        )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -159,7 +164,7 @@ def _cmd_delay_simulate(args) -> None:
 
 def _cmd_gelfand(args) -> None:
     a = parse_matrix(load_json(args.input))
-    _check_count("--n-max", args.n_max, a.dim * a.dim)
+    _check_count("--n-max", args.n_max, args.n_max, a.dim * a.dim)
     report = gelfand_radius_estimate(a, args.n_max)
     summary = (
         f"spectral radius estimate {report.estimate:.12g} "
@@ -170,7 +175,7 @@ def _cmd_gelfand(args) -> None:
 
 def _cmd_ktz(args) -> None:
     a = parse_matrix(load_json(args.input))
-    _check_count("--n-max", args.n_max, a.dim * a.dim)
+    _check_count("--n-max", args.n_max, args.n_max, a.dim * a.dim)
     verdict = ktz_check(a, _parse_theta(args.theta), args.n_max, args.bound, args.limit_tol)
     if verdict.hypotheses_met:
         tail = "n/a" if verdict.operator_tail_sup is None else f"{verdict.operator_tail_sup:.6g}"
@@ -185,7 +190,7 @@ def _cmd_resolvent_scan(args) -> None:
     radii = _parse_radii(args.radius)
     if args.points < 1:
         raise ParseError(f"--points must be at least 1, got {args.points}")
-    _check_count("--points", args.points, len(radii) * a.dim * a.dim)
+    _check_count("--points", args.points, args.points * len(radii), a.dim * a.dim)
     grid = []
     for r in radii:
         if r <= 0:
@@ -223,7 +228,7 @@ def _cmd_cauchy_recover(args) -> None:
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise ParseError("series table must be an object with a 'coeffs' list")
     coeffs = parse_cnum_array(obj["coeffs"], "series coefficients", 2)
-    _check_count("--nodes", args.nodes, coeffs.shape[1])
+    _check_count("--nodes", args.nodes, args.nodes * len(coeffs), coeffs.shape[1])
 
     def oracle(z: complex) -> np.ndarray:
         acc = np.zeros_like(coeffs[0])

@@ -212,7 +212,12 @@ def simulate_delay(system: DelaySystem, horizon: int) -> tuple[BoundedSeq, Traje
                 raise UnboundedTrajectoryError(f"trajectory norm exceeded {OVERFLOW_LIMIT:.1e} at step {step}", step)
     seq = BoundedSeq(values, {"kind": "forced_system_output", "p": p, "horizon": horizon})
     growth = classify_growth(seq.norms)
-    return seq, TrajectoryReport(seq.sup_norm, growth, growth in (GROWTH_DECAYING, GROWTH_BOUNDED), horizon)
+    return seq, TrajectoryReport(
+        sup_norm=seq.sup_norm,
+        growth_class=growth,
+        bounded_verdict=growth in (GROWTH_DECAYING, GROWTH_BOUNDED),
+        horizon=seq.horizon,
+    )
 
 
 def recurrence_defect(b: CMatrix, seq: BoundedSeq, forcing_values: np.ndarray, p: int = 1) -> float:
@@ -348,12 +353,19 @@ def delay_limit_probe(
     :func:`simulate_delay`, to the tail tolerance ``default_tol_vanish``."""
     notes: list[str] = []
     peripheral = spectrum_info(system.b, peripheral_tol).peripheral
-    theta = peripheral[0] if peripheral else 1.0 + 0.0j
-    peripheral_ok = len(peripheral) <= 1
-    if not peripheral:
+    if len(peripheral) == 0:
+        theta = 1.0 + 0.0j
         notes.append("unit-circle spectrum is empty; probing against theta = 1")
-    elif not peripheral_ok:
-        notes.append(f"unit-circle spectrum has {len(peripheral)} points; the probe needs exactly one")
+        peripheral_ok = True
+    elif len(peripheral) == 1:
+        theta = peripheral[0]
+        peripheral_ok = True
+    else:
+        theta = peripheral[0]
+        peripheral_ok = False
+        notes.append(
+            f"unit-circle spectrum has {len(peripheral)} points; the probe needs exactly one"
+        )
     growth = classify_growth(seq.norms)
     bounded = growth in (GROWTH_DECAYING, GROWTH_BOUNDED)
     if not bounded:

@@ -184,8 +184,9 @@ def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
     (entries below about 1e-162 or above about 1e154) is first scaled by
     the power of two that brings its largest real or imaginary part into
     [0.5, 1), exactly even for subnormal entries, and its norm is scaled
-    back; a zero matrix is closed at 0, and every other matrix keeps the
-    bits of an unscaled run.  A relative
+    back; a zero matrix is closed at 0, a matrix with a NaN or inf entry
+    at inf, and every other matrix keeps the bits of an unscaled run.  A
+    relative
     gap g between the top two singular values closes in about
     log2(1/g) + 4 squarings, an exact tie in at most 48.  See Golub &
     Van Loan, *Matrix Computations*, sections 7.3 and 8.2.
@@ -203,8 +204,11 @@ def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
         out[plain] = _batched_spectral_norms(mats[plain])
         fix = np.flatnonzero(~plain)
         scaled, exps = _pow2_scaled(mats[fix])
-        # e = 0 here only for a zero (or non-finite) matrix, which stays at 0
-        live = exps != 0
+        # e = 0 here only for a zero matrix, which stays at 0, or a
+        # non-finite one, whose norm is inf
+        finite = np.isfinite(scaled).all(axis=(1, 2))
+        out[fix[~finite]] = np.inf
+        live = (exps != 0) & finite
         with np.errstate(over="ignore"):  # a norm past the float range is inf
             out[fix[live]] = np.ldexp(_batched_spectral_norms(scaled[live]), exps[live])
         return out
@@ -280,8 +284,10 @@ def mat_power_seq(a: CMatrix, n_max: int) -> np.ndarray:
 
 
 def hermitian_defect(u: CMatrix) -> float:
-    """|| U^H U - I ||, the distance from having orthonormal columns."""
-    return operator_norm(u.data.conj().T @ u.data - np.eye(u.dim))
+    """|| U^H U - I ||, the distance from having orthonormal columns; inf
+    when U^H U leaves the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return operator_norm(u.data.conj().T @ u.data - np.eye(u.dim))
 
 
 def require_unitary(u: CMatrix) -> None:

@@ -435,9 +435,22 @@ def test_power_commands_reject_unbounded_n_max(tmp_path, capsys, command):
 
 
 def test_count_bound_admits_exactly_the_bound():
-    cli._check_count("--points", 2**12, 2**12)
-    with pytest.raises(ParseError, match="at most 16777216"):
-        cli._check_count("--points", 2**12 + 1, 2**12)
+    cli._check_count("--points", 2**12, 2**12, 2**12)
+    with pytest.raises(ParseError, match="16777216 values"):
+        cli._check_count("--points", 2**12 + 1, 2**12 + 1, 2**12)
+    cli._check_count("--n-max", MAX_HORIZON, MAX_HORIZON, 1)
+    with pytest.raises(ParseError, match=f"at most {MAX_HORIZON} steps"):
+        cli._check_count("--n-max", MAX_HORIZON + 1, MAX_HORIZON + 1, 1)
+
+
+def test_scalar_counts_are_capped_by_their_python_steps(tmp_path, capsys):
+    # at d = 1 the value bound alone would admit 2**24 grid points, powers
+    # or Horner steps, each a Python-level step
+    path = write_json(tmp_path / "m.json", matrix_to_json(CMatrix([[0.5]])))
+    _assert_parse_error(capsys, main(["resolvent-scan", path, "--points", str(2**19 + 1)]))
+    _assert_parse_error(capsys, main(["gelfand", path, "--n-max", str(MAX_HORIZON + 1)]))
+    series = write_json(tmp_path / "series.json", {"coeffs": [[[1.0, 0.0]]] * 4})
+    _assert_parse_error(capsys, main(["cauchy-recover", series, "--k", "0", "--nodes", str(2**18 + 1)]))
 
 
 def test_installed_entry_point_help():

@@ -154,6 +154,11 @@ def test_operator_norm_zero_matrix():
     assert operator_norm(CMatrix(np.zeros((3, 3)))) == 0.0
 
 
+def test_norm_kernel_gives_non_finite_matrices_an_infinite_norm():
+    stack = np.array([np.zeros((2, 2)), [[np.inf, 0.0], [0.0, 1.0]], [[1.0, np.nan], [0.0, 1.0]], np.eye(2)])
+    np.testing.assert_array_equal(linalg._batched_spectral_norms(stack), [0.0, np.inf, np.inf, 1.0])
+
+
 def test_norm_kernel_takes_an_empty_stack():
     norms = linalg._batched_spectral_norms(np.zeros((0, 3, 3)))
     assert norms.shape == (0,)
@@ -221,3 +226,6 @@ def test_require_unitary():
     require_unitary(CMatrix(helpers.random_unitary(rng, 4)))
     with pytest.raises(PreconditionError):
         require_unitary(CMatrix(2.0 * np.eye(2)))
+    # U^H U - I = [[inf]]: a defect past the float range is no pass
+    with pytest.raises(PreconditionError):
+        require_unitary(CMatrix([[1e200]]))
