@@ -14,6 +14,7 @@ envelopes that the sequence-consuming commands accept directly, so
 
 import argparse
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -102,11 +103,20 @@ def _parse_theta(text: str) -> complex:
     raise ParseError(f"theta must be 're' or 're,im', got {text!r}")
 
 
-def _parse_radii(text: str) -> list[float]:
+def _real(text: str, allow_inf: bool = False) -> float:
+    """argparse type of the float flags: NaN is never a setting, and inf
+    only where it means "no bound"."""
     try:
-        return [float(p) for p in text.split(",") if p.strip()]
+        value = float(text)
     except ValueError:
-        raise ParseError(f"radii must be comma-separated numbers, got {text!r}")
+        value = math.nan  # rejected below with the non-finite values
+    if math.isnan(value) or (math.isinf(value) and not allow_inf):
+        raise argparse.ArgumentTypeError(f"expected a {'' if allow_inf else 'finite '}number, got {text!r}")
+    return value
+
+
+def _parse_radii(text: str) -> list[float]:
+    return [_real(p) for p in text.split(",") if p.strip()]
 
 
 def _emit(text: str, out: str, summary: str) -> None:
@@ -187,7 +197,7 @@ def _cmd_ktz(args) -> None:
 
 def _cmd_resolvent_scan(args) -> None:
     a = parse_matrix(load_json(args.input))
-    radii = _parse_radii(args.radius)
+    radii = args.radius
     if args.points < 1:
         raise ParseError(f"--points must be at least 1, got {args.points}")
     _check_count("--points", args.points, args.points * len(radii), a.dim * a.dim)
@@ -208,7 +218,7 @@ def _cmd_resolvent_scan(args) -> None:
 
 def _cmd_pole_probe(args) -> None:
     u = parse_matrix(load_json(args.input))
-    report = pole_order_probe(u, _parse_theta(args.theta), _parse_radii(args.radii))
+    report = pole_order_probe(u, _parse_theta(args.theta), args.radii)
     summary = (
         f"fitted order {report.fitted_order:.4f} at theta = "
         f"({report.center.real:.6g}, {report.center.imag:.6g})"
@@ -291,7 +301,7 @@ def build_parser() -> _Parser:
 
     p = add("spectrum-scan", _cmd_spectrum_scan, "scan a sequence for unit-circle spectrum points")
     p.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
-    p.add_argument("--epsilon", type=float, default=None, help="detection threshold (default: scale-based)")
+    p.add_argument("--epsilon", type=_real, default=None, help="detection threshold (default: scale-based)")
 
     p = add("modes", _cmd_modes, "extract mode amplitudes at given unimodular points")
     p.add_argument("--theta", action="append", metavar="RE,IM", help="repeatable mode location")
@@ -301,7 +311,7 @@ def build_parser() -> _Parser:
 
     p = add("delay-simulate", _cmd_delay_simulate, "run x_{n+p} = B x_n + y_n from a system file")
     p.add_argument("--probe", action="store_true", help="attach the delay limit probe report")
-    p.add_argument("--peripheral-tol", type=float, default=DEFAULT_PERIPHERAL_TOL)
+    p.add_argument("--peripheral-tol", type=_real, default=DEFAULT_PERIPHERAL_TOL)
     p.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
 
     p = add("gelfand", _cmd_gelfand, "estimate the spectral radius from the norm sequence")
@@ -310,23 +320,23 @@ def build_parser() -> _Parser:
     p = add("ktz", _cmd_ktz, "check the power-bounded iterate difference tail")
     p.add_argument("--theta", required=True, metavar="RE,IM")
     p.add_argument("--n-max", type=int, default=512)
-    p.add_argument("--bound", type=float, default=1e6)
-    p.add_argument("--limit-tol", type=float, default=1e-8)
+    p.add_argument("--bound", type=lambda text: _real(text, allow_inf=True), default=1e6)
+    p.add_argument("--limit-tol", type=_real, default=1e-8)
 
     p = add("resolvent-scan", _cmd_resolvent_scan, "resolvent norms over circle grids")
-    p.add_argument("--radius", default="0.5,1.5", metavar="R1,R2,...", help="circle radii to sweep")
+    p.add_argument("--radius", type=_parse_radii, default="0.5,1.5", metavar="R1,R2,...", help="circle radii to sweep")
     p.add_argument("--points", type=int, default=256, help="points per circle")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = add("pole-probe", _cmd_pole_probe, "fit the resolvent blow-up order at a unitary eigenvalue")
     p.add_argument("--theta", required=True, metavar="RE,IM")
-    p.add_argument("--radii", default="1e-2,3e-3,1e-3,3e-4,1e-4", metavar="R1,R2,...")
+    p.add_argument("--radii", type=_parse_radii, default="1e-2,3e-3,1e-3,3e-4,1e-4", metavar="R1,R2,...")
 
     add("cayley", _cmd_cayley, "characteristic-polynomial residual of a matrix")
 
     p = add("cauchy-recover", _cmd_cauchy_recover, "recover a series coefficient by circle quadrature")
     p.add_argument("--k", type=int, required=True, help="coefficient index")
-    p.add_argument("--radius", type=float, default=1.0)
+    p.add_argument("--radius", type=_real, default=1.0)
     p.add_argument("--nodes", type=int, default=DEFAULT_QUADRATURE_NODES)
 
     p = add("corpus", _cmd_corpus, "write the seeded sequence corpus to a directory", needs_input=False)

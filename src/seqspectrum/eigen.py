@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
-from .linalg import CMatrix, mat_power_seq, operator_norm
+from .linalg import CMatrix, _as_complex_array, mat_power_seq, operator_norm
 from .trend import classify_from_logs
 
 _ROOT_TOL = 1e-14
@@ -34,10 +34,9 @@ class Polynomial:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=np.complex128).copy()
+        arr = _as_complex_array(self.coeffs)
         if arr.ndim != 1 or arr.size < 1:
             raise PreconditionError("coefficient list must be non-empty and one-dimensional")
-        arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
     @property
@@ -53,17 +52,24 @@ class Polynomial:
 
 
 def char_poly(a: CMatrix) -> Polynomial:
-    """Monic characteristic polynomial det(tI - A) by the trace recursion."""
+    """Monic characteristic polynomial det(tI - A) by the trace recursion.
+
+    The recursion has no scaling, so entries near the float range can
+    overflow it; the first non-finite coefficient fails with its step k.
+    """
     d = a.dim
     arr = a.data
     coeffs = np.zeros(d + 1, dtype=np.complex128)
     coeffs[d] = 1.0
     m = np.eye(d, dtype=np.complex128)
     for k in range(1, d + 1):
-        am = arr @ m
-        c = -np.trace(am) / k
+        with np.errstate(over="ignore", invalid="ignore"):
+            am = arr @ m
+            c = -np.trace(am) / k
+            m = am + c * np.eye(d)
+        if not np.isfinite(c):  # a non-finite m always reaches the next trace
+            raise ConvergenceError(f"characteristic polynomial left the float range at step {k}", {"step": k})
         coeffs[d - k] = c
-        m = am + c * np.eye(d)
     return Polynomial(coeffs)
 
 

@@ -64,6 +64,13 @@ def _row_norms(arr: np.ndarray) -> np.ndarray:
     return norms
 
 
+def _dot_row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a complex (N, d) array, bit for bit
+    ``np.linalg.norm`` of the row alone: sqrt(re . re + im . im), with each
+    dot taken by the same BLAS ddot over the same strided parts."""
+    return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
+
+
 def default_epsilon(sup_norm: float) -> float:
     """Scan threshold that scales with the sequence: max(1e-6, 1% of sup)."""
     return max(1e-6, 0.01 * sup_norm)
@@ -78,7 +85,7 @@ def require_unimodular(theta: complex) -> complex:
     """Check | |theta| - 1 | <= 1e-12 and return theta normalized to unit modulus."""
     theta = complex(theta)
     mod = abs(theta)
-    if abs(mod - 1.0) > _UNIMODULAR_TOL:
+    if not abs(mod - 1.0) <= _UNIMODULAR_TOL:  # NaN fails too
         raise PreconditionError(f"theta = {theta!r} is not unimodular: | |theta|-1 | = {abs(mod - 1.0):.3e}")
     return theta / mod
 
@@ -381,8 +388,12 @@ def spectrum_scan(
     all clusters run in lockstep, so each of their 66 steps is one
     stacked rotated-mean evaluation over every cluster (in row blocks of
     bounded size) and makes the same float decisions as a search of its
-    own.  Peaks closer than one grid step are merged, and peaks under
-    the leakage envelope of a taller one are dropped as its sidelobes.
+    own.  Each step's norms are one stacked sqrt(re . re + im . im), the
+    expression ``np.linalg.norm`` evaluates for one complex vector, so
+    every row reaches the same BLAS dot and keeps the bits of a one-row
+    norm (``np.linalg.norm(axis=1)`` sums squares elementwise and moves
+    the last bit).  Peaks closer than one grid step are merged, and peaks
+    under the leakage envelope of a taller one are dropped as its sidelobes.
     """
     if grid_size < 64:
         raise PreconditionError("grid_size must be >= 64")
@@ -435,7 +446,7 @@ def spectrum_scan(
         def peak_norms(phis: np.ndarray) -> np.ndarray:
             thetas = np.array([require_unimodular(cmath.exp(1j * phi)) for phi in phis.tolist()])
             means = _rotated_means(x.values, thetas, x.horizon)
-            return np.array([np.linalg.norm(m) for m in means])
+            return _dot_row_norms(means)
 
         phis, norms = _lockstep_golden_max(peak_norms, centers - fine_step, centers + fine_step)
         for phi, norm in zip(phis.tolist(), norms.tolist()):

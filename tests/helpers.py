@@ -5,6 +5,7 @@ oracle; the library itself never does.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 
@@ -12,6 +13,15 @@ from seqspectrum.errors import SingularMatrixError
 from seqspectrum.linalg import PIVOT_RTOL, CMatrix, CVector
 from seqspectrum.sequences import BoundedSeq
 from seqspectrum.serialize import matrix_to_json, sequence_to_json, vector_to_json
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def strict_json(text):
+    """``json.loads`` that rejects NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def loop_solve(a, rhs):

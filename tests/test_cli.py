@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import helpers
 from seqspectrum import cli, dynamics, eigen, linalg
 from seqspectrum.cli import main
 from seqspectrum.dynamics import DelaySystem, ForcingSpec
@@ -32,16 +33,12 @@ def alternating_system_json(horizon=256):
     return system_to_json(system, horizon)
 
 
-def _reject_constant(name):
-    raise ValueError(f"{name} is not strict JSON")
-
-
 def _error_line(stderr: str) -> dict:
     """The error object a failing command writes: exactly one stderr line,
     strict JSON (NaN and Infinity rejected), with an 'error' key."""
     lines = stderr.splitlines()
     assert len(lines) == 1, stderr
-    err = json.loads(lines[0], parse_constant=_reject_constant)
+    err = helpers.strict_json(lines[0])
     assert "error" in err
     return err
 
@@ -459,3 +456,39 @@ def test_installed_entry_point_help():
     )
     assert proc.returncode == 0
     assert "spectrum-scan" in proc.stdout
+
+
+@pytest.mark.parametrize("command", [["cayley"], ["gelfand", "--n-max", "16"], ["ktz", "--theta", "1,0", "--n-max", "16"]])
+def test_char_poly_overflow_writes_one_strict_error_line(tmp_path, capsys, command):
+    # det(tI - A) = t^2 - 2e200 t + 1e400: the step-2 coefficient leaves the float range
+    path = write_json(tmp_path / "m.json", {"d": 2, "entries": [[1e200, 0], [0, 0], [0, 0], [1e200, 0]]})
+    assert main([command[0], path, *command[1:]]) == 2
+    err = _error_line(capsys.readouterr().err)
+    assert err["error"] == "ConvergenceError"
+    assert err["payload"] == {"step": 2}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum-scan", "SEQ", "--epsilon", "inf"],
+        ["spectrum-scan", "SEQ", "--epsilon", "nan"],
+        ["delay-simulate", "SYS", "--probe", "--peripheral-tol", "nan"],
+        ["delay-simulate", "SYS", "--probe", "--peripheral-tol=-inf"],
+        ["ktz", "MAT", "--theta", "1", "--limit-tol", "nan"],
+        ["ktz", "MAT", "--theta", "1", "--limit-tol", "inf"],
+        ["ktz", "MAT", "--theta", "1", "--bound", "nan"],  # inf is "no bound": see the ktz --bound inf test
+        ["cauchy-recover", "SER", "--k", "1", "--radius", "inf"],
+        ["cauchy-recover", "SER", "--k", "1", "--radius", "nan"],
+        ["resolvent-scan", "MAT", "--radius", "1,nan"],
+        ["pole-probe", "MAT", "--theta", "1", "--radii", "1e-2,inf"],
+    ],
+)
+def test_float_flags_reject_non_finite_values(tmp_path, capsys, argv):
+    inputs = {
+        "SEQ": seq_file(tmp_path),
+        "SYS": write_json(tmp_path / "system.json", alternating_system_json(64)),
+        "MAT": write_json(tmp_path / "m.json", matrix_to_json(CMatrix([[0.5]]))),
+        "SER": write_json(tmp_path / "series.json", {"coeffs": [[[1.0, 0.0]], [[0.0, 1.0]]]}),
+    }
+    _assert_parse_error(capsys, main([inputs.get(a, a) for a in argv]))

@@ -39,6 +39,12 @@ def test_polynomial_evaluation():
     assert p(1j) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("bad", [[1.0, np.nan], [np.inf, 1.0], [1.0, complex(0.0, -np.inf)]])
+def test_polynomial_rejects_non_finite_coefficients(bad):
+    with pytest.raises(PreconditionError, match="finite"):
+        Polynomial(bad)
+
+
 def test_poly_roots_match_numpy():
     rng = np.random.default_rng(9)
     for _ in range(10):

@@ -13,6 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import helpers
 from seqspectrum.cli import main
 from seqspectrum.corpus import generate_corpus
 from seqspectrum.dynamics import DelaySystem, ForcingSpec
@@ -204,3 +205,14 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_report_keeps_pinned_bytes(name, tmp_path):
     assert hashlib.sha256(REPORTS[name](tmp_path)).hexdigest() == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_report_is_strict_json(name, tmp_path):
+    if name == "cli-corpus":
+        _corpus_bytes(tmp_path)
+        documents = [path.read_bytes() for path in sorted((tmp_path / "corpus").iterdir())]
+    else:
+        documents = [REPORTS[name](tmp_path)]
+    for doc in documents:
+        helpers.strict_json(doc)

@@ -11,6 +11,7 @@ from seqspectrum.corpus import generate_corpus
 from seqspectrum.dynamics import DelaySystem, ForcingSpec, delay_limit_probe, simulate_delay
 from seqspectrum.errors import PreconditionError
 from seqspectrum.sequences import (
+    _dot_row_norms,
     _lockstep_golden_max,
     _unimodular_power_stack,
     BoundedSeq,
@@ -59,6 +60,8 @@ def test_require_unimodular():
     assert abs(abs(t) - 1.0) <= 1e-15
     with pytest.raises(PreconditionError):
         require_unimodular(0.5)
+    with pytest.raises(PreconditionError):
+        require_unimodular(complex(math.nan, 0.0))
 
 
 def test_angular_distance_wraps():
@@ -117,6 +120,26 @@ def test_row_norms_keep_tiny_and_huge_entries(entry):
     assert tail_norm(x).tail_sup == x.sup_norm
     ones = np.ones((16, 2))
     assert np.array_equal(BoundedSeq(np.vstack([ones, np.full((16, 2), entry)])).norms[:16], BoundedSeq(ones).norms)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16, 64])
+def test_dot_row_norms_carry_the_bits_of_one_row_norms(d):
+    # np.linalg.norm of one complex row is sqrt(re . re + im . im), each dot
+    # a BLAS ddot over the stride-2 real or imaginary part; np.vecdot over
+    # the rows of a C-contiguous stack calls the same ddot on the same
+    # strides, so every row gets the same bits (norm(axis=1) does not)
+    rng = np.random.default_rng(d)
+    for rows in range(1, 65):
+        scale = np.logspace(-150.0, 150.0, rows)[:, None]
+        stack = (rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d))) * scale
+        stack[0] = 0.0
+        if rows > 1:
+            stack.real[1] = np.where(rng.random(d) < 0.5, -0.0, 1.5)
+            stack.imag[1] = np.where(rng.random(d) < 0.5, -0.0, -2.5)
+        stack = np.ascontiguousarray(stack, dtype=np.complex128)
+        got = [v.hex() for v in _dot_row_norms(stack).tolist()]
+        want = [float(np.linalg.norm(r)).hex() for r in stack]
+        assert got == want, (d, rows)
 
 
 def test_tail_norm_window_validation():
