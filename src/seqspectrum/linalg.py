@@ -157,10 +157,9 @@ def _pow2_scaled(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(scaled, e)``: each ``arr[i]`` times the power of two 2^-e[i] that
     brings its largest real or imaginary part into [0.5, 1).  The scaling
     is exact, subnormal entries included; an all-zero slice gets e = 0."""
-    amax = np.maximum(np.abs(arr.real), np.abs(arr.imag)).max(axis=tuple(range(1, arr.ndim)))
-    exps = np.frexp(amax)[1]
-    e = -exps.reshape((-1,) + (1,) * (arr.ndim - 1))
-    return np.ldexp(arr.real, e) + 1j * np.ldexp(arr.imag, e), exps
+    parts = np.ascontiguousarray(arr).view(np.float64)  # real and imaginary parts side by side
+    exps = np.frexp(np.abs(parts).max(axis=tuple(range(1, arr.ndim))))[1]
+    return np.ldexp(parts, -exps.reshape((-1,) + (1,) * (arr.ndim - 1))).view(np.complex128), exps
 
 
 def operator_norm(a: CMatrix | np.ndarray) -> float:

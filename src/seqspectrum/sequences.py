@@ -33,11 +33,15 @@ _RENORM_INTERVAL = 1024
 
 _UNIMODULAR_TOL = 1e-12
 
-#: Complex elements one block of stacked rotated means may multiply at
-#: once (1 MiB, one evaluation of a 16384 x 4 window): many clusters at a
-#: long horizon would otherwise allocate clusters * horizon * d values
-#: per golden-section step.
+#: Complex weights one block of stacked rotated means may hold at once
+#: (1 MiB, four rows at horizon 16384): many clusters at a long horizon
+#: would otherwise allocate clusters * horizon weights per golden-section
+#: step.
 _EVAL_BLOCK_ELEMENTS = 1 << 16
+
+#: Longest run of k one einsum call sums: numpy cuts longer runs into
+#: 8192-term pieces for a block of rows but not for one row with d = 1.
+_SUM_CHUNK = 8192
 
 PROXY_DISCLAIMER = (
     "detections are rotated-mean persistence estimates; they provably "
@@ -62,13 +66,6 @@ def _row_norms(arr: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):  # a norm past the float range is inf
             norms[fix] = np.ldexp(np.linalg.norm(scaled, axis=1), exps)
     return norms
-
-
-def _dot_row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a complex (N, d) array, bit for bit
-    ``np.linalg.norm`` of the row alone: sqrt(re . re + im . im), with each
-    dot taken by the same BLAS ddot over the same strided parts."""
-    return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
 
 
 def default_epsilon(sup_norm: float) -> float:
@@ -301,30 +298,37 @@ def rotated_mean(x: BoundedSeq, theta: complex, n_used: int | None = None) -> Ro
 
     Exactly v on the eigen-sequence theta^n v (for every n); at most
     2 ||v|| / (n |theta - mu|) on any other unimodular mode mu^n v.
+    A peak that :func:`spectrum_scan` reports at theta is this mean_norm
+    at theta, bit for bit.
     """
     if n_used is None:
         n_used = x.horizon
     if not 1 <= n_used <= x.horizon:
         raise PreconditionError(f"n_used {n_used} outside [1, {x.horizon}]")
     theta = require_unimodular(theta)
-    mean_vec = _rotated_means(x.values, np.array([theta]), n_used)[0]
-    return RotatedMeanResult(theta, n_used, CVector(mean_vec), float(np.linalg.norm(mean_vec)))
+    mean = _rotated_means(x.values, np.array([theta]), n_used)
+    return RotatedMeanResult(theta, n_used, CVector(mean[0]), float(_row_norms(mean)[0]))
 
 
 def _rotated_means(values: np.ndarray, thetas: np.ndarray, n: int) -> np.ndarray:
     """Row c is (1/n) sum_{k<n} thetas[c]^-k values[k], for unimodular thetas.
 
-    Rows are evaluated in blocks whose (rows, n, d) product stays under
-    ``_EVAL_BLOCK_ELEMENTS``.  numpy reduces the k axis of every row of
-    the block as it would for a stack of one, so each row carries the
-    bits of a one-theta evaluation whatever the block size.
+    Each block of rows, whose (rows, n) weights stay under
+    ``_EVAL_BLOCK_ELEMENTS``, is summed by ``np.einsum`` over runs of at
+    most ``_SUM_CHUNK`` k: numpy's own sum-of-products loop, with no BLAS
+    call and no (rows, n, d) temporary.  A row's bits therefore depend on
+    neither the block it sits in nor the BLAS thread count, so the scan's
+    peaks are the rotated means :func:`rotated_mean` reports at the same
+    theta.
     """
     vals = values[:n]
-    out = np.empty((thetas.shape[0], vals.shape[1]), dtype=np.complex128)
-    block = max(1, _EVAL_BLOCK_ELEMENTS // vals.size)
+    out = np.zeros((thetas.shape[0], vals.shape[1]), dtype=np.complex128)
+    block = max(1, _EVAL_BLOCK_ELEMENTS // n)
     for lo in range(0, thetas.shape[0], block):
         weights = _unimodular_power_stack(thetas[lo : lo + block].conj(), n)
-        out[lo : lo + block] = (weights[:, :, None] * vals[None]).sum(axis=1) / n
+        for k in range(0, n, _SUM_CHUNK):
+            out[lo : lo + block] += np.einsum("rk,kd->rd", weights[:, k : k + _SUM_CHUNK], vals[k : k + _SUM_CHUNK])
+    out /= n
     return out
 
 
@@ -377,23 +381,24 @@ def spectrum_scan(
     """Sweep rotated means over a circle grid and report persistent peaks.
 
     Grid stage: the K means at the K-th roots of unity over the first
-    n_grid entries are one length-K transform of the index-folded
-    sequence.  n_grid is capped at K itself: averaging over c*K entries
-    with c >= 2 makes a mode sitting halfway between grid points
-    invisible (its Dirichlet kernel vanishes on the whole grid), whereas
-    a single-period window keeps the worst-case attenuation at 2/pi.
+    n_grid entries are one zero-padded length-K transform.  n_grid is
+    capped at K itself: averaging over c*K entries with c >= 2 makes a
+    mode sitting halfway between grid points invisible (its Dirichlet
+    kernel vanishes on the whole grid), whereas a single-period window
+    keeps the worst-case attenuation at 2/pi.
     Clusters of above-threshold grid points are then refined at the full
     horizon: first by argmax over a dense zero-padded transform, then by
     a golden-section search inside the winning lobe.  The searches of
     all clusters run in lockstep, so each of their 66 steps is one
-    stacked rotated-mean evaluation over every cluster (in row blocks of
-    bounded size) and makes the same float decisions as a search of its
-    own.  Each step's norms are one stacked sqrt(re . re + im . im), the
-    expression ``np.linalg.norm`` evaluates for one complex vector, so
-    every row reaches the same BLAS dot and keeps the bits of a one-row
-    norm (``np.linalg.norm(axis=1)`` sums squares elementwise and moves
-    the last bit).  Peaks closer than one grid step are merged, and peaks
-    under the leakage envelope of a taller one are dropped as its sidelobes.
+    stacked rotated-mean evaluation over every cluster.  The transforms
+    and the search work on one copy of the window scaled by an exact
+    power of two, so no norm overflows, none underflows unless it is far
+    below the largest entry, and a sequence scaled by 2^j (with epsilon
+    scaled alike) gives the same angles.
+    Each reported peak is the rotated mean at its reported theta, as
+    :func:`rotated_mean` computes it.  Peaks closer than one grid step
+    are merged, and peaks under the leakage envelope of a taller one are
+    dropped as its sidelobes.
     """
     if grid_size < 64:
         raise PreconditionError("grid_size must be >= 64")
@@ -403,14 +408,12 @@ def spectrum_scan(
         raise PreconditionError("epsilon must be positive")
     k = int(grid_size)
     n_grid = min(x.horizon, k)
-    vals = x.values[:n_grid]
-    pad = (-n_grid) % k
-    if pad:
-        vals = np.vstack([vals, np.zeros((pad, x.dim), dtype=np.complex128)])
-    folded = vals.reshape(-1, k, x.dim).sum(axis=0)
-    grid_means = np.fft.fft(folded, axis=0) / n_grid  # row m = mean at e^(2 pi i m / K)
+    (window,), (exp,) = _pow2_scaled(x.values[None])
+    with np.errstate(over="ignore"):  # a threshold past the float range detects nothing
+        scaled_eps = np.ldexp(epsilon, -exp)
+    grid_means = np.fft.fft(window[:n_grid], n=k, axis=0) / n_grid  # row m = mean at e^(2 pi i m / K)
     grid_norms = np.linalg.norm(grid_means, axis=1)
-    above = grid_norms > epsilon
+    above = grid_norms > scaled_eps
     idx = np.flatnonzero(above)
     detected: list[DetectedPoint] = []
     if idx.size:
@@ -431,7 +434,7 @@ def spectrum_scan(
         # enough that the argmax bin sits inside the peak's main lobe,
         # and the bracket of one fine bin each way is unimodal.
         n_fine = 2 * _next_pow2(max(x.horizon, k))
-        fine_means = np.fft.fft(x.values, n=n_fine, axis=0) / x.horizon
+        fine_means = np.fft.fft(window, n=n_fine, axis=0) / x.horizon
         fine_norms = np.linalg.norm(fine_means, axis=1)
         fine_step = 2.0 * math.pi / n_fine
         ratio = n_fine / k
@@ -442,16 +445,16 @@ def spectrum_scan(
             js = np.arange(j_lo, j_hi + 1) % n_fine
             j_stars.append(js[np.argmax(fine_norms[js])])
         centers = fine_step * np.array(j_stars, dtype=np.float64)
-
-        def peak_norms(phis: np.ndarray) -> np.ndarray:
-            thetas = np.array([require_unimodular(cmath.exp(1j * phi)) for phi in phis.tolist()])
-            means = _rotated_means(x.values, thetas, x.horizon)
-            return _dot_row_norms(means)
-
-        phis, norms = _lockstep_golden_max(peak_norms, centers - fine_step, centers + fine_step)
-        for phi, norm in zip(phis.tolist(), norms.tolist()):
-            if norm > epsilon:
-                detected.append(DetectedPoint(cmath.exp(1j * phi), norm))
+        phis = _lockstep_golden_max(
+            lambda p: np.linalg.norm(_rotated_means(window, np.exp(1j * p), x.horizon), axis=1),
+            centers - fine_step,
+            centers + fine_step,
+        )[0]
+        thetas = [cmath.exp(1j * phi) for phi in phis.tolist()]
+        peaks = _row_norms(_rotated_means(x.values, np.array([require_unimodular(t) for t in thetas]), x.horizon))
+        for theta, peak in zip(thetas, peaks.tolist()):
+            if peak > epsilon:
+                detected.append(DetectedPoint(theta, peak))
     # Greedy acceptance, tallest first.  A candidate within one grid step
     # of an accepted peak is the same peak; a candidate whose value is
     # below the leakage envelope pi*A/(n*delta) of an accepted peak of
@@ -461,16 +464,11 @@ def spectrum_scan(
     detected.sort(key=lambda p: (-p.peak_mean_norm, cmath.phase(p.theta) % (2.0 * math.pi)))
     accepted: list[DetectedPoint] = []
     for cand in detected:
-        keep = True
         for a in accepted:
             delta = angular_distance(a.theta, cand.theta)
-            if delta <= 2.0 * math.pi / k:
-                keep = False
+            if delta <= 2.0 * math.pi / k or cand.peak_mean_norm <= 2.0 * math.pi * a.peak_mean_norm / (x.horizon * delta):
                 break
-            if cand.peak_mean_norm <= 2.0 * math.pi * a.peak_mean_norm / (x.horizon * delta):
-                keep = False
-                break
-        if keep:
+        else:
             accepted.append(cand)
     accepted.sort(key=lambda p: cmath.phase(p.theta) % (2.0 * math.pi))
     return SpectrumScanReport(k, float(epsilon), x.horizon, n_grid, tuple(accepted))

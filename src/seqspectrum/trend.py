@@ -25,7 +25,8 @@ def least_squares_slope(x: np.ndarray, y: np.ndarray) -> float:
     """Least-squares slope of y on x over the entries where both are finite.
 
     The slope is reported as 0.0 when fewer than two such entries remain
-    or when x has no spread over them.
+    or when x has no spread over them.  The sums are numpy's own, not a
+    BLAS dot, so the slope does not depend on the BLAS thread count.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -34,10 +35,10 @@ def least_squares_slope(x: np.ndarray, y: np.ndarray) -> float:
         return 0.0
     x, y = x[mask], y[mask]
     x = x - x.mean()
-    denom = float(x @ x)
+    denom = float(np.sum(x * x))
     if denom == 0.0:
         return 0.0
-    return float(x @ (y - y.mean()) / denom)
+    return float(np.sum(x * (y - y.mean())) / denom)
 
 
 def classify_from_logs(log_norms: np.ndarray) -> str:

@@ -12,7 +12,7 @@ from seqspectrum.cli import main
 from seqspectrum.dynamics import DelaySystem, ForcingSpec
 from seqspectrum.errors import ParseError
 from seqspectrum.linalg import CMatrix, CVector
-from seqspectrum.sequences import MAX_HORIZON, MIN_HORIZON, modes_plus_decay
+from seqspectrum.sequences import MAX_HORIZON, MIN_HORIZON, BoundedSeq, modes_plus_decay
 from seqspectrum.serialize import dumps_report, matrix_to_json, sequence_to_json, system_to_json
 
 
@@ -56,6 +56,20 @@ def test_spectrum_scan_stdout(tmp_path, capsys):
     assert len(report["detected"]) == 1
     theta = report["detected"][0]["theta"]
     assert abs(theta[0]) <= 1e-4 and abs(theta[1] - 1.0) <= 1e-4
+
+
+def test_spectrum_scan_of_huge_values_writes_strict_json(tmp_path):
+    # entries near 1e200: the square of every entry overflows
+    x = modes_plus_decay([(np.exp(0.7j), (1.0, -0.5j))], 256)
+    path = write_json(tmp_path / "seq.json", sequence_to_json(BoundedSeq(x.values * 1e200)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "seqspectrum.cli", "spectrum-scan", path], capture_output=True, text=True
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    (det,) = helpers.strict_json(proc.stdout)["detected"]
+    assert abs(complex(*det["theta"]) - np.exp(0.7j)) <= 1e-8
+    assert det["peak_mean_norm"] == pytest.approx(np.sqrt(1.25) * 1e200, rel=1e-12)
 
 
 def test_spectrum_scan_out_file_and_summary(tmp_path, capsys):

@@ -180,18 +180,18 @@ REPORTS = {
 PINNED = {
     "cli-cauchy-recover": "b859ed4941e15eb9ed9e1c366a6aa9494cd63ae8361d5bbc9738e7a11cc8b31a",
     "cli-cayley": "3ab089caddb8036415641f2ca45a00f3e443f9fd3843832166076fe531c3db7c",
-    "cli-delay-probe": "e2b3e20c56e188414b7cfe31ea62107df5f4eacb32051052910f553c3c4edc12",
+    "cli-delay-probe": "3c7076f25bfcb1fd4135dfb7ee38877774b5edcb31e8d793e42e1da32f480560",
     "cli-corpus": "466b8f5e857236860c0f33060090e4fa48ab27ce28d0f2defb0cdddfb583e211",
-    "cli-modes-materialized": "2ba1f9ce726851869c6db1cbc16baabd7833c1460f13dacab5804f88b20b55da",
-    "cli-scan-materialized": "3c0a0494d97dfdca590292ee37533b1d2b69fc779f9cfc691e11edf9a4b9ace9",
+    "cli-modes-materialized": "738bc4a1611786488e0065cafa9d411307c2ed4b4055d9be98b35b29c3215304",
+    "cli-scan-materialized": "30b7bc0cdea2c247e646217ac57ec193acbb487460c33e1726ae157fc5ab1ce9",
     "cli-simulate": "dcbe2ff0fedf00e72fcdf6a4c662621736a8a37e3928dcb06be4579b2d6fe896",
-    "corpus-modes": "c8ca70ca3db8fff889c359cc3fe9ea3a6f75fd7f5b6739c5c16e9eab8beb091a",
-    "corpus-vanishing": "ef7a95df3df47b255fc023e83491596ba867f09852e9250c617af9acf37ec083",
+    "corpus-modes": "96c05df1ea1868d1c58f2e5398b8467668f0b4683f9cccab6a3f7b46cd87b3c2",
+    "corpus-vanishing": "9536defa654aec15cdb0443a44c5bfbf2ce1470519f9008e08ef1a68d4af4875",
     "gelfand-diagonal": "47a553121c1726ed960361c9e237459d0a82d3b7ca5e02e7d123cfb6b0db5336",
     "gelfand-jordan": "cbca9abc93e3d1052b984ca6247bd2a69f81f47fca0a185c8aa5b707b6adc168",
     "gelfand-nilpotent": "2da75310a676b38f09676310c9dd1e41d361b4bdf8977f9fe4b69faf735d3646",
     "gelfand-random-16": "e69b2dd89c9d5b911fb0ff94778a6e656870ae64faffe78e9b3bf5a843a61494",
-    "ktz-met": "76effef4c9043f687a9155425baa52ebe2804fe712c3e28827ce41940a64e384",
+    "ktz-met": "2de9427bf889a68ff7af52c55888f43936b37c69985433bac153943a28bd189b",
     "ktz-nilpotent": "25591f6e2ab9a034fd80544a7ec99aa4d5ce98c46b2dd1f0353ea71fb645caf6",
     "ktz-not-met": "9034e77015dedeb68d49e6f0bcbb8074a8fa18ba5011bd64631092e050dba562",
     "pole-order": "61b7e00f2b194ca717d70307f09d7fef8e40a73d44920acad5d8befba455fbb7",

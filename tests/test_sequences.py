@@ -1,5 +1,8 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -11,8 +14,8 @@ from seqspectrum.corpus import generate_corpus
 from seqspectrum.dynamics import DelaySystem, ForcingSpec, delay_limit_probe, simulate_delay
 from seqspectrum.errors import PreconditionError
 from seqspectrum.sequences import (
-    _dot_row_norms,
     _lockstep_golden_max,
+    _rotated_means,
     _unimodular_power_stack,
     BoundedSeq,
     angular_distance,
@@ -122,26 +125,6 @@ def test_row_norms_keep_tiny_and_huge_entries(entry):
     assert np.array_equal(BoundedSeq(np.vstack([ones, np.full((16, 2), entry)])).norms[:16], BoundedSeq(ones).norms)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16, 64])
-def test_dot_row_norms_carry_the_bits_of_one_row_norms(d):
-    # np.linalg.norm of one complex row is sqrt(re . re + im . im), each dot
-    # a BLAS ddot over the stride-2 real or imaginary part; np.vecdot over
-    # the rows of a C-contiguous stack calls the same ddot on the same
-    # strides, so every row gets the same bits (norm(axis=1) does not)
-    rng = np.random.default_rng(d)
-    for rows in range(1, 65):
-        scale = np.logspace(-150.0, 150.0, rows)[:, None]
-        stack = (rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d))) * scale
-        stack[0] = 0.0
-        if rows > 1:
-            stack.real[1] = np.where(rng.random(d) < 0.5, -0.0, 1.5)
-            stack.imag[1] = np.where(rng.random(d) < 0.5, -0.0, -2.5)
-        stack = np.ascontiguousarray(stack, dtype=np.complex128)
-        got = [v.hex() for v in _dot_row_norms(stack).tolist()]
-        want = [float(np.linalg.norm(r)).hex() for r in stack]
-        assert got == want, (d, rows)
-
-
 def test_tail_norm_window_validation():
     with pytest.raises(PreconditionError):
         tail_norm(BoundedSeq(np.ones(32)), 32)
@@ -242,41 +225,87 @@ def test_scan_finds_mode_between_grid_points():
     assert report.detected[0].peak_mean_norm == pytest.approx(0.9, abs=1e-6)
 
 
+def _mode_mixture(seed):
+    """One to four unimodular modes in C^d, d from 1 to 8, plus a 1/n decay,
+    at a horizon of 64, 256, 1024 or 4096 (by seed)."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 9))
+    modes = [
+        (cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)), rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        for _ in range(int(rng.integers(1, 5)))
+    ]
+    return modes_plus_decay(modes, (64, 256, 1024, 4096)[seed % 4], decay=("power", 1.0), seed=seed)
+
+
 def test_scan_detections_clear_threshold():
     n = 8192
-    x = BoundedSeq(1.5 * (-1.0) ** np.arange(n) + 0.7)
-    report = spectrum_scan(x)
-    for det in report.detected:
-        res = rotated_mean(x, det.theta)
-        assert res.mean_norm > report.threshold
-        # the scan refines with the evaluator rotated_mean uses
-        assert res.mean_norm == det.peak_mean_norm
+    inputs = [BoundedSeq(1.5 * (-1.0) ** np.arange(n) + 0.7)] + [_mode_mixture(seed) for seed in range(100)]
+    for x in inputs:
+        report = spectrum_scan(x)
+        for det in report.detected:
+            res = rotated_mean(x, det.theta)
+            assert res.mean_norm > report.threshold
+            # the scan refines with the evaluator rotated_mean uses
+            assert res.mean_norm == det.peak_mean_norm
 
 
-# float.hex of (theta.real, theta.imag, peak_mean_norm) per detection, as
-# the one-cluster-at-a-time golden-section refinement reported them
-PINNED_DETECTIONS = {
-    "delay-counterexample-37": [
-        ("-0x1.0000000000000p+0", "0x1.ab099a34c4c66p-30", "0x1.0000000000002p+0"),
-    ],
-    "delay-counterexample-100": [
-        ("-0x1.0000000000000p+0", "0x1.e2b7d469898ccp-31", "0x1.0000000000003p+0"),
-    ],
-    "delay-d4-p3-interior-128": [
-        ("0x1.e93a968a1874ep-1", "0x1.2dfcd15558bdep-2", "0x1.24f8ac182c8acp-1"),
-        ("-0x1.1fb3ecbe4331fp-6", "0x1.ffebca4b2fa65p-1", "0x1.8587076009ee6p-6"),
-        ("-0x1.779d7452fdd50p-1", "0x1.5beed50b1f9efp-1", "0x1.182ee9a787f20p-2"),
-        ("-0x1.c5489b4b894e5p-3", "-0x1.f34d485853877p-1", "0x1.eb2b7e08a3abep-3"),
-        ("0x1.a76ec1a3ebd7dp-3", "-0x1.f4efea79954b1p-1", "0x1.6326f7d41c5a0p-3"),
-    ],
-    "corpus-seed7-4096-two-mode-0": [
-        ("0x1.0c647a4c2c488p-4", "0x1.fee64ffb88080p-1", "0x1.4a70ed0537d9cp-1"),
-        ("-0x1.efc7b24072a57p-1", "0x1.ff686d20fb7a1p-3", "0x1.81fea2211cafep+0"),
-    ],
-}
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 64])
+def test_rotated_means_rows_keep_their_bits_in_any_block(d):
+    # 8193 and 16384 terms are longer than one 8192-term sum-of-products run
+    rng = np.random.default_rng(d)
+    for n in (37, 8192, 8193, 16384):
+        vals = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        thetas = np.exp(1j * rng.uniform(-math.pi, math.pi, 5))
+        block = _rotated_means(vals, thetas, n)
+        for i in range(thetas.shape[0]):
+            assert _rotated_means(vals, thetas[i : i + 1], n).tobytes() == block[i : i + 1].tobytes(), (n, i)
 
 
-def test_scan_detections_keep_pinned_bytes():
+@pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+def test_scan_is_scale_invariant(k):
+    x = modes_plus_decay(
+        [(cmath.exp(0.7j), [1.0, -0.5j]), (cmath.exp(-2.0j), [0.25, 0.5]), (-1.0, [0.0, 0.75j])],
+        2048,
+        decay=("power", 1.5),
+        seed=4,
+    )
+    want = spectrum_scan(x, epsilon=0.05)
+    got = spectrum_scan(BoundedSeq(np.ldexp(x.values.real, k) + 1j * np.ldexp(x.values.imag, k)), epsilon=math.ldexp(0.05, k))
+    assert len(want.detected) == 3
+    assert [d.theta for d in got.detected] == [d.theta for d in want.detected]
+    assert [d.peak_mean_norm for d in got.detected] == [math.ldexp(d.peak_mean_norm, k) for d in want.detected]
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count():
+    # past about 10,000 terms OpenBLAS splits one dot over its threads
+    probe = (
+        "import hashlib, sys\n"
+        "from seqspectrum.corpus import generate_corpus\n"
+        "from seqspectrum.sequences import extract_modes, spectrum_scan, tail_norm\n"
+        "from seqspectrum.serialize import dumps_report\n"
+        "for m in generate_corpus(7, 65536):\n"
+        "    if m.member_id in sys.argv[1:]:\n"
+        "        for r in (spectrum_scan(m.seq), extract_modes(m.seq, m.thetas), tail_norm(m.seq)):\n"
+        "            print(m.member_id, hashlib.sha256(dumps_report(r).encode()).hexdigest())\n"
+    )
+    members = ["vanishing-6", "two-mode-0", "two-mode-1", "mode-plus-decay-3"]
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *members],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 3 * len(members)
+    assert outputs[0] == outputs[1]
+
+
+def _pinned_scan_inputs():
+    """(system, trajectory) per PINNED_DETECTIONS entry; system is None for a
+    sequence scanned on its own rather than through delay_limit_probe."""
     counterexample = DelaySystem(
         CMatrix.identity(1), 2, [CVector([1.0]), CVector([-1.0])], ForcingSpec.zero()
     )
@@ -290,15 +319,74 @@ def test_scan_detections_keep_pinned_bytes():
     initial = [CVector([1.0, 0.5j, -0.25, 2.0]), CVector([0.0, 1.0, 1.0j, -1.0]), CVector([0.5, 0.0, 0.0, 1.0])]
     interior = DelaySystem(b, 3, initial, ForcingSpec.geometric(0.8, seed=3))
     member = next(m for m in generate_corpus(seed=7, horizon=4096) if m.member_id == "two-mode-0")
-    found = {
-        "delay-counterexample-37": delay_limit_probe(counterexample, simulate_delay(counterexample, 37)[0]).scan_detected,
-        "delay-counterexample-100": delay_limit_probe(counterexample, simulate_delay(counterexample, 100)[0]).scan_detected,
-        "delay-d4-p3-interior-128": delay_limit_probe(interior, simulate_delay(interior, 128)[0]).scan_detected,
-        "corpus-seed7-4096-two-mode-0": spectrum_scan(member.seq).detected,
+    return {
+        "delay-counterexample-37": (counterexample, simulate_delay(counterexample, 37)[0]),
+        "delay-counterexample-100": (counterexample, simulate_delay(counterexample, 100)[0]),
+        "delay-d4-p3-interior-128": (interior, simulate_delay(interior, 128)[0]),
+        "corpus-seed7-4096-two-mode-0": (None, member.seq),
     }
-    for name, detected in found.items():
+
+
+def _longdouble_peak(values, phi):
+    """The maximiser of |m(phi)|, m(phi) = (1/n) sum_k e^(-ik phi) x_k, next
+    to phi, and its height: Newton on g = Re<m, m'> = (1/2) d|m|^2/dphi,
+    every sum in np.longdouble."""
+    x = values.astype(np.clongdouble)
+    k = np.arange(x.shape[0], dtype=np.longdouble)
+    phi = np.longdouble(phi)
+    for _ in range(30):
+        w = np.exp(-1j * (k * phi)) / x.shape[0]
+        m, m1, m2 = w @ x, (-1j * k * w) @ x, (-(k * k) * w) @ x
+        g = np.sum(np.conj(m) * m1).real
+        dg = np.sum(np.conj(m1) * m1).real + np.sum(np.conj(m) * m2).real
+        assert dg < 0.0  # a maximum, not a minimum
+        phi -= g / dg
+        if abs(g / dg) <= 1e-17:
+            return phi, np.sqrt(np.sum(np.conj(m) * m).real)
+    raise AssertionError("Newton did not converge")
+
+
+# float.hex of (theta.real, theta.imag, peak_mean_norm) per detection
+PINNED_DETECTIONS = {
+    "delay-counterexample-37": [
+        ("-0x1.0000000000000p+0", "0x1.43d1351a62633p-29", "0x1.0000000000002p+0"),
+    ],
+    "delay-counterexample-100": [
+        ("-0x1.0000000000000p+0", "0x1.6a09e234c4c66p-30", "0x1.0000000000008p+0"),
+    ],
+    "delay-d4-p3-interior-128": [
+        ("0x1.e93a968a1874ep-1", "0x1.2dfcd15558bdep-2", "0x1.24f8ac182c8acp-1"),
+        ("-0x1.1fb3ecbe4331fp-6", "0x1.ffebca4b2fa65p-1", "0x1.8587076009ee6p-6"),
+        ("-0x1.779d744c2d40bp-1", "0x1.5beed5127b009p-1", "0x1.182ee9a787f1fp-2"),
+        ("-0x1.c5489b4b894e5p-3", "-0x1.f34d485853877p-1", "0x1.eb2b7e08a3abep-3"),
+        ("0x1.a76ec1a3ebd7dp-3", "-0x1.f4efea79954b1p-1", "0x1.6326f7d41c5a0p-3"),
+    ],
+    "corpus-seed7-4096-two-mode-0": [
+        ("0x1.0c647a4c2c488p-4", "0x1.fee64ffb88080p-1", "0x1.4a70ed0537d9fp-1"),
+        ("-0x1.efc7b24066329p-1", "0x1.ff686d21bc92ep-3", "0x1.81fea2211caeap+0"),
+    ],
+}
+
+
+def test_scan_detections_keep_pinned_bytes():
+    for name, (system, seq) in _pinned_scan_inputs().items():
+        detected = spectrum_scan(seq).detected if system is None else delay_limit_probe(system, seq).scan_detected
         got = [(d.theta.real.hex(), d.theta.imag.hex(), d.peak_mean_norm.hex()) for d in detected]
         assert got == PINNED_DETECTIONS[name], name
+
+
+@pytest.mark.parametrize("source", [*sorted(PINNED_DETECTIONS), *(f"mixture-{seed}" for seed in range(16))])
+def test_scan_detections_match_a_longdouble_maximiser(source):
+    if source in PINNED_DETECTIONS:
+        x = _pinned_scan_inputs()[source][1]
+    else:
+        x = _mode_mixture(int(source.removeprefix("mixture-")))
+    report = spectrum_scan(x)
+    assert report.detected
+    for det in report.detected:
+        phi, peak = _longdouble_peak(x.values, cmath.phase(det.theta))
+        assert abs(det.peak_mean_norm - peak) <= 1e-13 * peak
+        assert angular_distance(det.theta, cmath.exp(1j * float(phi))) <= 1e-8
 
 
 def test_scan_memory_stays_bounded_with_many_clusters():
