@@ -35,6 +35,11 @@ _NORM_RTOL = 1e-14
 #: Gram squarings before the norm kernel gives up; 2^64 separates any tie.
 _MAX_SQUARINGS = 64
 
+#: Squarings after which a bracket still open also gets the two-vector
+#: Ritz step.  On a small stack the step costs about a dozen squarings in
+#: numpy calls, so it waits for the brackets that squaring closes fast.
+_RITZ_AFTER = 8
+
 #: Rescaling window for running matrix powers.
 _POWER_RESCALE_LO = 1e-100
 _POWER_RESCALE_HI = 1e100
@@ -173,22 +178,68 @@ def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
 
     Each matrix is scaled by its Frobenius norm, so its Gram matrix G has
     trace 1.  Squaring the Gram stack k times, renormalising by the trace
-    after each squaring, leaves G^m / tr(G^m) with m = 2^k; the
+    after each squaring, leaves H = G^m / tr(G^m) with m = 2^k; the
     accumulated log traces give tr(G^m)^(1/m), an upper bound on the top
-    eigenvalue of G.  The largest column of the squared matrix points
-    along the top right singular direction, and its Rayleigh quotient,
-    taken on the input matrix itself, is a lower bound and the returned
-    value.  A matrix leaves the stack once its bracket closes to
-    ``_NORM_RTOL`` relative.  A matrix whose Frobenius norm is 0 or inf
-    (entries below about 1e-162 or above about 1e154) is first scaled by
-    the power of two that brings its largest real or imaginary part into
-    [0.5, 1), exactly even for subnormal entries, and its norm is scaled
-    back; a zero matrix is closed at 0, a matrix with a NaN or inf entry
-    at inf, and every other matrix keeps the bits of an unscaled run.  A
-    relative
-    gap g between the top two singular values closes in about
-    log2(1/g) + 4 squarings, an exact tie in at most 48.  See Golub &
-    Van Loan, *Matrix Computations*, sections 7.3 and 8.2.
+    eigenvalue of G.  The largest column of H points along the top right
+    singular direction, and its Rayleigh quotient, taken on the input
+    matrix itself, is a lower bound and the returned value.  A matrix
+    leaves the stack once its bracket closes to ``_NORM_RTOL`` relative.
+    A relative gap g between the top two singular values closes in about
+    log2(1/g) + 4 squarings.
+
+    A tie of the top two singular values (a power of a matrix with two
+    unimodular eigenvalues) would hold the trace bound 2^(1/m) high for
+    about 45 squarings, so a bracket still open after ``_RITZ_AFTER``
+    squarings also gets a two-vector Rayleigh-Ritz step
+    (:func:`_ritz_bounds`; Golub & Van Loan, *Matrix Computations*,
+    section 8.2; Parlett, *The Symmetric Eigenvalue Problem*, ch. 11) on
+    Q, the two largest-diagonal columns of H orthonormalised by
+    Gram-Schmidt run twice:
+
+    * upper: the smaller eigenvalue theta_2 of Q*HQ is at most
+      lambda_2(H) by Cauchy interlacing, and the eigenvalues of H are
+      >= 0 and sum to 1, so lambda_1(H) <= 1 - theta_2 and
+      ln lambda_1(G) <= ln tr(G^m) / m + ln(1 - theta_2') / m, with
+      theta_2' = theta_2 - 64 d eps clipped to [0, 1/2];
+    * lower: the larger of the column's Rayleigh quotient and that of
+      w = Qy, the top Ritz vector of G on span(Q), whose image (AQ)y is
+      again taken on the input matrix, so the returned value is still
+      the Rayleigh quotient of one vector.  It takes no margin: at
+      d = 64 one of d eps would already exceed ``_NORM_RTOL``.
+
+    A tie of multiplicity two then closes at the first Ritz step or the
+    next; one of multiplicity three or more still needs about 45
+    squarings.  Matrices that close before the Ritz step keep the bits
+    of a run without it.
+
+    Margin: H here is the computed trace-1 power, taken as Hermitian
+    positive semidefinite exactly as the trace bound takes it, and
+    u = eps / 2.  (i) The second Gram-Schmidt pass leaves a residual of
+    norm >= 1/2 (otherwise theta_2' = 0): rounding in a length-d complex
+    inner product is at most (2d + 4) u times the product of the norms,
+    in a normalisation (d + 3) u, so |q_i* q_i - 1| <= 2 (d + 3) u and
+    |q_1* q_2| <= 2 (4d + 17) u, whence ||Q*Q - I|| <= delta =
+    (12d + 52) u.  (ii) With Q = UP, U orthonormal and P = (Q*Q)^(1/2),
+    Q*HQ = P (U*HU) P, and by Ostrowski's theorem each eigenvalue of
+    Q*HQ is that of U*HU times a factor in [1 - delta, 1 + delta]; U*HU
+    interlaces H, so theta_2(Q*HQ) <= (1 + delta) lambda_2(H) <=
+    lambda_2(H) + delta / 2.  (iii) ||H|| <= ||H||_F <= tr H = 1 bounds
+    the rounding of each entry of the computed Q*HQ by (4d + 9) u, so by
+    Weyl the smaller eigenvalue of the Hermitian matrix read from its
+    upper triangle moves by at most (8d + 18) u.  (iv) The closed form
+    mean - hypot(half gap, |b|) on entries at most 1.1 adds at most 8 u.  In all, the computed theta_2
+    exceeds lambda_2(H) by at most (14d + 52) u <= 20 d eps for d >= 2,
+    under a third of the margin.  As theta_2' <= 1/2, the margin moves
+    the bound by at most 64 d eps / m relative: 3.6e-15 at d = 64 and
+    m = 256, under ``_NORM_RTOL``.
+
+    A matrix whose Frobenius norm is 0 or inf (entries below about
+    1e-162 or above about 1e154) is first scaled by the power of two
+    that brings its largest real or imaginary part into [0.5, 1), exactly
+    even for subnormal entries, and its norm is scaled back; a zero
+    matrix is closed at 0, a matrix with a NaN or inf entry at inf, and
+    every other matrix keeps the bits of an unscaled run.  See Golub &
+    Van Loan, sections 7.3 and 8.2.
 
     Raises ConvergenceError, with the widest open bracket in its payload,
     when a bracket is still open after ``_MAX_SQUARINGS`` squarings.
@@ -234,6 +285,12 @@ def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
         lower = np.linalg.norm(image, axis=1) / np.linalg.norm(v, axis=1)
         upper = np.exp(0.5 * log_top)
         done = upper - lower <= _NORM_RTOL * lower
+        if k >= _RITZ_AFTER and not done.all():
+            # on every row still in the stack, so gram is not copied; rows closed above keep their bounds
+            ritz_lower, theta = _ritz_bounds(mats, scale, idx, gram)
+            lower = np.where(done, lower, np.fmax(lower, ritz_lower))  # fmax: a NaN quotient is no bound
+            upper = np.where(done, upper, np.exp(0.5 * (log_top + np.log1p(-theta) / 2.0**k)))
+            done = upper - lower <= _NORM_RTOL * lower
         out[idx[done]] = scale[idx[done]] * lower[done]
         if done.all():
             return out
@@ -248,6 +305,63 @@ def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
         f"{idx.size} of {s} matrices",
         {"index": i, "lower": float(scale[i] * lower[worst]), "upper": float(scale[i] * upper[worst])},
     )
+
+
+def _ritz_bounds(
+    mats: np.ndarray, scale: np.ndarray, idx: np.ndarray, gram: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(lower, theta)`` of the two-vector Ritz step of
+    :func:`_batched_spectral_norms` for the matrices ``mats[idx]`` of the
+    input stack, given the Frobenius norms of the whole stack and the
+    trace-1 Gram powers H of the rows of ``idx``.
+
+    ``lower`` is ||Aw|| / (|A| ||w||) for the top Ritz vector w of A*A on
+    span(Q), NaN where w is 0; ``theta`` is the smaller Ritz value of H
+    on span(Q) less the margin 64 d eps, clipped to [0, 1/2], and 0
+    where the second Gram-Schmidt pass leaves a residual below 1/2.
+    Every product is a stack of mat-vecs, far cheaper in numpy than a
+    stack of (d, 2) products.
+    """
+    n, d, _ = gram.shape
+
+    def norms(x):
+        return np.sqrt(np.vecdot(x, x).real)
+
+    top2 = np.argpartition(-np.diagonal(gram, axis1=1, axis2=2).real, 1, axis=1)[:, :2]
+    q = gram[np.arange(n), :, top2.T]  # (2, n, d): the two largest-diagonal columns
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero residual gives NaN, rejected below
+        q[0] /= norms(q[0])[:, None]
+        for _ in range(2):
+            q[1] -= q[0] * np.vecdot(q[0], q[1])[:, None]
+            residual = norms(q[1])
+            q[1] /= residual[:, None]
+        hq = np.matmul(gram, q[..., None])[..., 0]
+        # A Q / |A|; the copy of mats[idx] is the size of the gram stack,
+        # so this step holds about as much memory as a squaring
+        aq = np.matmul(mats[idx], q[..., None])[..., 0] / scale[idx, None]
+        # the 2x2 compressions of H and of A*A onto span(Q), solved together
+        u, v = np.concatenate([q, aq], axis=1), np.concatenate([hq, aq], axis=1)
+        theta, y = _hermitian_2x2(np.vecdot(u[0], v[0]).real, np.vecdot(u[1], v[1]).real, np.vecdot(u[0], v[1]))
+        theta = np.where(residual >= 0.5, np.clip(theta[:n] - 64 * d * np.finfo(float).eps, 0.0, 0.5), 0.0)
+        y1, y2 = y[n:, :1], y[n:, 1:]
+        lower = norms(aq[0] * y1 + aq[1] * y2) / norms(q[0] * y1 + q[1] * y2)
+    return lower, theta
+
+
+def _hermitian_2x2(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(smaller eigenvalue, top eigenvector)`` of each Hermitian
+    [[a, b], [b*, c]] (a and c real): mean - hypot(half gap, |b|), which
+    takes no square root of a difference, and the null vector of the row
+    of M - theta_1 I that avoids cancellation, scaled by a power of two
+    so no entry under- or overflows; 0 for a multiple of I."""
+    half_gap = 0.5 * (a - c)
+    radius = np.hypot(half_gap, np.abs(b))
+    vec = np.where(
+        (half_gap >= 0.0)[:, None],
+        np.stack([radius + half_gap, b.conj()], axis=1),
+        np.stack([b, radius - half_gap], axis=1),
+    )
+    return 0.5 * (a + c) - radius, _pow2_scaled(vec)[0]
 
 
 def mat_power_seq(a: CMatrix, n_max: int) -> np.ndarray:

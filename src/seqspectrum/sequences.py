@@ -311,6 +311,25 @@ def rotated_mean(x: BoundedSeq, theta: complex, n_used: int | None = None) -> Ro
 
 
 def _rotated_means(values: np.ndarray, thetas: np.ndarray, n: int) -> np.ndarray:
+    """:func:`_plain_rotated_means` for values of any finite magnitude.
+
+    Rows whose sum leaves the float range (entries above about
+    1.8e308 / n) are summed again on the values scaled by an exact power
+    of two and scaled back, so they are inf only when the mean itself is;
+    every other row keeps the bits of the plain sum.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are redone below
+        out = _plain_rotated_means(values, thetas, n)
+    fix = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if fix.size:
+        (scaled,), (exp,) = _pow2_scaled(values[None, :n])
+        means = _plain_rotated_means(scaled, thetas[fix], n)
+        with np.errstate(over="ignore"):  # a mean past the float range is inf
+            out[fix] = np.ldexp(means.view(np.float64), exp).view(np.complex128)
+    return out
+
+
+def _plain_rotated_means(values: np.ndarray, thetas: np.ndarray, n: int) -> np.ndarray:
     """Row c is (1/n) sum_{k<n} thetas[c]^-k values[k], for unimodular thetas.
 
     Each block of rows, whose (rows, n) weights stay under
@@ -319,7 +338,9 @@ def _rotated_means(values: np.ndarray, thetas: np.ndarray, n: int) -> np.ndarray
     call and no (rows, n, d) temporary.  A row's bits therefore depend on
     neither the block it sits in nor the BLAS thread count, so the scan's
     peaks are the rotated means :func:`rotated_mean` reports at the same
-    theta.
+    theta.  The sum overflows for entries above about 1.8e308 / n; the
+    scan's search calls this directly on its power-of-two scaled window,
+    which stays far below that.
     """
     vals = values[:n]
     out = np.zeros((thetas.shape[0], vals.shape[1]), dtype=np.complex128)
@@ -446,7 +467,7 @@ def spectrum_scan(
             j_stars.append(js[np.argmax(fine_norms[js])])
         centers = fine_step * np.array(j_stars, dtype=np.float64)
         phis = _lockstep_golden_max(
-            lambda p: np.linalg.norm(_rotated_means(window, np.exp(1j * p), x.horizon), axis=1),
+            lambda p: np.linalg.norm(_plain_rotated_means(window, np.exp(1j * p), x.horizon), axis=1),
             centers - fine_step,
             centers + fine_step,
         )[0]

@@ -58,18 +58,32 @@ def test_spectrum_scan_stdout(tmp_path, capsys):
     assert abs(theta[0]) <= 1e-4 and abs(theta[1] - 1.0) <= 1e-4
 
 
-def test_spectrum_scan_of_huge_values_writes_strict_json(tmp_path):
-    # entries near 1e200: the square of every entry overflows
-    x = modes_plus_decay([(np.exp(0.7j), (1.0, -0.5j))], 256)
-    path = write_json(tmp_path / "seq.json", sequence_to_json(BoundedSeq(x.values * 1e200)))
+def _scan_subprocess_detection(tmp_path, values):
+    """The one detection of ``seqspectrum spectrum-scan`` run in a fresh
+    interpreter, which must exit 0 with an empty stderr and strict JSON."""
+    path = write_json(tmp_path / "seq.json", sequence_to_json(BoundedSeq(values)))
     proc = subprocess.run(
         [sys.executable, "-m", "seqspectrum.cli", "spectrum-scan", path], capture_output=True, text=True
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
     (det,) = helpers.strict_json(proc.stdout)["detected"]
+    return det
+
+
+def test_spectrum_scan_of_huge_values_writes_strict_json(tmp_path):
+    # entries near 1e200: the square of every entry overflows
+    x = modes_plus_decay([(np.exp(0.7j), (1.0, -0.5j))], 256)
+    det = _scan_subprocess_detection(tmp_path, x.values * 1e200)
     assert abs(complex(*det["theta"]) - np.exp(0.7j)) <= 1e-8
     assert det["peak_mean_norm"] == pytest.approx(np.sqrt(1.25) * 1e200, rel=1e-12)
+
+
+def test_spectrum_scan_near_the_float_limit_writes_strict_json(tmp_path):
+    # entries of 1e308: the sum of the 16 entries overflows
+    det = _scan_subprocess_detection(tmp_path, np.full((16, 1), 1e308))
+    assert abs(complex(*det["theta"]) - 1.0) <= 1e-8
+    assert det["peak_mean_norm"] == pytest.approx(1e308, rel=1e-13)
 
 
 def test_spectrum_scan_out_file_and_summary(tmp_path, capsys):

@@ -150,6 +150,101 @@ def test_norm_kernel_raises_with_open_bracket(monkeypatch):
     assert payload["lower"] <= 1.0 <= payload["upper"]
 
 
+def _tied_stack(rng, d, multiplicities, gaps):
+    """U diag(s) V for each top multiplicity and gap: s = (1, 1 - gap, ...,
+    1 - gap, rest uniform in [0, 0.9])."""
+    stack = []
+    for mult in multiplicities:
+        for gap in gaps:
+            s = np.concatenate([[1.0], np.full(mult - 1, 1.0 - gap), rng.uniform(0.0, 0.9, d - mult)])
+            stack.append(helpers.random_unitary(rng, d) @ np.diag(s) @ helpers.random_unitary(rng, d))
+    return np.array(stack)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 16, 32, 64])
+def test_norm_kernel_matches_numpy_on_tied_top_singular_values(d):
+    # multiplicity 3 and 4 stall the two-vector Ritz step but must close
+    # within _MAX_SQUARINGS all the same
+    stack = _tied_stack(np.random.default_rng(300 + d), d, [m for m in (2, 3, 4) if m <= d],
+                        [0.0, 1e-15, 1e-13, 1e-10, 1e-6, 1e-2])
+    want = np.linalg.norm(stack, ord=2, axis=(1, 2))
+    np.testing.assert_allclose(linalg._batched_spectral_norms(stack), want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("cap", [9, 10, 11])
+def test_open_bracket_after_the_ritz_step_contains_the_norm(monkeypatch, cap):
+    # a triple tie keeps the bracket open past the Ritz step, so the
+    # payload carries the Ritz bounds themselves
+    monkeypatch.setattr(linalg, "_MAX_SQUARINGS", cap)
+    stack = _tied_stack(np.random.default_rng(cap), 6, [3], [0.0, 0.0, 0.0])
+    with pytest.raises(ConvergenceError) as info:
+        linalg._batched_spectral_norms(stack)
+    payload = info.value.payload
+    want = np.linalg.norm(stack[payload["index"]], 2)
+    assert want <= payload["upper"]
+    # the lower end is a Rayleigh quotient rounded like numpy's own SVD
+    # value, with no margin, so it may sit an ulp or two above it
+    assert payload["lower"] <= want * (1.0 + 4.0 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("d", [2, 8, 64])
+def test_ritz_step_bounds_the_second_eigenvalue_from_below(d):
+    # theta, the smaller Ritz value less its margin, stays at or below
+    # lambda_2 of the Gram power H and is tight when the top pair spans
+    # all but a sliver of H; theta = 0 is the plain trace bound.  The top
+    # Ritz quotient is at most the norm, and tight for a tie of two.
+    rng = np.random.default_rng(400 + d)
+    mults = [m for m in (1, 2, 3, 4) if m <= d]
+    a = _tied_stack(rng, d, mults, [0.0, 1e-10, 1e-2])
+    scale = np.linalg.norm(a, axis=(1, 2))
+    h = np.matmul(a.conj().swapaxes(1, 2), a)
+    for _ in range(8):
+        h = np.matmul(h, h)
+        h /= np.trace(h, axis1=1, axis2=2).real[:, None, None]
+    lower, theta = linalg._ritz_bounds(a, scale, np.arange(len(a)), h)
+    lam2 = np.linalg.eigvalsh(h)[:, -2]
+    assert np.all((theta == 0.0) | (theta <= lam2)) and np.all(lam2 - theta <= 1e-11)
+    want = np.linalg.norm(a, ord=2, axis=(1, 2)) / scale
+    assert np.all(lower <= want * (1.0 + 4.0 * np.finfo(float).eps))
+    pair = np.repeat(mults, 3) <= 2
+    np.testing.assert_allclose(lower[pair], want[pair], rtol=1e-14, atol=0.0)
+
+
+def _peripheral_normal(rng, d, peripheral):
+    """Normal matrix with eigenvalues 1 (and e^(i phi) when ``peripheral``
+    is 2) and the rest of modulus in [0.3, 0.8]."""
+    unimodular = [1.0, np.exp(1j * rng.uniform(0.5, 2.0 * np.pi - 0.5))][:peripheral]
+    interior = rng.uniform(0.3, 0.8, d - peripheral) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, d - peripheral))
+    q = helpers.random_unitary(rng, d)
+    return q @ np.diag(np.concatenate([unimodular, interior])) @ q.conj().T
+
+
+def test_tied_power_sequence_takes_few_squarings(monkeypatch):
+    # every power of a matrix with two unimodular eigenvalues has a tied
+    # top pair; without the Ritz step each took about 44 squarings
+    a = _peripheral_normal(np.random.default_rng(16), 16, 2)
+    squared = []
+    matmul = np.matmul
+
+    def counting(x, y, *args, **kwargs):
+        if x is y:
+            squared.append(x.shape[0])
+        return matmul(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting)
+    mat_power_seq(CMatrix(a), 512)
+    assert sum(squared) <= 12 * 512
+
+
+@pytest.mark.parametrize("peripheral", [1, 2])
+@pytest.mark.parametrize("d, n_max", [(4, 512), (16, 512), (64, 64)])
+def test_mat_power_seq_matches_numpy(peripheral, d, n_max):
+    a = _peripheral_normal(np.random.default_rng(10 * d + peripheral), d, peripheral)
+    powers = np.array([np.linalg.matrix_power(a, n) for n in range(1, n_max + 1)])
+    want = np.log(np.linalg.norm(powers, ord=2, axis=(1, 2)))
+    np.testing.assert_allclose(mat_power_seq(CMatrix(a), n_max), want, rtol=0.0, atol=1e-13)
+
+
 def test_operator_norm_zero_matrix():
     assert operator_norm(CMatrix(np.zeros((3, 3)))) == 0.0
 
@@ -169,6 +264,8 @@ EXTREME_MATRICES = [
     np.diag([1e200, 5e199]),  # Frobenius norm overflows to inf
     np.full((2, 2), 5e-324),  # subnormal entries
     np.array([[1e200, 3e199j], [-2e199, 5e199]]),
+    # a tied top pair coupled at 1e-160: the Ritz vector's entries would underflow
+    np.array([[1.0, 1e-160, 0.0], [0.0, 1.0, 1e-160], [0.0, 0.0, 0.5]]),
 ]
 
 

@@ -488,6 +488,17 @@ def test_row_norms_of_huge_values_do_not_overflow():
         assert extract_modes(x, []).residual.tail_sup == pytest.approx(4e200, rel=1e-15)
 
 
+def test_rotated_means_of_values_near_the_float_limit():
+    # the sum of the 16 entries overflows; their mean does not
+    x = BoundedSeq(np.full((16, 1), 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rotated_mean(x, 1.0).mean_norm == pytest.approx(1e308, rel=1e-13)
+        (det,) = spectrum_scan(x).detected
+    assert abs(cmath.phase(det.theta)) <= 1e-8
+    assert det.peak_mean_norm == pytest.approx(1e308, rel=1e-13)
+
+
 def test_extract_modes_exact_two_mode():
     rng = np.random.default_rng(3)
     v1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
