@@ -13,6 +13,7 @@ envelopes that the sequence-consuming commands accept directly, so
 """
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -198,6 +199,8 @@ def _cmd_ktz(args) -> None:
 def _cmd_resolvent_scan(args) -> None:
     a = parse_matrix(load_json(args.input))
     radii = args.radius
+    if not radii:
+        raise ParseError("--radius needs at least one radius")
     if args.points < 1:
         raise ParseError(f"--points must be at least 1, got {args.points}")
     _check_count("--points", args.points, args.points * len(radii), a.dim * a.dim)
@@ -267,6 +270,8 @@ def _cmd_cauchy_recover(args) -> None:
 def _cmd_corpus(args) -> None:
     if not MIN_HORIZON <= args.horizon <= MAX_HORIZON:
         raise ParseError(f"--horizon must be in [{MIN_HORIZON}, {MAX_HORIZON}]")
+    if args.seed < 0:
+        raise ParseError(f"--seed must be non-negative, got {args.seed}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     members = generate_corpus(args.seed, args.horizon)
@@ -287,7 +292,11 @@ def _cmd_corpus(args) -> None:
     print(f"wrote {len(members)} corpus member(s) to {out_dir}")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built once per process: every flag's default is
+    immutable or converted afresh by its ``type``, and ``parse_args``
+    returns a new namespace, so no call sees another's values."""
     parser = _Parser(prog="seqspectrum", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -43,6 +43,35 @@ def _error_line(stderr: str) -> dict:
     return err
 
 
+def test_one_parser_serves_every_call_like_a_fresh_one(tmp_path, capsys):
+    # an appended --theta list or a converted --radius default that leaked
+    # into the next call would change its report
+    seq = seq_file(tmp_path)
+    mat = write_json(tmp_path / "m.json", matrix_to_json(CMatrix(np.diag([0.5, 2.0]))))
+    runs = [
+        ["modes", seq, "--theta", "0,1", "--theta", "-1,0"],
+        ["modes", seq],
+        ["resolvent-scan", mat, "--radius", "2", "--points", "4"],
+        ["resolvent-scan", mat, "--points", "4"],
+        ["modes", seq, "--theta", "0,1"],
+    ]
+
+    def outputs(fresh):
+        got = []
+        for argv in runs:
+            if fresh:
+                cli.build_parser.cache_clear()
+            assert main(argv) == 0
+            got.append(capsys.readouterr().out)
+        return got
+
+    shared = outputs(fresh=False)
+    assert cli.build_parser() is cli.build_parser()
+    assert outputs(fresh=True) == shared
+    assert [len(json.loads(shared[i])["modes"]) for i in (0, 1, 4)] == [2, 0, 1]
+    assert [len(json.loads(shared[i])["samples"]) for i in (2, 3)] == [4, 8]
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -386,6 +415,13 @@ def test_corpus_short_horizon_exits_parse_error(tmp_path, capsys, horizon):
     assert not (tmp_path / "corpus").exists()
 
 
+@pytest.mark.parametrize("seed", [-1, -(2**70)])
+def test_corpus_negative_seed_exits_parse_error(tmp_path, capsys, seed):
+    rc = main(["corpus", "--out-dir", str(tmp_path / "corpus"), "--seed", str(seed)])
+    _assert_parse_error(capsys, rc)
+    assert not (tmp_path / "corpus").exists()
+
+
 def test_bad_theta_flag(tmp_path, capsys):
     path = seq_file(tmp_path)
     _assert_parse_error(capsys, main(["modes", path, "--theta", "zero"]))
@@ -446,6 +482,16 @@ def test_root_finder_overflow_writes_one_strict_error_line(tmp_path):
 def test_resolvent_scan_rejects_unbounded_points(tmp_path, capsys, points):
     path = write_json(tmp_path / "m.json", matrix_to_json(CMatrix(np.eye(2))))
     _assert_parse_error(capsys, main(["resolvent-scan", path, "--points", str(points)]))
+
+
+@pytest.mark.parametrize("radius", [",", ""])
+def test_resolvent_scan_rejects_an_empty_radius_list(tmp_path, capsys, radius):
+    path = write_json(tmp_path / "m.json", matrix_to_json(CMatrix(np.eye(2))))
+    rc = main(["resolvent-scan", path, "--radius", radius])
+    assert rc == 1
+    err = _error_line(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert "at least one radius" in err["message"]
 
 
 def test_cauchy_recover_rejects_unbounded_nodes(tmp_path, capsys):

@@ -180,13 +180,13 @@ REPORTS = {
 PINNED = {
     "cli-cauchy-recover": "b859ed4941e15eb9ed9e1c366a6aa9494cd63ae8361d5bbc9738e7a11cc8b31a",
     "cli-cayley": "3ab089caddb8036415641f2ca45a00f3e443f9fd3843832166076fe531c3db7c",
-    "cli-delay-probe": "3c7076f25bfcb1fd4135dfb7ee38877774b5edcb31e8d793e42e1da32f480560",
+    "cli-delay-probe": "f1125bc09e8ef40205f8841a7b9f15fd46746a9d212861a33992c9ec32d9fcb8",
     "cli-corpus": "466b8f5e857236860c0f33060090e4fa48ab27ce28d0f2defb0cdddfb583e211",
     "cli-modes-materialized": "738bc4a1611786488e0065cafa9d411307c2ed4b4055d9be98b35b29c3215304",
-    "cli-scan-materialized": "30b7bc0cdea2c247e646217ac57ec193acbb487460c33e1726ae157fc5ab1ce9",
+    "cli-scan-materialized": "3304d0f93ea2552e366a87359e9d38f95b1121b0887f9101a62cde4f8e887b19",
     "cli-simulate": "dcbe2ff0fedf00e72fcdf6a4c662621736a8a37e3928dcb06be4579b2d6fe896",
     "corpus-modes": "96c05df1ea1868d1c58f2e5398b8467668f0b4683f9cccab6a3f7b46cd87b3c2",
-    "corpus-vanishing": "9536defa654aec15cdb0443a44c5bfbf2ce1470519f9008e08ef1a68d4af4875",
+    "corpus-vanishing": "5b4063f9f089bea36588f7bee6f951f855f528b8dbc89fb8e1f0c6ff0b023ccd",
     "gelfand-diagonal": "47a553121c1726ed960361c9e237459d0a82d3b7ca5e02e7d123cfb6b0db5336",
     "gelfand-jordan": "cbca9abc93e3d1052b984ca6247bd2a69f81f47fca0a185c8aa5b707b6adc168",
     "gelfand-nilpotent": "2da75310a676b38f09676310c9dd1e41d361b4bdf8977f9fe4b69faf735d3646",

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import helpers
+from seqspectrum import sequences
 from seqspectrum.corpus import generate_corpus
 from seqspectrum.dynamics import DelaySystem, ForcingSpec, delay_limit_probe, simulate_delay
 from seqspectrum.errors import PreconditionError
@@ -95,9 +96,40 @@ def test_lockstep_golden_max_finds_each_quadratic_maximum():
     curvature = np.array([1.0, 0.01, 3.0, 100.0, 7.0])
     lo = peaks - np.array([0.5, 0.01, 2.0, 0.1, 1.0])
     hi = peaks + np.array([1.5, 0.2, 0.5, 3.0, 1e-3])
-    phis, values = _lockstep_golden_max(lambda p: -curvature * (p - peaks) ** 2, lo, hi)
-    assert np.abs(phis - peaks).max() <= 1e-12
-    assert np.array_equal(values, -curvature * (phis - peaks) ** 2)
+    calls = []
+
+    def f(p):
+        calls.append(p)
+        return -curvature * (p - peaks) ** 2
+
+    golden = (1.0 + math.sqrt(5.0)) / 2.0
+    for tol in (1e-9, 1e-12):
+        calls.clear()
+        phis, values = _lockstep_golden_max(f, lo, hi, tol)
+        assert np.abs(phis - peaks).max() <= tol
+        assert np.array_equal(values, -curvature * (phis - peaks) ** 2)
+        # every bracket shrinks by 1/phi per step, so the widest sets the count
+        assert len(calls) == 2 + math.ceil(math.log((hi - lo).max() / tol) / math.log(golden))
+    calls.clear()
+    _lockstep_golden_max(f, lo, hi, 0.0)
+    assert len(calls) == 2 + 64
+
+
+@pytest.mark.parametrize("horizon, calls", [(16, 33), (16384, 45)])
+def test_scan_search_stops_at_its_resolution(monkeypatch, horizon, calls):
+    # 2 + 30 and 2 + 42 golden-section evaluations to reach sqrt(eps) / n,
+    # plus the re-evaluation of the reported peak
+    plain = sequences._plain_rotated_means
+    seen = []
+
+    def counted(*args):
+        seen.append(args)
+        return plain(*args)
+
+    monkeypatch.setattr(sequences, "_plain_rotated_means", counted)
+    report = spectrum_scan(modes_plus_decay([(cmath.exp(0.7j), [1.0, 0.5j])], horizon))
+    assert len(report.detected) == 1
+    assert len(seen) == calls
 
 
 def test_tail_norm_trivial_cases():
@@ -349,21 +381,21 @@ def _longdouble_peak(values, phi):
 # float.hex of (theta.real, theta.imag, peak_mean_norm) per detection
 PINNED_DETECTIONS = {
     "delay-counterexample-37": [
-        ("-0x1.0000000000000p+0", "0x1.43d1351a62633p-29", "0x1.0000000000002p+0"),
+        ("-0x1.0000000000000p+0", "0x1.360c051a62633p-29", "0x1.0000000000002p+0"),
     ],
     "delay-counterexample-100": [
-        ("-0x1.0000000000000p+0", "0x1.6a09e234c4c66p-30", "0x1.0000000000008p+0"),
+        ("-0x1.0000000000000p+0", "0x1.68642234c4c66p-30", "0x1.0000000000008p+0"),
     ],
     "delay-d4-p3-interior-128": [
-        ("0x1.e93a968a1874ep-1", "0x1.2dfcd15558bdep-2", "0x1.24f8ac182c8acp-1"),
-        ("-0x1.1fb3ecbe4331fp-6", "0x1.ffebca4b2fa65p-1", "0x1.8587076009ee6p-6"),
-        ("-0x1.779d744c2d40bp-1", "0x1.5beed5127b009p-1", "0x1.182ee9a787f1fp-2"),
-        ("-0x1.c5489b4b894e5p-3", "-0x1.f34d485853877p-1", "0x1.eb2b7e08a3abep-3"),
-        ("0x1.a76ec1a3ebd7dp-3", "-0x1.f4efea79954b1p-1", "0x1.6326f7d41c5a0p-3"),
+        ("0x1.e93a968a141bap-1", "0x1.2dfcd15574ebdp-2", "0x1.24f8ac182c8aap-1"),
+        ("-0x1.1fb3ecbe487dcp-6", "0x1.ffebca4b2fa59p-1", "0x1.8587076009ee4p-6"),
+        ("-0x1.779d744c2cacep-1", "0x1.5beed5127ba02p-1", "0x1.182ee9a787f17p-2"),
+        ("-0x1.c5489b4b2c441p-3", "-0x1.f34d485858ceep-1", "0x1.eb2b7e08a3abcp-3"),
+        ("0x1.a76ec1a38e7f8p-3", "-0x1.f4efea799a398p-1", "0x1.6326f7d41c59dp-3"),
     ],
     "corpus-seed7-4096-two-mode-0": [
-        ("0x1.0c647a4c2c488p-4", "0x1.fee64ffb88080p-1", "0x1.4a70ed0537d9fp-1"),
-        ("-0x1.efc7b24066329p-1", "0x1.ff686d21bc92ep-3", "0x1.81fea2211caeap+0"),
+        ("0x1.0c647a4c2c478p-4", "0x1.fee64ffb88080p-1", "0x1.4a70ed0537d6ep-1"),
+        ("-0x1.efc7b24066327p-1", "0x1.ff686d21bc94dp-3", "0x1.81fea2211cae8p+0"),
     ],
 }
 
@@ -375,10 +407,20 @@ def test_scan_detections_keep_pinned_bytes():
         assert got == PINNED_DETECTIONS[name], name
 
 
-@pytest.mark.parametrize("source", [*sorted(PINNED_DETECTIONS), *(f"mixture-{seed}" for seed in range(16))])
+#: corpus members at the benchmark's scan horizon, beyond the mixtures' 4096
+CORPUS_16384 = [f"{kind}-{i}" for kind in ("single-mode", "two-mode", "mode-plus-decay") for i in (0, 1)]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [*sorted(PINNED_DETECTIONS), *(f"mixture-{seed}" for seed in range(16)), *(f"corpus-11-16384-{m}" for m in CORPUS_16384)],
+)
 def test_scan_detections_match_a_longdouble_maximiser(source):
     if source in PINNED_DETECTIONS:
         x = _pinned_scan_inputs()[source][1]
+    elif source.startswith("corpus-11-16384-"):
+        member_id = source.removeprefix("corpus-11-16384-")
+        x = next(m.seq for m in generate_corpus(11, 16384) if m.member_id == member_id)
     else:
         x = _mode_mixture(int(source.removeprefix("mixture-")))
     report = spectrum_scan(x)

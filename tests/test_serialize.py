@@ -15,7 +15,7 @@ from seqspectrum.dynamics import DelaySystem, ForcingSpec, simulate_delay
 from seqspectrum.errors import ParseError
 from seqspectrum.linalg import CMatrix, CVector
 from seqspectrum.resolvent import ResolventSample, resolvent_neumann
-from seqspectrum.sequences import MAX_HORIZON, BoundedSeq, custom_table, modes_plus_decay
+from seqspectrum.sequences import MAX_HORIZON, BoundedSeq, angular_distance, custom_table, modes_plus_decay
 from seqspectrum.serialize import (
     cnum,
     cnum_array,
@@ -244,6 +244,20 @@ def test_readme_json_examples_parse():
             parse_matrix(obj)
         else:
             parse_sequence(obj)
+
+
+def test_readme_python_quick_start_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    namespace = {}
+    exec(block, namespace)
+    # what the block's comments claim
+    thetas = [p.theta for p in namespace["report"].detected]
+    assert len(thetas) == 2
+    for target in (1.0, -1.0):
+        assert min(angular_distance(t, target) for t in thetas) <= 1e-6
+    assert abs(namespace["gelfand_radius_estimate"](namespace["a"], 512).estimate - 1.0) <= 1e-2
+    assert namespace["verdict"].limit_attained is True
 
 
 # Arbitrary JSON over the wire-format keys.  Integers come only from
