@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import BoundedSeq, DEFAULT_HORIZON, modes_plus_decay
+from .sequences import BoundedSeq, DEFAULT_HORIZON, _unit_vector, modes_plus_decay
 
 KIND_VANISHING = "vanishing"
 KIND_SINGLE_MODE = "single-mode"
@@ -28,11 +28,6 @@ class CorpusMember:
     kind: str
     seq: BoundedSeq
     thetas: tuple[complex, ...]
-
-
-def _unit_vector(rng: np.random.Generator, dim: int, amp: float) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return amp * v / np.linalg.norm(v)
 
 
 def generate_corpus(seed: int = 0, horizon: int = DEFAULT_HORIZON) -> list[CorpusMember]:

@@ -30,12 +30,12 @@ from .sequences import (
     default_tol_vanish,
     difference_tail,
     extract_modes,
-    _seeded_direction,
+    _unit_vector,
     spectrum_scan,
     DEFAULT_GRID_SIZE,
     MIN_HORIZON,
 )
-from .trend import GROWTH_BOUNDED, GROWTH_DECAYING, classify_growth
+from .trend import classify_growth, is_bounded
 
 #: Trajectory norms beyond this raise; nothing downstream is trustworthy
 #: once the dynamic range is gone.
@@ -47,6 +47,12 @@ _CHECK_BLOCK = 1024
 FORCING_KINDS = ("zero", "geometric", "power", "log_decay", "custom_table")
 
 _ENVELOPE_FOR = {"geometric": "geometric", "power": "power", "log_decay": "log"}
+
+#: Tail sup of the mode-form residual that verifies a decomposition.
+_RESIDUAL_TOL = 1e-6
+
+#: Radians within which a scan detection matches a root or an eigenvalue.
+_MATCH_TOL = 1e-2
 
 
 class ForcingSpec:
@@ -135,7 +141,7 @@ class ForcingSpec:
                 )
             return self.table[:count]
         if self.direction is None:
-            direction = _seeded_direction(dim, self.seed)
+            direction = _unit_vector(np.random.default_rng(self.seed), dim, 1.0)
         else:
             if self.direction.shape[0] != dim:
                 raise PreconditionError(
@@ -215,7 +221,7 @@ def simulate_delay(system: DelaySystem, horizon: int) -> tuple[BoundedSeq, Traje
     return seq, TrajectoryReport(
         sup_norm=seq.sup_norm,
         growth_class=growth,
-        bounded_verdict=growth in (GROWTH_DECAYING, GROWTH_BOUNDED),
+        bounded_verdict=is_bounded(growth),
         horizon=seq.horizon,
     )
 
@@ -250,9 +256,7 @@ class DecompositionVerdict:
     limit_value: CVector | None
 
 
-def verify_asymptotic_decomposition(
-    b: CMatrix, trajectory: BoundedSeq, residual_tol: float = 1e-6
-) -> tuple[ModeDecomp, DecompositionVerdict]:
+def verify_asymptotic_decomposition(b: CMatrix, trajectory: BoundedSeq) -> tuple[ModeDecomp, DecompositionVerdict]:
     """Check x_n = sum theta_j^n v_j + o(1) with thetas from B's
     unit-circle eigenvalues.
 
@@ -261,11 +265,12 @@ def verify_asymptotic_decomposition(
     index 0; the residual tail is therefore measured where the transient
     has already decayed.  When no unit-circle eigenvalue exists, or only
     the point 1, the conclusion includes an actual limit; that is tested
-    via the tail-window deviation from the final element, which must be
-    at most 2 * ``residual_tol``.
+    via the tail-window deviation from the final element.  The residual
+    tail sup must be at most ``_RESIDUAL_TOL`` and the deviation at most
+    twice that.
     """
     growth = classify_growth(trajectory.norms)
-    if growth not in (GROWTH_DECAYING, GROWTH_BOUNDED):
+    if not is_bounded(growth):
         raise PreconditionError(
             f"trajectory is not bounded (growth class {growth}); the decomposition "
             "only applies to bounded solutions"
@@ -289,14 +294,14 @@ def verify_asymptotic_decomposition(
     if limit_tested:
         window = trajectory.values[trajectory.horizon // 2 :]
         deviation = float(np.abs(np.linalg.norm(window - window[-1], axis=1)).max())
-        limit_exists = deviation <= 2.0 * residual_tol
+        limit_exists = deviation <= 2.0 * _RESIDUAL_TOL
         if len(peripheral) == 0:
             limit_value = CVector(np.zeros(trajectory.dim))
         else:
             limit_value = modes[0].v
     verdict = DecompositionVerdict(
-        residual_ok=residual.tail_sup <= residual_tol,
-        residual_tol=float(residual_tol),
+        residual_ok=residual.tail_sup <= _RESIDUAL_TOL,
+        residual_tol=_RESIDUAL_TOL,
         peripheral=peripheral,
         burn_in=burn_in,
         n_used=n_used,
@@ -353,21 +358,14 @@ def delay_limit_probe(
     :func:`simulate_delay`, to the tail tolerance ``default_tol_vanish``."""
     notes: list[str] = []
     peripheral = spectrum_info(system.b, peripheral_tol).peripheral
-    if len(peripheral) == 0:
-        theta = 1.0 + 0.0j
+    theta = peripheral[0] if peripheral else 1.0 + 0.0j
+    peripheral_ok = len(peripheral) <= 1
+    if not peripheral:
         notes.append("unit-circle spectrum is empty; probing against theta = 1")
-        peripheral_ok = True
-    elif len(peripheral) == 1:
-        theta = peripheral[0]
-        peripheral_ok = True
-    else:
-        theta = peripheral[0]
-        peripheral_ok = False
-        notes.append(
-            f"unit-circle spectrum has {len(peripheral)} points; the probe needs exactly one"
-        )
+    elif not peripheral_ok:
+        notes.append(f"unit-circle spectrum has {len(peripheral)} points; the probe needs exactly one")
     growth = classify_growth(seq.norms)
-    bounded = growth in (GROWTH_DECAYING, GROWTH_BOUNDED)
+    bounded = is_bounded(growth)
     if not bounded:
         notes.append(f"trajectory is not bounded (growth class {growth})")
     tol_vanish = default_tol_vanish(seq.sup_norm)
@@ -379,7 +377,7 @@ def delay_limit_probe(
         cmath.exp(1j * (cmath.phase(theta) + 2.0 * math.pi * k) / p) for k in range(p)
     )
     matches = tuple(
-        d for d in scan.detected if any(angular_distance(d.theta, r) <= 1e-2 for r in roots)
+        d for d in scan.detected if any(angular_distance(d.theta, r) <= _MATCH_TOL for r in roots)
     )
     return DelayProbeReport(
         theta=theta,
@@ -415,15 +413,10 @@ class ContainmentVerdict:
 
 def spectrum_containment_check(b: CMatrix, trajectory: BoundedSeq) -> ContainmentVerdict:
     """Every detection of a default scan of the trajectory should sit
-    within 1e-2 rad of some unit-circle eigenvalue of the driving matrix;
+    within ``_MATCH_TOL`` rad of some unit-circle eigenvalue of the driving matrix;
     vacuously true with no detections."""
     peripheral = spectrum_info(b).peripheral
     scan = spectrum_scan(trajectory)
-    worst = 0.0
-    ok = True
-    for d in scan.detected:
-        dist = min((angular_distance(d.theta, p) for p in peripheral), default=math.inf)
-        worst = max(worst, dist)
-        if dist > 1e-2:
-            ok = False
-    return ContainmentVerdict(ok, scan.detected, peripheral, worst, 1e-2)
+    dists = [min((angular_distance(d.theta, p) for p in peripheral), default=math.inf) for d in scan.detected]
+    worst = max(dists, default=0.0)
+    return ContainmentVerdict(worst <= _MATCH_TOL, scan.detected, peripheral, worst, _MATCH_TOL)

@@ -144,22 +144,23 @@ class SpectrumInfo:
     peripheral_tol: float
 
 
+def _circular_runs(points: np.ndarray, gap: float, period: float) -> list[np.ndarray]:
+    """Ascending points on a circle of length ``period``, split where two
+    neighbours lie more than ``gap`` apart; a last run that reaches round to
+    the first point within ``gap`` joins the first, shifted down by ``period``."""
+    runs = np.split(points, np.flatnonzero(np.diff(points) > gap) + 1)
+    if len(runs) > 1 and points[0] + period - points[-1] <= gap:
+        runs[0] = np.concatenate([runs.pop() - period, runs[0]])
+    return runs
+
+
 def _cluster_peripheral(points: list[complex], tol: float) -> list[complex]:
     if not points:
         return []
-    angs = sorted(np.angle(p) % (2.0 * np.pi) for p in points)
-    # group angles whose consecutive gap is within 10*tol, merging across the wrap
-    groups: list[list[float]] = [[angs[0]]]
-    for ang in angs[1:]:
-        if ang - groups[-1][-1] <= 10.0 * tol:
-            groups[-1].append(ang)
-        else:
-            groups.append([ang])
-    if len(groups) > 1 and (angs[0] + 2.0 * np.pi) - groups[-1][-1] <= 10.0 * tol:
-        groups[0] = [a - 2.0 * np.pi for a in groups.pop()] + groups[0]
+    angs = np.sort([np.angle(p) % (2.0 * np.pi) for p in points])
     reps = []
-    for grp in groups:
-        mean = complex(np.mean(np.exp(1j * np.asarray(grp))))
+    for grp in _circular_runs(angs, 10.0 * tol, 2.0 * np.pi):
+        mean = complex(np.mean(np.exp(1j * grp)))
         reps.append(mean / abs(mean))
     return sorted(reps, key=lambda r: float(np.angle(r)) % (2.0 * np.pi))
 

@@ -234,42 +234,42 @@ def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
     m = 256, under ``_NORM_RTOL``.
 
     A matrix whose Frobenius norm is 0 or inf (entries below about
-    1e-162 or above about 1e154) is first scaled by the power of two
-    that brings its largest real or imaginary part into [0.5, 1), exactly
-    even for subnormal entries, and its norm is scaled back; a zero
-    matrix is closed at 0, a matrix with a NaN or inf entry at inf, and
-    every other matrix keeps the bits of an unscaled run.  See Golub &
-    Van Loan, sections 7.3 and 8.2.
+    1e-162 or above about 1e154) is first scaled, in a copy of the stack,
+    by the power of two that brings its largest real or imaginary part
+    into [0.5, 1), exactly even for subnormal entries, and its norm is
+    scaled back; a zero matrix is closed at 0, a matrix with a NaN or inf
+    entry at inf, and every other matrix keeps the bits of an unscaled
+    run.  See Golub & Van Loan, sections 7.3 and 8.2.
 
     Raises ConvergenceError, with the widest open bracket in its payload,
-    when a bracket is still open after ``_MAX_SQUARINGS`` squarings.
+    when a bracket is still open after ``_MAX_SQUARINGS`` squarings.  The
+    payload gives the caller's index into ``mats`` and the bracket in the
+    units of that input matrix.
     """
     mats = np.asarray(mats, dtype=np.complex128)
     s, d, _ = mats.shape
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf
         scale = np.linalg.norm(mats.reshape(s, d * d), axis=1)
     out = np.zeros(s)
-    plain = (scale > 0.0) & (scale < np.inf)
-    if not plain.all():
-        out[plain] = _batched_spectral_norms(mats[plain])
-        fix = np.flatnonzero(~plain)
-        scaled, exps = _pow2_scaled(mats[fix])
+    exps = np.zeros(s, dtype=int)  # each norm is out * 2**exps
+    odd = np.flatnonzero(~((scale > 0.0) & (scale < np.inf)))
+    if odd.size:
+        mats = mats.copy()
+        mats[odd], exps[odd] = _pow2_scaled(mats[odd])
         # e = 0 here only for a zero matrix, which stays at 0, or a
-        # non-finite one, whose norm is inf
-        finite = np.isfinite(scaled).all(axis=(1, 2))
-        out[fix[~finite]] = np.inf
-        live = (exps != 0) & finite
-        with np.errstate(over="ignore"):  # a norm past the float range is inf
-            out[fix[live]] = np.ldexp(_batched_spectral_norms(scaled[live]), exps[live])
-        return out
+        # non-finite one, whose norm is inf and which is zeroed here
+        bad = odd[~np.isfinite(mats[odd]).all(axis=(1, 2))]
+        out[bad], mats[bad] = np.inf, 0.0
+        scale[odd] = np.linalg.norm(mats[odd].reshape(odd.size, d * d), axis=1)
+    idx = np.flatnonzero(scale > 0.0)  # matrices whose bracket is still open
+    live = mats if idx.size == s else mats[idx]
     # conj(A)/|A| times A, then /|A|: the Gram stack with at most two
     # stack-sized arrays alive and no entry above |A|, so nothing overflows.
-    gram = np.conjugate(mats)
-    gram /= scale[:, None, None]
-    gram = np.matmul(gram.swapaxes(1, 2), mats)
-    gram /= scale[:, None, None]
-    idx = np.arange(s)  # matrices whose bracket is still open
-    log_top = np.zeros(s)  # ln tr(G^m) / m, an upper bound on ln of the top eigenvalue
+    gram = np.conjugate(live)
+    gram /= scale[idx, None, None]
+    gram = np.matmul(gram.swapaxes(1, 2), live)
+    gram /= scale[idx, None, None]
+    log_top = np.zeros(idx.size)  # ln tr(G^m) / m, an upper bound on ln of the top eigenvalue
     vecs = np.zeros((s, d), dtype=np.complex128)
     for k in range(_MAX_SQUARINGS + 1):
         if k:
@@ -293,17 +293,20 @@ def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
             done = upper - lower <= _NORM_RTOL * lower
         out[idx[done]] = scale[idx[done]] * lower[done]
         if done.all():
-            return out
+            with np.errstate(over="ignore"):  # a norm past the float range is inf
+                return np.ldexp(out, exps)
         vecs[idx[done]] = 0.0
         keep = ~done
         idx, gram, log_top = idx[keep], gram[keep], log_top[keep]
     lower, upper = lower[keep], upper[keep]
     worst = int(np.argmax((upper - lower) / lower))
     i = int(idx[worst])
+    with np.errstate(over="ignore"):
+        lo, hi = np.ldexp(scale[i] * np.array([lower[worst], upper[worst]]), exps[i])
     raise ConvergenceError(
         f"spectral norm bracket open after {_MAX_SQUARINGS} squarings for "
         f"{idx.size} of {s} matrices",
-        {"index": i, "lower": float(scale[i] * lower[worst]), "upper": float(scale[i] * upper[worst])},
+        {"index": i, "lower": float(lo), "upper": float(hi)},
     )
 
 

@@ -36,6 +36,12 @@ _PROBE_ANGLE = math.pi / 4.0
 
 DEFAULT_QUADRATURE_NODES = 256
 
+#: Excess of a resolvent norm over the isometry bound that is no violation.
+_ISOMETRY_SLACK = 1e-9
+
+#: A resolvent series term norm past this means divergence.
+_SERIES_LIMIT = 1e150
+
 
 def _resolvents(a: CMatrix, lams: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
     """(lambda I - A)^-1 for every lambda in one stacked solve against the
@@ -85,10 +91,10 @@ def resolvent_neumann(a: CMatrix, lam: complex, k_max: int) -> NeumannResult:
     for n in range(1, k_max + 1):
         terms[n] = a.data @ terms[n - 1] / lam
         # cheap overflow guard; the entry maximum never exceeds the norm
-        if np.max(np.abs(terms[n])) > 1e150:
+        if np.max(np.abs(terms[n])) > _SERIES_LIMIT:
             break
     term_norms = _batched_spectral_norms(terms[: n + 1])
-    if np.max(term_norms) > 1e150:
+    if np.max(term_norms) > _SERIES_LIMIT:
         raise DivergenceError(
             f"series terms exceed 1e150 at |lambda| = {abs(lam):.6g}; "
             "expansion point is inside the spectral radius"
@@ -193,10 +199,9 @@ class IsometryBoundReport:
         return self.violations == 0
 
 
-def isometry_bound_check(
-    u: CMatrix, samples: Sequence[complex], slack: float = 1e-9
-) -> IsometryBoundReport:
-    """Verify the reciprocal-distance-to-circle bound at every sample point.
+def isometry_bound_check(u: CMatrix, samples: Sequence[complex]) -> IsometryBoundReport:
+    """Verify the reciprocal-distance-to-circle bound at every sample point,
+    up to the slack ``_ISOMETRY_SLACK``.
 
     Samples must keep a distance of at least 1e-6 from the unit circle in
     modulus; the matrix must be unitary to 1e-10.
@@ -212,7 +217,7 @@ def isometry_bound_check(
     norms = _batched_spectral_norms(_nonspectral_resolvents(u, lams))
     bounds = 1.0 / gaps
     slacks = bounds - norms
-    violations = int(np.count_nonzero(norms > bounds + slack))
+    violations = int(np.count_nonzero(norms > bounds + _ISOMETRY_SLACK))
     worst_i = int(np.argmin(slacks))
     return IsometryBoundReport(lams.size, violations, float(slacks[worst_i]), complex(lams[worst_i]))
 
@@ -243,10 +248,10 @@ def pole_order_probe(u: CMatrix, theta: complex, radii: Sequence[float]) -> Pole
         raise PreconditionError("radii must lie within [1e-8, 0.1]")
     theta = complex(theta)
     eigs = spectrum_info(u).eigenvalues
-    dist_to_theta = min(abs(ev - theta) for ev in eigs)
-    if dist_to_theta > 1e-6:
-        raise PreconditionError(f"theta = {theta!r} is not an eigenvalue (distance {dist_to_theta:.3e})")
-    others = [abs(ev - theta) for ev in eigs if abs(ev - theta) > 1e-6]
+    dists = [abs(ev - theta) for ev in eigs]
+    if min(dists) > 1e-6:
+        raise PreconditionError(f"theta = {theta!r} is not an eigenvalue (distance {min(dists):.3e})")
+    others = [dist for dist in dists if dist > 1e-6]
     min_sep = min(others) if others else math.inf
     if min_sep < 2.0 * max(radii):
         raise PreconditionError(

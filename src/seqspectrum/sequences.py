@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .eigen import power_bounded_probe, spectrum_info
+from .eigen import _circular_runs, power_bounded_probe, spectrum_info
 from .linalg import CMatrix, CVector, _as_complex_array, _batched_spectral_norms, _pow2_scaled
-from .trend import GROWTH_BOUNDED, GROWTH_DECAYING, least_squares_slope
+from .trend import is_bounded, least_squares_slope
 
 DEFAULT_HORIZON = 16384
 DEFAULT_GRID_SIZE = 4096
@@ -191,10 +191,10 @@ def decay_envelope(kind: str, param, count: int) -> np.ndarray:
     raise PreconditionError(f"unknown decay kind {kind!r}")
 
 
-def _seeded_direction(dim: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
+def _unit_vector(rng: np.random.Generator, dim: int, amp: float) -> np.ndarray:
+    """A complex Gaussian direction of norm ``amp``, drawn from ``rng``."""
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    return amp * v / np.linalg.norm(v)
 
 
 def modes_plus_decay(
@@ -223,7 +223,7 @@ def modes_plus_decay(
     if decay is not None:
         kind, param = decay
         if kind != "none":
-            values += decay_envelope(kind, param, horizon)[:, None] * _seeded_direction(d, seed)
+            values += decay_envelope(kind, param, horizon)[:, None] * _unit_vector(np.random.default_rng(seed), d, 1.0)
     descriptor = {
         "kind": "modes_plus_decay",
         "modes": [(t, tuple(v.tolist())) for t, v in modes],
@@ -447,15 +447,7 @@ def spectrum_scan(
     idx = np.flatnonzero(above)
     detected: list[DetectedPoint] = []
     if idx.size:
-        if idx.size == k:
-            clusters = [idx]
-        else:
-            breaks = np.flatnonzero(np.diff(idx) > 1)
-            clusters = [list(c) for c in np.split(idx, breaks + 1)]
-            # the circle wraps: a run ending at K-1 continues at 0
-            if len(clusters) > 1 and idx[0] == 0 and idx[-1] == k - 1:
-                tail = [i - k for i in clusters.pop()]
-                clusters[0] = tail + clusters[0]
+        clusters = _circular_runs(idx, 1, k)  # a run ending at K-1 continues at 0
         # Full-horizon fine spectrum for refinement.  The mean as a
         # function of angle has lobes of width 2 pi / horizon -- far
         # narrower than a coarse grid step when horizon > 2K -- so a
@@ -522,13 +514,14 @@ class VanishingVerdict:
     consistent: bool
 
 
-def vanishing_check(x: BoundedSeq, grid_size: int = DEFAULT_GRID_SIZE) -> VanishingVerdict:
+def vanishing_check(x: BoundedSeq) -> VanishingVerdict:
     """Operational test of: the spectrum is empty iff x_n -> 0, with the
-    tail tolerance ``default_tol_vanish`` and the scan's default threshold."""
+    tail tolerance ``default_tol_vanish`` and a default scan
+    (``DEFAULT_GRID_SIZE`` grid points, the default threshold)."""
     tol_vanish = default_tol_vanish(x.sup_norm)
     tail = tail_norm(x)
     vanishing = tail.tail_sup <= tol_vanish
-    report = spectrum_scan(x, grid_size)
+    report = spectrum_scan(x)
     scan_empty = len(report.detected) == 0
     return VanishingVerdict(
         vanishing=vanishing,
@@ -654,7 +647,7 @@ def ktz_check(t: CMatrix, theta: complex, n_max: int = 512, bound: float = 1e6, 
         raise PreconditionError(f"n_max must be >= {MIN_HORIZON}")
     theta = require_unimodular(theta)
     probe = power_bounded_probe(t, n_max, bound)
-    power_bounded = probe.bounded and probe.growth_class in (GROWTH_DECAYING, GROWTH_BOUNDED)
+    power_bounded = probe.bounded and is_bounded(probe.growth_class)
     info = spectrum_info(t)
     peripheral_ok = all(angular_distance(p, theta) <= 1e-6 for p in info.peripheral)
     hypotheses_met = power_bounded and peripheral_ok

@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from .dynamics import DelaySystem, ForcingSpec, simulate_delay
-from .errors import ParseError
+from .errors import ParseError, PreconditionError, SeqSpectrumError
 from .linalg import CMatrix, CVector, MAX_DIM
 from .sequences import BoundedSeq, MAX_HORIZON, MIN_HORIZON, modes_plus_decay
 
@@ -81,12 +81,22 @@ def matrix_to_json(a: CMatrix) -> dict:
     return {"d": a.dim, "entries": cnum_array(a.data.reshape(-1))}
 
 
+def _parse_dim(d, what: str) -> int:
+    if not isinstance(d, int) or not 1 <= d <= MAX_DIM:
+        raise ParseError(f"{what}: 'd' must be an integer in [1, {MAX_DIM}], got {d!r}")
+    return d
+
+
+def _parse_seed(seed, what: str) -> int:
+    if not isinstance(seed, int) or seed < 0:
+        raise ParseError(f"{what}: 'seed' must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def parse_matrix(obj, what: str = "matrix") -> CMatrix:
     if not isinstance(obj, dict):
         raise ParseError(f"{what} must be an object with 'd' and 'entries'")
-    d = obj.get("d")
-    if not isinstance(d, int) or not 1 <= d <= MAX_DIM:
-        raise ParseError(f"{what}: 'd' must be an integer in [1, {MAX_DIM}], got {d!r}")
+    d = _parse_dim(obj.get("d"), what)
     entries = parse_cnum_array(obj.get("entries"), f"{what} entries", 1)
     if len(entries) != d * d:
         raise ParseError(f"{what}: 'entries' must list d*d = {d * d} pairs")
@@ -111,15 +121,10 @@ def parse_forcing(obj, what: str = "forcing") -> ForcingSpec:
             direction = obj.get("direction")
             if direction is not None:
                 direction = parse_cnum_array(direction, f"{what} direction", 1)
-            seed = obj.get("seed", 0)
-            if not isinstance(seed, int):
-                raise ParseError(f"{what}: 'seed' must be an integer")
-            if kind == "log_decay":
-                return ForcingSpec.log_decay(direction, seed)
-            return ForcingSpec(kind, float(param), direction, seed=seed)
-    except ParseError:
-        raise
-    except Exception as exc:  # PreconditionError from ForcingSpec validation
+            seed = _parse_seed(obj.get("seed", 0), what)
+            return ForcingSpec(kind, None if kind == "log_decay" else float(param), direction, seed=seed)
+    # ForcingSpec's own checks, and float() of an int past the float range
+    except (PreconditionError, OverflowError) as exc:
         raise ParseError(f"{what}: {exc}") from exc
     raise ParseError(f"{what}: unknown kind {kind!r}")
 
@@ -158,7 +163,7 @@ def parse_system(obj, what: str = "system") -> tuple[DelaySystem, int]:
     horizon = _parse_horizon(obj["horizon"], what)
     try:
         system = DelaySystem(b, p, initial, forcing)
-    except Exception as exc:
+    except PreconditionError as exc:
         raise ParseError(f"{what}: {exc}") from exc
     return system, horizon
 
@@ -208,9 +213,7 @@ def parse_sequence(obj, what: str = "sequence") -> BoundedSeq:
         raise ParseError(f"{what} must be an object with a 'kind'")
     kind = obj["kind"]
     if kind in ("materialized", "custom_table"):
-        d = obj.get("d")
-        if not isinstance(d, int) or not 1 <= d <= MAX_DIM:
-            raise ParseError(f"{what}: 'd' must be an integer in [1, {MAX_DIM}]")
+        d = _parse_dim(obj.get("d"), what)
         rows = parse_cnum_array(obj.get("values"), f"{what} values", 2)
         if rows.shape[0] < MIN_HORIZON or rows.shape[1] != d:
             raise ParseError(f"{what}: 'values' must list at least {MIN_HORIZON} vectors of dimension d = {d}")
@@ -226,12 +229,8 @@ def parse_sequence(obj, what: str = "sequence") -> BoundedSeq:
             theta = complex(parse_cnum_array(m["theta"], f"{what} mode theta", 0))
             modes.append((theta, parse_cnum_array(m["v"], f"{what} mode v", 1)))
         horizon = _parse_horizon(obj.get("horizon"), what)
-        seed = obj.get("seed", 0)
-        if not isinstance(seed, int):
-            raise ParseError(f"{what}: 'seed' must be an integer")
-        dim = obj.get("d") if not modes else len(modes[0][1])
-        if not isinstance(dim, int) or not 1 <= dim <= MAX_DIM:
-            raise ParseError(f"{what}: 'd' and the mode vectors' length must be in [1, {MAX_DIM}]")
+        seed = _parse_seed(obj.get("seed", 0), what)
+        dim = _parse_dim(obj.get("d") if not modes else len(modes[0][1]), what)
         try:
             decay_obj = obj.get("decay")
             decay = None
@@ -240,20 +239,18 @@ def parse_sequence(obj, what: str = "sequence") -> BoundedSeq:
                     raise ParseError(f"{what}: 'decay' must be an object with a 'type'")
                 if decay_obj["type"] != "none":
                     param = decay_obj.get("param")
-                    if decay_obj["type"] != "log" and not isinstance(param, numbers.Real):
+                    if not isinstance(param, numbers.Real) and not (param is None and decay_obj["type"] == "log"):
                         raise ParseError(f"{what}: decay type {decay_obj['type']!r} needs a numeric 'param'")
                     # float() inside the try: an int past float range is a ParseError
                     decay = (decay_obj["type"], None if param is None else float(param))
             return modes_plus_decay(modes, horizon, decay=decay, seed=seed, dim=dim)
-        except ParseError:
-            raise
-        except Exception as exc:
+        except (PreconditionError, OverflowError) as exc:
             raise ParseError(f"{what}: {exc}") from exc
     if kind == "forced_system_output":
         system, horizon = parse_system(obj, what)
         try:
             seq, _ = simulate_delay(system, horizon)
-        except Exception as exc:
+        except SeqSpectrumError as exc:
             raise ParseError(f"{what}: simulation failed: {exc}") from exc
         return seq
     raise ParseError(f"{what}: unknown kind {kind!r}")

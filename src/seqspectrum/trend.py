@@ -21,6 +21,11 @@ _SLOPE_FLAT = 0.05
 _SLOPE_EXPONENTIAL = 3.0
 
 
+def is_bounded(growth: str) -> bool:
+    """Whether a growth class certifies boundedness: decaying or bounded."""
+    return growth in (GROWTH_DECAYING, GROWTH_BOUNDED)
+
+
 def least_squares_slope(x: np.ndarray, y: np.ndarray) -> float:
     """Least-squares slope of y on x over the entries where both are finite.
 

@@ -142,7 +142,7 @@ def test_criterion_05_isometry_resolvent_bound():
         ])
         angles = rng.uniform(0.0, 2.0 * math.pi, 1000)
         samples = radii * np.exp(1j * angles)
-        report = isometry_bound_check(u, samples, slack=1e-9)
+        report = isometry_bound_check(u, samples)
         violations += report.violations
         for phi in phases:
             order = pole_order_probe(
@@ -161,7 +161,7 @@ def test_criterion_06_corpus_tail_scan_agreement():
     disagreements = []
     for member in members:
         expected_empty = member.kind == "vanishing"
-        verdict = vanishing_check(member.seq, grid_size=4096)
+        verdict = vanishing_check(member.seq)
         ok = (
             verdict.consistent
             and verdict.vanishing == expected_empty
@@ -221,7 +221,7 @@ def test_criterion_08_forced_decompositions():
         b = CMatrix(u @ np.diag(eigs) @ u.conj().T)
         x0 = CVector(u @ np.array([1.0, 1.0, 1.0]))
         x, report = simulate_forced(b, x0, forcing, horizon)
-        decomp, verdict = verify_asymptotic_decomposition(b, x, residual_tol=1e-6)
+        decomp, verdict = verify_asymptotic_decomposition(b, x)
         ok = report.bounded_verdict and verdict.residual_ok
         ok = ok and len(verdict.peripheral) == len(peripheral)
         for theta in peripheral:

@@ -4,6 +4,7 @@ import pytest
 import helpers
 from seqspectrum.eigen import (
     Polynomial,
+    _circular_runs,
     _cluster_peripheral,
     cayley_hamilton_residual,
     char_poly,
@@ -100,6 +101,52 @@ def test_peripheral_cluster_merges_across_angle_zero():
     points = [np.exp(1e-9j), np.exp(-1e-9j)]
     (rep,) = _cluster_peripheral(points, 1e-8)
     assert abs(rep - 1.0) <= 1e-15
+
+
+def _brute_force_runs(points, gap, period):
+    """Connected components of the points under circular distance <= gap,
+    each as a set of indices: every pair is compared."""
+    n = len(points)
+    label = list(range(n))
+    for i in range(n):
+        for j in range(n):
+            dist = abs(points[i] - points[j]) % period
+            if min(dist, period - dist) <= gap:
+                old, new = label[j], label[i]
+                label = [new if lab == old else lab for lab in label]
+    return sorted(sorted(i for i in range(n) if label[i] == lab) for lab in set(label))
+
+
+def _check_runs(points, gap, period):
+    runs = _circular_runs(np.asarray(points), gap, period)
+    assert all(np.all(np.diff(run) > 0) for run in runs)
+    # only the first run may start below zero, by less than one period
+    assert runs[0][0] > -period and all(run[0] >= 0 for run in runs[1:])
+    # each run member is the nearest point, once shifted back up
+    groups = [sorted(int(np.argmin(np.abs(np.asarray(points) - p % period))) for p in run) for run in runs]
+    assert sorted(groups) == _brute_force_runs(points, gap, period)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_circular_runs_match_brute_force_grouping(seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(8, 64))
+    idx = np.flatnonzero(rng.random(k) < rng.uniform(0.2, 0.9))
+    if idx.size:
+        _check_runs(idx.tolist(), 1, k)
+    angs = np.sort(rng.uniform(0.0, 2.0 * np.pi, int(rng.integers(1, 30))))
+    _check_runs(angs.tolist(), float(rng.uniform(0.05, 0.5)), 2.0 * np.pi)
+
+
+def test_circular_runs_edge_cases():
+    _check_runs([5], 1, 16)
+    (run,) = _circular_runs(np.arange(16), 1, 16)  # all K grid points: one run, unshifted
+    np.testing.assert_array_equal(run, np.arange(16))
+    runs = _circular_runs(np.array([0, 1, 5, 14, 15]), 1, 16)  # a run across the wrap
+    assert [r.tolist() for r in runs] == [[-2, -1, 0, 1], [5]]
+    _check_runs([0, 1, 5, 14, 15], 1, 16)
+    runs = _circular_runs(np.array([0.1, 3.0, 6.2]), 0.2, 2.0 * np.pi)
+    assert len(runs) == 2 and runs[0][0] == 6.2 - 2.0 * np.pi
 
 
 def test_cayley_hamilton_residual():

@@ -187,6 +187,32 @@ def test_open_bracket_after_the_ritz_step_contains_the_norm(monkeypatch, cap):
     assert payload["lower"] <= want * (1.0 + 4.0 * np.finfo(float).eps)
 
 
+def _open_triple_tie():
+    rng = np.random.default_rng(7)
+    return helpers.random_unitary(rng, 6) @ np.diag([1.0, 1.0, 1.0, 0.5, 0.2, 0.1]) @ helpers.random_unitary(rng, 6)
+
+
+@pytest.mark.parametrize("case", ["zero first", "huge", "tiny"])
+def test_open_bracket_payload_is_in_the_callers_index_and_units(monkeypatch, case):
+    # the triple tie stays open; beside it a zero matrix or one that
+    # closes, and the open one may need a power-of-two rescaling
+    monkeypatch.setattr(linalg, "_MAX_SQUARINGS", 10)
+    t = _open_triple_tie()
+    stack, index = {
+        "zero first": ([np.zeros((6, 6)), t], 1),
+        "huge": ([1e200 * t, np.zeros((6, 6))], 0),
+        "tiny": ([np.diag([2.0, 1.0, 0.5, 0.1, 0.1, 0.1]), 1e-200 * t], 1),
+    }[case]
+    with pytest.raises(ConvergenceError, match="for 1 of 2 matrices") as info:
+        linalg._batched_spectral_norms(np.array(stack, dtype=np.complex128))
+    payload = info.value.payload
+    assert payload["index"] == index
+    want = np.linalg.norm(stack[index], 2)
+    assert want <= payload["upper"]
+    assert payload["lower"] <= want * (1.0 + 4.0 * np.finfo(float).eps)
+    assert payload["lower"] >= want * (1.0 - 1e-14)
+
+
 @pytest.mark.parametrize("d", [2, 8, 64])
 def test_ritz_step_bounds_the_second_eigenvalue_from_below(d):
     # theta, the smaller Ritz value less its margin, stays at or below

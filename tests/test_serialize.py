@@ -158,6 +158,32 @@ def test_sequence_forced_system_output():
     assert np.array_equal(x.values, want.values)
 
 
+
+def test_parameters_past_the_float_range_are_parse_errors():
+    # float() of a JSON integer past the float range raises OverflowError
+    huge = 10**400
+    with pytest.raises(ParseError):
+        parse_forcing({"kind": "geometric", "param": huge})
+    desc = {"kind": "modes_plus_decay", "modes": [], "d": 1, "horizon": 16, "decay": {"type": "geometric", "param": huge}}
+    with pytest.raises(ParseError):
+        parse_sequence(desc)
+    system = system_to_json(DelaySystem(CMatrix.identity(1), 1, [CVector([1.0])], ForcingSpec.zero()), 16)
+    system["forcing"] = {"kind": "geometric", "param": huge}
+    with pytest.raises(ParseError):
+        parse_system(system)
+    system["kind"] = "forced_system_output"
+    with pytest.raises(ParseError):
+        parse_sequence(system)
+
+
+def test_seeds_must_be_non_negative_integers():
+    desc = {"kind": "modes_plus_decay", "modes": [], "d": 1, "horizon": 16, "decay": {"type": "geometric", "param": 0.5}}
+    for seed in (-1, 1.5, "3"):
+        with pytest.raises(ParseError, match="'seed' must be a non-negative integer"):
+            parse_sequence({**desc, "seed": seed})
+        with pytest.raises(ParseError, match="'seed' must be a non-negative integer"):
+            parse_forcing({"kind": "power", "param": 2.0, "seed": seed})
+
 def test_parse_sequence_unknown_kind():
     with pytest.raises(ParseError):
         parse_sequence({"kind": "mystery"})

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "seqspectrum").glob("*.py"))
@@ -72,8 +74,9 @@ def _defaulted_params(tree):
 
 
 def _passed_params(trees):
-    """(callee name, positional count or None when starred, keyword names)
-    for every call; a ``**`` argument counts as passing every keyword."""
+    """(callee name, positional argument nodes or None when starred,
+    keyword argument nodes by name) for every call; a ``**`` argument,
+    under the name None, counts as passing every keyword."""
     for tree in trees:
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
@@ -83,26 +86,60 @@ def _passed_params(trees):
             if name is None:
                 continue
             starred = any(isinstance(a, ast.Starred) for a in node.args)
-            keywords = {k.arg for k in node.keywords}
-            yield name, None if starred else len(node.args), keywords
+            yield name, None if starred else node.args, {k.arg: k.value for k in node.keywords}
+
+
+def _restates(node, default):
+    """Whether an argument is a literal equal to the parameter's default,
+    which leaves the default as it is."""
+    try:
+        return ast.literal_eval(node) == default
+    except ValueError:  # not a literal
+        return False
 
 
 def _unset_defaults():
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES + TESTS}
     calls: dict[str, list] = {}
-    for name, count, keywords in _passed_params(trees.values()):
-        calls.setdefault(name, []).append((count, keywords))
+    for name, args, keywords in _passed_params(trees.values()):
+        calls.setdefault(name, []).append((args, keywords))
     unset = []
     for path in SOURCES:
+        module = importlib.import_module("seqspectrum" if path.stem == "__init__" else f"seqspectrum.{path.stem}")
         for func, param, pos in _defaulted_params(trees[path]):
+            default = inspect.signature(getattr(module, func)).parameters[param].default
             if not any(
-                param in keywords or None in keywords or count is None or (pos is not None and count > pos)
-                for count, keywords in calls.get(func, [])
+                args is None
+                or None in keywords
+                or (param in keywords and not _restates(keywords[param], default))
+                or (pos is not None and len(args) > pos and not _restates(args[pos], default))
+                for args, keywords in calls.get(func, [])
             ):
                 unset.append(f"{path.name}: {func}({param})")
     return sorted(unset)
 
 
 def test_every_defaulted_parameter_is_set_by_some_call():
-    # a default that no call overrides is a constant in disguise
+    # a default that no call overrides, or that calls only restate, is a
+    # constant in disguise
     assert _unset_defaults() == []
+
+
+def _broad_handlers(tree):
+    """Line of every bare ``except``, ``except Exception`` and
+    ``except BaseException``, alone or in a tuple."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(t is None or (isinstance(t, ast.Name) and t.id in ("Exception", "BaseException")) for t in caught):
+                yield node.lineno
+
+
+def test_library_catches_no_broad_exceptions():
+    # a broad catch turns a bug into whatever error the handler raises
+    offenders = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in _broad_handlers(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert offenders == []
