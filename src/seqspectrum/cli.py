@@ -41,12 +41,13 @@ from .sequences import (
     DEFAULT_GRID_SIZE,
     DEFAULT_HORIZON,
     MAX_HORIZON,
-    MIN_HORIZON,
     extract_modes,
     ktz_check,
     spectrum_scan,
 )
 from .serialize import (
+    _parse_horizon,
+    _parse_seed,
     cnum_array,
     dumps_report,
     json_default,
@@ -150,17 +151,10 @@ def _cmd_modes(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
+    """``simulate`` (p = 1 only, no probe) and ``delay-simulate``."""
     system, horizon = parse_system(load_json(args.input))
-    if system.p != 1:
+    if args.command == "simulate" and system.p != 1:
         raise ParseError("simulate handles p = 1 systems; use delay-simulate for p > 1")
-    seq, report = simulate_delay(system, horizon)
-    envelope = {"sequence": sequence_to_json(seq), "trajectory_report": report}
-    summary = f"horizon {horizon}, growth {report.growth_class}, sup norm {report.sup_norm:.6g}"
-    _emit(dumps_report(envelope), args.out, summary)
-
-
-def _cmd_delay_simulate(args) -> None:
-    system, horizon = parse_system(load_json(args.input))
     seq, report = simulate_delay(system, horizon)
     envelope = {"sequence": sequence_to_json(seq), "trajectory_report": report}
     summary = f"p = {system.p}, horizon {horizon}, growth {report.growth_class}, sup norm {report.sup_norm:.6g}"
@@ -245,8 +239,9 @@ def _cmd_cauchy_recover(args) -> None:
 
     def oracle(z: complex) -> np.ndarray:
         acc = np.zeros_like(coeffs[0])
-        for c in reversed(coeffs):
-            acc = acc * z + c
+        with np.errstate(over="ignore", invalid="ignore"):  # cauchy_coefficient rejects non-finite values
+            for c in reversed(coeffs):
+                acc = acc * z + c
         return acc
 
     recovered = cauchy_coefficient(oracle, args.k, args.radius, args.nodes)
@@ -268,10 +263,8 @@ def _cmd_cauchy_recover(args) -> None:
 
 
 def _cmd_corpus(args) -> None:
-    if not MIN_HORIZON <= args.horizon <= MAX_HORIZON:
-        raise ParseError(f"--horizon must be in [{MIN_HORIZON}, {MAX_HORIZON}]")
-    if args.seed < 0:
-        raise ParseError(f"--seed must be non-negative, got {args.seed}")
+    _parse_horizon(args.horizon, "corpus")
+    _parse_seed(args.seed, "corpus")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     members = generate_corpus(args.seed, args.horizon)
@@ -316,9 +309,9 @@ def build_parser() -> _Parser:
     p.add_argument("--theta", action="append", metavar="RE,IM", help="repeatable mode location")
     p.add_argument("--n-used", type=int, default=None, help="averaging window (default: full horizon)")
 
-    add("simulate", _cmd_simulate, "run x_{n+1} = B x_n + y_n from a system file")
+    add("simulate", _cmd_simulate, "run x_{n+1} = B x_n + y_n from a system file").set_defaults(probe=False)
 
-    p = add("delay-simulate", _cmd_delay_simulate, "run x_{n+p} = B x_n + y_n from a system file")
+    p = add("delay-simulate", _cmd_simulate, "run x_{n+p} = B x_n + y_n from a system file")
     p.add_argument("--probe", action="store_true", help="attach the delay limit probe report")
     p.add_argument("--peripheral-tol", type=_real, default=DEFAULT_PERIPHERAL_TOL)
     p.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)

@@ -30,61 +30,35 @@ class CorpusMember:
     thetas: tuple[complex, ...]
 
 
+_PURE_DECAYS = [("geometric", r) for r in (0.3, 0.5, 0.7, 0.9)] + [("power", q) for q in (1.0, 1.25, 1.5, 2.0)]
+_MIXED_DECAYS = [("geometric", 0.5), ("power", 1.0), ("geometric", 0.8), ("power", 1.5), ("geometric", 0.9), ("power", 2.0), ("geometric", 0.3)]
+
+#: (kind, index, dim, mode count, decay) of every member, in draw order;
+#: mode-plus-decay members alternate one and two modes.
+_PLAN = (
+    [(KIND_VANISHING, i, dim, 0, decay) for i, (dim, decay) in enumerate(zip((1, 2, 3, 1, 2, 3, 4, 2), _PURE_DECAYS))]
+    + [(KIND_SINGLE_MODE, i, 1 + i % 4, 1, None) for i in range(8)]
+    + [(KIND_TWO_MODE, i, 1 + i % 3, 2, None) for i in range(7)]
+    + [(KIND_MODE_PLUS_DECAY, i, 1 + i % 3, 1 + i % 2, decay) for i, decay in enumerate(_MIXED_DECAYS)]
+)
+
+
 def generate_corpus(seed: int = 0, horizon: int = DEFAULT_HORIZON) -> list[CorpusMember]:
-    """The 30-member corpus, fully determined by (seed, horizon)."""
+    """The 30-member corpus, fully determined by (seed, horizon).
+
+    Each member draws from one stream in a fixed order: its first angle,
+    the gap to its second angle (at least 0.2 rad each way) when it has
+    two modes, each mode's amplitude and then its direction, and last the
+    seed of its decay direction.
+    """
     rng = np.random.default_rng(seed)
     members: list[CorpusMember] = []
-
-    def child_seed() -> int:
-        return int(rng.integers(2**31))
-
-    # 8 vanishing: four geometric rates, four power exponents
-    decays = [("geometric", r) for r in (0.3, 0.5, 0.7, 0.9)]
-    decays += [("power", q) for q in (1.0, 1.25, 1.5, 2.0)]
-    dims = (1, 2, 3, 1, 2, 3, 4, 2)
-    for i, (decay, dim) in enumerate(zip(decays, dims)):
-        seq = modes_plus_decay([], horizon, decay=decay, seed=child_seed(), dim=dim)
-        members.append(CorpusMember(f"vanishing-{i}", KIND_VANISHING, seq, ()))
-
-    # 8 single-mode, no decay
-    for i in range(8):
-        dim = 1 + i % 4
-        theta = cmath.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        v = _unit_vector(rng, dim, rng.uniform(0.5, 2.0))
-        seq = modes_plus_decay([(theta, v)], horizon, seed=child_seed())
-        members.append(CorpusMember(f"single-mode-{i}", KIND_SINGLE_MODE, seq, (theta,)))
-
-    # 7 two-mode, angular separation at least 0.2 rad each way
-    for i in range(7):
-        dim = 1 + i % 3
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        gap = rng.uniform(0.2, np.pi)
-        t1, t2 = cmath.exp(1j * phi), cmath.exp(1j * (phi + gap))
-        v1 = _unit_vector(rng, dim, rng.uniform(0.5, 2.0))
-        v2 = _unit_vector(rng, dim, rng.uniform(0.5, 2.0))
-        seq = modes_plus_decay([(t1, v1), (t2, v2)], horizon, seed=child_seed())
-        members.append(CorpusMember(f"two-mode-{i}", KIND_TWO_MODE, seq, (t1, t2)))
-
-    # 7 mode-plus-decay, alternating mode count and decay law
-    decay_cycle = [
-        ("geometric", 0.5),
-        ("power", 1.0),
-        ("geometric", 0.8),
-        ("power", 1.5),
-        ("geometric", 0.9),
-        ("power", 2.0),
-        ("geometric", 0.3),
-    ]
-    for i, decay in enumerate(decay_cycle):
-        dim = 1 + i % 3
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        if i % 2 == 0:
-            thetas = (cmath.exp(1j * phi),)
-        else:
-            gap = rng.uniform(0.2, np.pi)
-            thetas = (cmath.exp(1j * phi), cmath.exp(1j * (phi + gap)))
+    for kind, i, dim, n_modes, decay in _PLAN:
+        angles = [rng.uniform(0.0, 2.0 * np.pi)] if n_modes else []
+        if n_modes == 2:
+            angles.append(angles[0] + rng.uniform(0.2, np.pi))
+        thetas = tuple(cmath.exp(1j * a) for a in angles)
         modes = [(t, _unit_vector(rng, dim, rng.uniform(0.5, 2.0))) for t in thetas]
-        seq = modes_plus_decay(modes, horizon, decay=decay, seed=child_seed())
-        members.append(CorpusMember(f"mode-plus-decay-{i}", KIND_MODE_PLUS_DECAY, seq, thetas))
-
+        seq = modes_plus_decay(modes, horizon, decay=decay, seed=int(rng.integers(2**31)), dim=dim)
+        members.append(CorpusMember(f"{kind}-{i}", kind, seq, thetas))
     return members

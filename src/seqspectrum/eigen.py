@@ -199,8 +199,13 @@ class PowerBoundVerdict:
 
     @property
     def sup_norm(self) -> float:
-        with np.errstate(over="ignore"):  # a finite log past 709.78 is inf, as intended
-            return float(np.exp(self.sup_log_norm))
+        return _exp(self.sup_log_norm)
+
+
+def _exp(log: float) -> float:
+    """e**log, inf once that leaves the float range (a log past 709.78)."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(log))
 
 
 def power_bounded_probe(a: CMatrix, n_max: int, bound: float) -> PowerBoundVerdict:
@@ -214,10 +219,9 @@ def power_bounded_probe(a: CMatrix, n_max: int, bound: float) -> PowerBoundVerdi
         raise PreconditionError("n_max must be >= 8")
     logs = mat_power_seq(a, n_max)
     sup_log = float(np.max(logs))
-    sup = np.exp(sup_log) if sup_log < 700.0 else np.inf
     return PowerBoundVerdict(
         sup_log_norm=sup_log,
-        bounded=bool(sup <= bound),
+        bounded=bool(_exp(sup_log) <= bound),
         growth_class=classify_from_logs(logs),
         n_max=n_max,
         bound=float(bound),

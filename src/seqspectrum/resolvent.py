@@ -151,13 +151,19 @@ def cauchy_coefficient(
             raise PreconditionError("oracle returned vectors of inconsistent dimension")
         samples.append(vec)
     f = np.array(samples)  # (M, d)
-    # z_m^-k on the unit circle via index arithmetic in the symmetric table
-    w = table[(-np.arange(nodes) * k) % nodes]
+    if not np.isfinite(f).all():
+        raise PreconditionError("oracle returned a non-finite value on the circle")
+    # z_m^-k on the unit circle via index arithmetic in the symmetric table;
+    # -k % nodes first, so that no product leaves int64 however large k is
+    w = table[(np.arange(nodes) * (-k % nodes)) % nodes]
     wr, wi = w.real, w.imag
     fr, fi = f.real, f.imag
     re_terms = wr[:, None] * fr - wi[:, None] * fi
     im_terms = wr[:, None] * fi + wi[:, None] * fr
-    scale = radius ** (-k) / nodes
+    try:
+        scale = radius ** (-k) / nodes
+    except OverflowError as exc:
+        raise PreconditionError(f"radius {radius!r} to the power -{k} leaves the float range") from exc
     out = np.empty(dim, dtype=np.complex128)
     for j in range(dim):
         out[j] = complex(math.fsum(re_terms[:, j]) * scale, math.fsum(im_terms[:, j]) * scale)

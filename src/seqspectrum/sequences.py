@@ -171,21 +171,24 @@ class BoundedSeq:
 
 
 def decay_envelope(kind: str, param, count: int) -> np.ndarray:
-    """Scalar envelope values e_0 .. e_(count-1) for the named decay law."""
+    """Scalar envelope values e_0 .. e_(count-1) for the named decay law;
+    a given parameter must be finite for every law, as reports echo it."""
+    if param is not None:
+        param = float(param)
+        if not math.isfinite(param):
+            raise PreconditionError(f"decay parameter must be finite, got {param}")
     n = np.arange(count, dtype=np.float64)
     if kind == "none":
         return np.zeros(count)
     if kind == "geometric":
-        r = float(param)
-        if not 0.0 < r < 1.0:
-            raise PreconditionError(f"geometric ratio must be in (0,1), got {r}")
+        if not 0.0 < param < 1.0:
+            raise PreconditionError(f"geometric ratio must be in (0,1), got {param}")
         with np.errstate(under="ignore"):
-            return r**n
+            return param**n
     if kind == "power":
-        q = float(param)
-        if not q > 0.0:
-            raise PreconditionError(f"power exponent must be > 0, got {q}")
-        return (n + 1.0) ** (-q)
+        if not param > 0.0:
+            raise PreconditionError(f"power exponent must be > 0, got {param}")
+        return (n + 1.0) ** (-param)
     if kind == "log":
         return 1.0 / np.log(n + 2.0)
     raise PreconditionError(f"unknown decay kind {kind!r}")
@@ -221,9 +224,9 @@ def modes_plus_decay(
     for theta, v in modes:
         values += unimodular_powers(theta, horizon)[:, None] * v
     if decay is not None:
-        kind, param = decay
-        if kind != "none":
-            values += decay_envelope(kind, param, horizon)[:, None] * _unit_vector(np.random.default_rng(seed), d, 1.0)
+        envelope = decay_envelope(*decay, horizon)  # checks the parameter of every law
+        if decay[0] != "none":
+            values += envelope[:, None] * _unit_vector(np.random.default_rng(seed), d, 1.0)
     descriptor = {
         "kind": "modes_plus_decay",
         "modes": [(t, tuple(v.tolist())) for t, v in modes],

@@ -1,7 +1,11 @@
 import io
 import json
+import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +203,25 @@ def test_delay_simulate_with_probe_simulates_once(tmp_path, capsys, monkeypatch)
     assert calls == [256]
 
 
+def test_simulate_and_delay_simulate_write_the_same_envelope(tmp_path, capsys):
+    system = {
+        "B": matrix_to_json(CMatrix([[-1.0, 0.25j], [0.0, 0.5]])),
+        "initial": [[[1.0, 0.0], [0.0, 1.0]]],
+        "forcing": {"kind": "geometric", "param": 0.5},
+        "horizon": 128,
+    }
+    sys_path = write_json(tmp_path / "system.json", system)
+    envelopes = []
+    for command in ("simulate", "delay-simulate"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, sys_path, "-o", str(out)]) == 0
+        envelopes.append(out.read_bytes())
+    assert envelopes[0] == envelopes[1]
+    summaries = capsys.readouterr().out.splitlines()
+    assert summaries[0] == summaries[1] and summaries[0].startswith("p = 1, horizon 128")
+    _assert_parse_error(capsys, main(["simulate", sys_path, "--probe"]))
+
+
 def test_gelfand_command(tmp_path, capsys):
     path = write_json(tmp_path / "m.json", matrix_to_json(CMatrix(np.diag([2.0, 1.0]))))
     rc = main(["gelfand", path, "--n-max", "64"])
@@ -261,6 +284,53 @@ def test_cauchy_recover_command(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["abs_error"] <= 1e-12
     assert abs(report["coefficient"][0][1] - 2.0) <= 1e-12
+
+
+SERIES = {"coeffs": [[[1.0, 0.0]], [[0.5, 0.0]], [[0.25, 0.0]], [[0.125, 0.0]]]}
+
+
+def test_cauchy_recover_huge_k_aliases_like_small_k(tmp_path, capsys):
+    # five nodes recover the sum of the coefficients whose index is k mod 5,
+    # so every k = 0 mod 5 recovers c_0 = 1, however large k is
+    path = write_json(tmp_path / "series.json", SERIES)
+    coefficients = []
+    for k in (5, 10, 2**62 + 1, 10**20):
+        assert main(["cauchy-recover", path, "--k", str(k), "--nodes", "5"]) == 0
+        coefficients.append(json.loads(capsys.readouterr().out)["coefficient"])
+    assert coefficients == [coefficients[0]] * 4
+    assert coefficients[0][0][0] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_cauchy_recover_scale_overflow_exits_precondition(tmp_path, capsys):
+    path = write_json(tmp_path / "series.json", SERIES)
+    assert main(["cauchy-recover", path, "--k", "2000", "--radius", "0.5"]) == 3
+    assert _error_line(capsys.readouterr().err)["error"] == "PreconditionError"
+
+
+def test_cauchy_recover_overflowing_samples_write_one_error_line(tmp_path):
+    path = write_json(tmp_path / "series.json", SERIES)
+    proc = subprocess.run(
+        [sys.executable, "-m", "seqspectrum.cli", "cauchy-recover", path, "--k", "10", "--radius", "1e300"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert _error_line(proc.stderr)["error"] == "PreconditionError"
+
+
+def test_every_readme_cli_line_runs(tmp_path, capsys, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```\n(seqspectrum .*?)```", readme, flags=re.DOTALL)
+    write_json(tmp_path / "matrix.json", matrix_to_json(CMatrix(np.diag([1.0, 1j]))))
+    seq_file(tmp_path)
+    write_json(tmp_path / "system.json", {"B": matrix_to_json(CMatrix([[-1.0]])), "initial": [[[1.0, 0.0]]], "horizon": 256})
+    write_json(tmp_path / "series.json", SERIES)
+    monkeypatch.chdir(tmp_path)
+    for line in block.splitlines():
+        argv = shlex.split(line.partition("#")[0])
+        assert argv[0] == "seqspectrum"
+        assert main(argv[1:]) == 0, line
+        capsys.readouterr()
 
 
 def test_corpus_command_deterministic(tmp_path, capsys):
@@ -373,6 +443,22 @@ def test_ktz_infinite_bound_writes_one_error_line(tmp_path):
 
 def _descriptor(**fields):
     return {"kind": "modes_plus_decay", "modes": [{"theta": [0, 1], "v": [[1, 0]]}], "horizon": 64, **fields}
+
+
+@pytest.mark.parametrize(
+    "command, obj",
+    [
+        ("spectrum-scan", _descriptor(decay={"type": "power", "param": math.inf})),
+        ("spectrum-scan", _descriptor(decay={"type": "log", "param": math.nan})),
+        (
+            "simulate",
+            {"B": {"d": 1, "entries": [[0.5, 0]]}, "initial": [[[1, 0]]], "horizon": 64, "forcing": {"kind": "power", "param": math.inf}},
+        ),
+    ],
+)
+def test_non_finite_decay_parameters_exit_parse_error(tmp_path, capsys, command, obj):
+    path = write_json(tmp_path / "in.json", obj)
+    _assert_parse_error(capsys, main([command, path]))
 
 
 OVERSIZED_HORIZONS = [10**400, 2**40, MAX_HORIZON + 1]

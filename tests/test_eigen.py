@@ -176,6 +176,22 @@ def test_power_bounded_probe_jordan_growth():
     assert verdict.growth_class == "polynomial-suspect"
 
 
+def test_power_bounded_probe_verdict_agrees_with_its_sup_norm_near_the_float_limit():
+    # ln 2**1011 = 700.8: inside the float range, so the sup norm is finite
+    verdict = power_bounded_probe(CMatrix([[2.0]]), 1012, 1e306)
+    assert 700.0 < verdict.sup_log_norm < 709.78
+    assert verdict.sup_norm <= verdict.bound
+    assert verdict.bounded is True
+    assert power_bounded_probe(CMatrix([[2.0]]), 1012, 1e304).bounded is False
+
+
+@pytest.mark.parametrize("bound, bounded", [(1e306, False), (np.finfo(float).max, False), (np.inf, True)])
+def test_power_bounded_probe_past_the_float_range(bound, bounded):
+    verdict = power_bounded_probe(CMatrix([[2.0]]), 1030, bound)
+    assert verdict.sup_norm == np.inf
+    assert verdict.bounded is bounded
+
+
 def test_power_bounded_probe_rejects_tiny_n_max():
     with pytest.raises(PreconditionError):
         power_bounded_probe(CMatrix.identity(2), 4, 1e6)

@@ -1,12 +1,13 @@
 import copy
 import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -350,13 +351,55 @@ def corrupted_wire_objects(draw):
     return obj
 
 
+def _decay_descriptor(decay_type, param):
+    return {"kind": "modes_plus_decay", "d": 1, "modes": [], "horizon": 16, "decay": {"type": decay_type, "param": param}}
+
+
+NON_FINITE_PARAM_INPUTS = [
+    {"kind": "power", "param": math.inf},
+    _decay_descriptor("power", math.inf),
+    _decay_descriptor("log", math.nan),
+    {"B": {"d": 1, "entries": [[0.5, 0]]}, "initial": [[[1, 0]]], "horizon": 16, "forcing": {"kind": "power", "param": math.inf}},
+]
+
+#: each parser with the emitter of what it returns
+WIRE_EMITTERS = {
+    parse_cnum: cnum,
+    parse_vector: vector_to_json,
+    parse_matrix: matrix_to_json,
+    parse_forcing: forcing_to_json,
+    parse_system: lambda parsed: system_to_json(*parsed),
+    parse_sequence: sequence_to_json,
+}
+
+
 @given(json_values | corrupted_wire_objects())
+@example(NON_FINITE_PARAM_INPUTS[0])
+@example(NON_FINITE_PARAM_INPUTS[1])
+@example(NON_FINITE_PARAM_INPUTS[2])
+@example(NON_FINITE_PARAM_INPUTS[3])
 def test_parsers_raise_only_parse_error(obj):
-    for parse in (parse_cnum, parse_vector, parse_matrix, parse_forcing, parse_system, parse_sequence):
+    """Each parser raises ParseError or returns an object whose wire form
+    is strict JSON: whatever is accepted can be emitted again."""
+    for parse, emit in WIRE_EMITTERS.items():
         try:
-            parse(obj)
+            parsed = parse(obj)
         except ParseError:
-            pass
+            continue
+        helpers.strict_json(dumps_report(emit(parsed)))
+
+
+@pytest.mark.parametrize(
+    "parse, obj", zip([parse_forcing, parse_sequence, parse_sequence, parse_system], NON_FINITE_PARAM_INPUTS)
+)
+def test_non_finite_decay_parameters_are_parse_errors(parse, obj):
+    with pytest.raises(ParseError, match="finite"):
+        parse(obj)
+
+
+def test_a_finite_log_decay_parameter_is_echoed():
+    x = parse_sequence(_decay_descriptor("log", 2.5))
+    assert sequence_to_json(x)["decay"] == {"type": "log", "param": 2.5}
 
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1.7e308, -1.7e308]
