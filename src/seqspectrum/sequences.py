@@ -33,15 +33,11 @@ _RENORM_INTERVAL = 1024
 
 _UNIMODULAR_TOL = 1e-12
 
-#: Complex weights one block of stacked rotated means may hold at once
-#: (1 MiB, four rows at horizon 16384): many clusters at a long horizon
-#: would otherwise allocate clusters * horizon weights per golden-section
+#: Complex inner sums one block of stacked rotated means may hold at once
+#: (1 MiB, 128 rows at horizon 16384 and d = 4): many clusters at a long
+#: horizon would otherwise allocate clusters * A * d sums per golden-section
 #: step.
 _EVAL_BLOCK_ELEMENTS = 1 << 16
-
-#: Longest run of k one einsum call sums: numpy cuts longer runs into
-#: 8192-term pieces for a block of rows but not for one row with d = 1.
-_SUM_CHUNK = 8192
 
 PROXY_DISCLAIMER = (
     "detections are rotated-mean persistence estimates; they provably "
@@ -96,35 +92,22 @@ def angular_distance(a: complex, b: complex) -> float:
 def unimodular_powers(theta: complex, count: int) -> np.ndarray:
     """theta^0 .. theta^(count-1) by incremental multiplication.
 
-    The running value is renormalized to unit modulus every 1024 steps;
-    the angle accumulates only rounding error (about count * eps / 2).
+    Every segment between renormalizations scales the same running
+    products theta^1 .. theta^1024, and the running value is renormalized
+    to unit modulus every 1024 steps; the angle accumulates only rounding
+    error (about count * eps / 2).
     """
     if count < 1:
         raise PreconditionError("count must be >= 1")
-    return _unimodular_power_stack(np.array([complex(theta)]), count)[0]
-
-
-def _unimodular_power_stack(thetas: np.ndarray, count: int) -> np.ndarray:
-    """Row c holds thetas[c]^0 .. thetas[c]^(count-1), as in
-    :func:`unimodular_powers`.
-
-    Every segment between renormalizations scales the same running
-    products theta^1 .. theta^1024.  The renormalization of each row's
-    running value uses scalar arithmetic: numpy's array multiply and
-    divide round differently, and every row must carry the same bits as
-    a stack of one.
-    """
-    rows = thetas.shape[0]
-    out = np.empty((rows, count), dtype=np.complex128)
-    seg = np.cumprod(thetas[:, None].repeat(min(count, _RENORM_INTERVAL), axis=1), axis=1)
-    current = [1.0 + 0.0j] * rows
+    seg = np.cumprod(np.full(min(count, _RENORM_INTERVAL), complex(theta), dtype=np.complex128))
+    out = np.empty(count, dtype=np.complex128)
+    current = 1.0 + 0.0j
     for start in range(0, count, _RENORM_INTERVAL):
         m = min(_RENORM_INTERVAL, count - start)
-        out[:, start] = current
-        out[:, start + 1 : start + m] = np.array(current, dtype=np.complex128)[:, None] * seg[:, : m - 1]
-        if start + m < count:
-            current = [c * s for c, s in zip(current, seg[:, m - 1])]
-            current = [c / abs(c) for c in current]
+        out[start] = current
+        out[start + 1 : start + m] = current * seg[: m - 1]
+        current = current * seg[m - 1]
+        current /= abs(current)
     return out
 
 
@@ -301,6 +284,9 @@ def rotated_mean(x: BoundedSeq, theta: complex, n_used: int | None = None) -> Ro
 
     Exactly v on the eigen-sequence theta^n v (for every n); at most
     2 ||v|| / (n |theta - mu|) on any other unimodular mode mu^n v.
+    The sum runs in two levels over k = a B + b (:func:`_split_means`),
+    so the modulus of a weight theta^-k drifts by at most about
+    (A + B) eps, under 2.5 sqrt(n) eps.
     A peak that :func:`spectrum_scan` reports at theta is this mean_norm
     at theta, bit for bit.
     """
@@ -314,44 +300,79 @@ def rotated_mean(x: BoundedSeq, theta: complex, n_used: int | None = None) -> Ro
 
 
 def _rotated_means(values: np.ndarray, thetas: np.ndarray, n: int) -> np.ndarray:
-    """:func:`_plain_rotated_means` for values of any finite magnitude.
+    """Row c is (1/n) sum_{k<n} thetas[c]^-k values[k], for unimodular
+    thetas and values of any finite magnitude: :func:`_split_means` on the
+    :func:`_split_layout` of the values.
 
-    Rows whose sum leaves the float range (entries above about
-    1.8e308 / n) are summed again on the values scaled by an exact power
-    of two and scaled back, so they are inf only when the mean itself is;
-    every other row keeps the bits of the plain sum.
+    That plain sum overflows for entries above about 1.8e308 / n (the
+    scan's search evaluates its power-of-two scaled window, which stays
+    far below that).  Rows whose sum leaves the float range are summed
+    again on the values scaled by an exact power of two and scaled back,
+    so they are inf only when the mean itself is; every other row keeps
+    the bits of the plain sum.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are redone below
-        out = _plain_rotated_means(values, thetas, n)
+        out = _split_means(_split_layout(values, n), thetas, n)
     fix = np.flatnonzero(~np.isfinite(out).all(axis=1))
     if fix.size:
         (scaled,), (exp,) = _pow2_scaled(values[None, :n])
-        means = _plain_rotated_means(scaled, thetas[fix], n)
+        means = _split_means(_split_layout(scaled, n), thetas[fix], n)
         with np.errstate(over="ignore"):  # a mean past the float range is inf
             out[fix] = np.ldexp(means.view(np.float64), exp).view(np.complex128)
     return out
 
 
-def _plain_rotated_means(values: np.ndarray, thetas: np.ndarray, n: int) -> np.ndarray:
-    """Row c is (1/n) sum_{k<n} thetas[c]^-k values[k], for unimodular thetas.
+def _split_layout(values: np.ndarray, n: int) -> np.ndarray:
+    """values[:n] laid out for :func:`_split_means`: with k = a B + b,
+    entry [a, :, b] is values[k], and zero past n.
 
-    Each block of rows, whose (rows, n) weights stay under
-    ``_EVAL_BLOCK_ELEMENTS``, is summed by ``np.einsum`` over runs of at
-    most ``_SUM_CHUNK`` k: numpy's own sum-of-products loop, with no BLAS
-    call and no (rows, n, d) temporary.  A row's bits therefore depend on
-    neither the block it sits in nor the BLAS thread count, so the scan's
-    peaks are the rotated means :func:`rotated_mean` reports at the same
-    theta.  The sum overflows for entries above about 1.8e308 / n; the
-    scan's search calls this directly on its power-of-two scaled window,
-    which stays far below that.
+    B is the smallest power of two with B^2 >= n, so A = ceil(n / B) <= B,
+    and both are at most 1024 up to MAX_HORIZON.
     """
-    vals = values[:n]
-    out = np.zeros((thetas.shape[0], vals.shape[1]), dtype=np.complex128)
-    block = max(1, _EVAL_BLOCK_ELEMENTS // n)
+    d = values.shape[1]
+    b = 1 << (((n - 1).bit_length() + 1) // 2)
+    full, rest = divmod(n, b)
+    cols = np.zeros((full + (rest > 0), d, b), dtype=np.complex128)
+    cols[:full] = values[: full * b].reshape(full, b, d).transpose(0, 2, 1)
+    cols[full:, :, :rest] = values[full * b : n].T
+    return cols
+
+
+def _split_means(cols: np.ndarray, thetas: np.ndarray, n: int) -> np.ndarray:
+    """Row c is (1/n) sum_{k<n} thetas[c]^-k x_k over the
+    :func:`_split_layout` of x, summed in two levels (the index split of
+    Cooley & Tukey, Math. Comp. 19, 1965):
+
+        sum_k z^k x_k = sum_a w^a sum_b z^b x_(aB+b),   z = conj(theta),
+
+    where w is z^B renormalized to modulus 1.  The weights are two
+    running-product tables per row, z^0 .. z^B and w^0 .. w^(A-1), so a
+    weight's modulus drifts by at most about (A + B) eps (256 eps at
+    horizon 16384, 2048 at MAX_HORIZON) and no (rows, n) table is built.
+    Both levels are ``np.einsum`` calls, numpy's own sum-of-products loops
+    with no BLAS call, over runs of at most 1024 terms: a row's bits depend
+    on neither the other rows nor the BLAS thread count, so the scan's
+    peaks are the rotated means :func:`rotated_mean` reports at the same
+    theta.  Rows go in blocks whose (rows, A d) inner sums stay under
+    ``_EVAL_BLOCK_ELEMENTS``.
+    """
+    a, d, b = cols.shape
+    flat = cols.reshape(a * d, b)
+    out = np.empty((thetas.shape[0], d), dtype=np.complex128)
+    block = max(1, _EVAL_BLOCK_ELEMENTS // (a * d))
     for lo in range(0, thetas.shape[0], block):
-        weights = _unimodular_power_stack(thetas[lo : lo + block].conj(), n)
-        for k in range(0, n, _SUM_CHUNK):
-            out[lo : lo + block] += np.einsum("rk,kd->rd", weights[:, k : k + _SUM_CHUNK], vals[k : k + _SUM_CHUNK])
+        theta = thetas[lo : lo + block, None]
+        inner = np.empty((theta.shape[0], b + 1), dtype=np.complex128)
+        inner[:, 0] = 1.0
+        np.conjugate(theta, out=inner[:, 1:])
+        np.multiply.accumulate(inner, axis=1, out=inner)  # z^0 .. z^B
+        outer = np.empty((theta.shape[0], a), dtype=np.complex128)
+        outer[:, 0] = 1.0
+        step = inner[:, b:]
+        np.multiply(step, 1.0 / np.abs(step), out=outer[:, 1:])  # w
+        np.multiply.accumulate(outer, axis=1, out=outer)  # w^0 .. w^(A-1)
+        runs = np.einsum("rb,mb->rm", inner[:, :b], flat).reshape(-1, a, d)
+        np.einsum("ra,rad->rd", outer, runs, out=out[lo : lo + block])
     out /= n
     return out
 
@@ -418,7 +439,11 @@ def spectrum_scan(
     horizon: first by argmax over a dense zero-padded transform, then by
     a golden-section search inside the winning lobe.  The searches of
     all clusters run in lockstep, so each of their steps is one stacked
-    rotated-mean evaluation over every cluster.  They stop once every
+    rotated-mean evaluation over every cluster.  The window is laid out
+    for the two-level sum over k = a B + b once per scan
+    (:func:`_split_layout`), so a step pays only for each cluster's
+    A + B weights and the two sums of :func:`_split_means`, whose weights'
+    moduli drift by at most about (A + B) eps.  The searches stop once every
     bracket is at most sqrt(eps) / n wide (n the horizon): near a
     maximiser |m(phi* + delta)| / |m(phi*)| is about 1 - (n delta)^2 / 24,
     so inside that width the mean is flat to rounding and further steps
@@ -459,8 +484,7 @@ def spectrum_scan(
         # enough that the argmax bin sits inside the peak's main lobe,
         # and the bracket of one fine bin each way is unimodal.
         n_fine = 2 * _next_pow2(max(x.horizon, k))
-        fine_means = np.fft.fft(window, n=n_fine, axis=0) / x.horizon
-        fine_norms = np.linalg.norm(fine_means, axis=1)
+        fine_norms = np.linalg.norm(np.fft.fft(window, n=n_fine, axis=0) / x.horizon, axis=1)
         fine_step = 2.0 * math.pi / n_fine
         ratio = n_fine / k
         j_stars = []
@@ -470,8 +494,9 @@ def spectrum_scan(
             js = np.arange(j_lo, j_hi + 1) % n_fine
             j_stars.append(js[np.argmax(fine_norms[js])])
         centers = fine_step * np.array(j_stars, dtype=np.float64)
+        cols = _split_layout(window, x.horizon)
         phis = _lockstep_golden_max(
-            lambda p: np.linalg.norm(_plain_rotated_means(window, np.exp(1j * p), x.horizon), axis=1),
+            lambda p: np.linalg.norm(_split_means(cols, np.exp(1j * p), x.horizon), axis=1),
             centers - fine_step,
             centers + fine_step,
             2.0**-26 / x.horizon,  # sqrt(eps) / n: the peak's flat top, see the docstring

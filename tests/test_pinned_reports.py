@@ -180,13 +180,13 @@ REPORTS = {
 PINNED = {
     "cli-cauchy-recover": "b859ed4941e15eb9ed9e1c366a6aa9494cd63ae8361d5bbc9738e7a11cc8b31a",
     "cli-cayley": "3ab089caddb8036415641f2ca45a00f3e443f9fd3843832166076fe531c3db7c",
-    "cli-delay-probe": "f1125bc09e8ef40205f8841a7b9f15fd46746a9d212861a33992c9ec32d9fcb8",
+    "cli-delay-probe": "0f3de296dca9a5540d7f65827d2fb8b6ee94e24d2a7dcd852f6b4e702a47b06c",
     "cli-corpus": "466b8f5e857236860c0f33060090e4fa48ab27ce28d0f2defb0cdddfb583e211",
-    "cli-modes-materialized": "738bc4a1611786488e0065cafa9d411307c2ed4b4055d9be98b35b29c3215304",
-    "cli-scan-materialized": "3304d0f93ea2552e366a87359e9d38f95b1121b0887f9101a62cde4f8e887b19",
+    "cli-modes-materialized": "5c15add289ee9acfa3c4671985697c88a17b10fc30b80286e1b6182328615ae7",
+    "cli-scan-materialized": "52c21744b7cad86ac1770942fa16a14e9f5895801a984455d7501b1715f5d05b",
     "cli-simulate": "dcbe2ff0fedf00e72fcdf6a4c662621736a8a37e3928dcb06be4579b2d6fe896",
-    "corpus-modes": "96c05df1ea1868d1c58f2e5398b8467668f0b4683f9cccab6a3f7b46cd87b3c2",
-    "corpus-vanishing": "5b4063f9f089bea36588f7bee6f951f855f528b8dbc89fb8e1f0c6ff0b023ccd",
+    "corpus-modes": "927bf2de18b04681495ddc1ad1e58925bf6ac4ea1f8f9ad4c8f23b92757d25f2",
+    "corpus-vanishing": "ef974f9b50513eb4b677f7572b36408a5859afbc63ff47d5f06c8167ca2104c8",
     "gelfand-diagonal": "47a553121c1726ed960361c9e237459d0a82d3b7ca5e02e7d123cfb6b0db5336",
     "gelfand-jordan": "cbca9abc93e3d1052b984ca6247bd2a69f81f47fca0a185c8aa5b707b6adc168",
     "gelfand-nilpotent": "2da75310a676b38f09676310c9dd1e41d361b4bdf8977f9fe4b69faf735d3646",

@@ -17,7 +17,6 @@ from seqspectrum.errors import PreconditionError
 from seqspectrum.sequences import (
     _lockstep_golden_max,
     _rotated_means,
-    _unimodular_power_stack,
     BoundedSeq,
     angular_distance,
     custom_table,
@@ -82,13 +81,11 @@ def test_unimodular_powers_stay_on_circle():
         assert abs(pw[n] - cmath.exp(1.234j * n)) <= 1e-8 * (1 + n * 1e-6)
 
 
-def test_unimodular_power_stack_rows_match_scalar_powers():
+def test_unimodular_powers_match_scalar_powers():
     # 3000 powers cross the renormalizations at 1024 and 2048
-    thetas = np.array([cmath.exp(1j * t) for t in (0.1, 1.234, -2.5, math.pi, 3e-4)])
-    stack = _unimodular_power_stack(thetas, 3000)
-    for theta, row in zip(thetas, stack):
-        assert row.tobytes() == unimodular_powers(theta, 3000).tobytes()
-        assert row.tobytes() == helpers.scalar_unimodular_powers(theta, 3000).tobytes()
+    for theta in (cmath.exp(1j * t) for t in (0.1, 1.234, -2.5, math.pi, 3e-4)):
+        want = helpers.scalar_unimodular_powers(theta, 3000)
+        assert unimodular_powers(theta, 3000).tobytes() == want.tobytes()
 
 
 def test_lockstep_golden_max_finds_each_quadratic_maximum():
@@ -119,14 +116,14 @@ def test_lockstep_golden_max_finds_each_quadratic_maximum():
 def test_scan_search_stops_at_its_resolution(monkeypatch, horizon, calls):
     # 2 + 30 and 2 + 42 golden-section evaluations to reach sqrt(eps) / n,
     # plus the re-evaluation of the reported peak
-    plain = sequences._plain_rotated_means
+    means = sequences._split_means
     seen = []
 
     def counted(*args):
         seen.append(args)
-        return plain(*args)
+        return means(*args)
 
-    monkeypatch.setattr(sequences, "_plain_rotated_means", counted)
+    monkeypatch.setattr(sequences, "_split_means", counted)
     report = spectrum_scan(modes_plus_decay([(cmath.exp(0.7j), [1.0, 0.5j])], horizon))
     assert len(report.detected) == 1
     assert len(seen) == calls
@@ -201,6 +198,18 @@ def test_rotated_mean_matches_naive_summation():
     got = rotated_mean(BoundedSeq(vals), theta).mean.data
     want = helpers.naive_rotated_mean(vals, theta, 1000)
     assert np.linalg.norm(got - want) <= 1e-11 * (1 + np.linalg.norm(want))
+
+
+def test_rotated_mean_matches_naive_summation_at_every_padding():
+    # n_used where the last run of B terms is full (1, 2, 16, 1024), holds
+    # one term (3, 17, 1025, 8193) or lacks one (15, 1023)
+    rng = np.random.default_rng(15)
+    x = BoundedSeq(rng.standard_normal((8193, 2)) + 1j * rng.standard_normal((8193, 2)))
+    for theta in (cmath.exp(-1.9j), cmath.exp(0.3j), -1.0):
+        for n_used in (1, 2, 3, 15, 16, 17, 1023, 1024, 1025, 8193):
+            got = rotated_mean(x, theta, n_used).mean.data
+            want = helpers.naive_rotated_mean(x.values, theta, n_used)
+            assert np.linalg.norm(got - want) <= 1e-12 * (1 + np.linalg.norm(want)), (theta, n_used)
 
 
 def test_rotated_mean_constant_plus_alternating():
@@ -283,9 +292,10 @@ def test_scan_detections_clear_threshold():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 64])
 def test_rotated_means_rows_keep_their_bits_in_any_block(d):
-    # 8193 and 16384 terms are longer than one 8192-term sum-of-products run
+    # 37, 1025 and 8193 terms pad the last run, 1 term is a run of one, and
+    # 8193 and 16384 terms are longer than numpy's 8192-element buffer
     rng = np.random.default_rng(d)
-    for n in (37, 8192, 8193, 16384):
+    for n in (1, 37, 1025, 8192, 8193, 16384):
         vals = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         thetas = np.exp(1j * rng.uniform(-math.pi, math.pi, 5))
         block = _rotated_means(vals, thetas, n)
@@ -381,21 +391,21 @@ def _longdouble_peak(values, phi):
 # float.hex of (theta.real, theta.imag, peak_mean_norm) per detection
 PINNED_DETECTIONS = {
     "delay-counterexample-37": [
-        ("-0x1.0000000000000p+0", "0x1.360c051a62633p-29", "0x1.0000000000002p+0"),
+        ("-0x1.0000000000000p+0", "0x1.360c051a62633p-29", "0x1.0000000000000p+0"),
     ],
     "delay-counterexample-100": [
-        ("-0x1.0000000000000p+0", "0x1.68642234c4c66p-30", "0x1.0000000000008p+0"),
+        ("-0x1.0000000000000p+0", "0x1.b8a4c469898ccp-31", "0x1.0000000000000p+0"),
     ],
     "delay-d4-p3-interior-128": [
-        ("0x1.e93a968a141bap-1", "0x1.2dfcd15574ebdp-2", "0x1.24f8ac182c8aap-1"),
-        ("-0x1.1fb3ecbe487dcp-6", "0x1.ffebca4b2fa59p-1", "0x1.8587076009ee4p-6"),
-        ("-0x1.779d744c2cacep-1", "0x1.5beed5127ba02p-1", "0x1.182ee9a787f17p-2"),
-        ("-0x1.c5489b4b2c441p-3", "-0x1.f34d485858ceep-1", "0x1.eb2b7e08a3abcp-3"),
-        ("0x1.a76ec1a38e7f8p-3", "-0x1.f4efea799a398p-1", "0x1.6326f7d41c59dp-3"),
+        ("0x1.e93a968965ab3p-1", "0x1.2dfcd159df4eep-2", "0x1.24f8ac182c8a1p-1"),
+        ("-0x1.1fb3ecbe487dcp-6", "0x1.ffebca4b2fa59p-1", "0x1.8587076009ee2p-6"),
+        ("-0x1.779d744639b72p-1", "0x1.5beed518e7c12p-1", "0x1.182ee9a787f0ep-2"),
+        ("-0x1.c5489b41355bdp-3", "-0x1.f34d4858e98bbp-1", "0x1.eb2b7e08a3aabp-3"),
+        ("0x1.a76ec18f5645bp-3", "-0x1.f4efea7aabaf5p-1", "0x1.6326f7d41c598p-3"),
     ],
     "corpus-seed7-4096-two-mode-0": [
-        ("0x1.0c647a4c2c478p-4", "0x1.fee64ffb88080p-1", "0x1.4a70ed0537d6ep-1"),
-        ("-0x1.efc7b24066327p-1", "0x1.ff686d21bc94dp-3", "0x1.81fea2211cae8p+0"),
+        ("0x1.0c647a4735892p-4", "0x1.fee64ffb92764p-1", "0x1.4a70ed0537cf8p-1"),
+        ("-0x1.efc7b2409dbefp-1", "0x1.ff686d1e5ef52p-3", "0x1.81fea2211ca6ep+0"),
     ],
 }
 
@@ -445,6 +455,22 @@ def test_scan_memory_stays_bounded_with_many_clusters():
     finally:
         tracemalloc.stop()
     assert len(report.detected) == 64
+    assert peak <= 16 * 2**20
+
+
+def test_rotated_means_memory_stays_bounded_with_many_thetas():
+    # 2048 thetas at n = 2^16 and d = 4: one (thetas, A d) block of inner
+    # sums would take 32 MiB
+    rng = np.random.default_rng(8)
+    vals = rng.standard_normal((2**16, 4)) + 1j * rng.standard_normal((2**16, 4))
+    thetas = np.exp(1j * rng.uniform(-math.pi, math.pi, 2048))
+    tracemalloc.start()
+    try:
+        means = _rotated_means(vals, thetas, 2**16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert means.shape == (2048, 4)
     assert peak <= 16 * 2**20
 
 
