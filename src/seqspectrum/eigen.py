@@ -217,13 +217,18 @@ def power_bounded_probe(a: CMatrix, n_max: int, bound: float) -> PowerBoundVerdi
     """
     if n_max < 8:
         raise PreconditionError("n_max must be >= 8")
-    logs = mat_power_seq(a, n_max)
+    return _power_verdict(mat_power_seq(a, n_max), bound)
+
+
+def _power_verdict(logs: np.ndarray, bound: float) -> PowerBoundVerdict:
+    """The verdict of :func:`power_bounded_probe` on the log norms
+    ln ||A^n||, n = 1..len(logs)."""
     sup_log = float(np.max(logs))
     return PowerBoundVerdict(
         sup_log_norm=sup_log,
         bounded=bool(_exp(sup_log) <= bound),
         growth_class=classify_from_logs(logs),
-        n_max=n_max,
+        n_max=logs.shape[0],
         bound=float(bound),
     )
 

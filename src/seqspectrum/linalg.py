@@ -367,36 +367,47 @@ def _hermitian_2x2(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> tuple[np.ndar
     return 0.5 * (a + c) - radius, _pow2_scaled(vec)[0]
 
 
-def mat_power_seq(a: CMatrix, n_max: int) -> np.ndarray:
-    """ln ||A^n|| for n = 1..n_max as a float64 array; -inf where A^n = 0.
+def _power_stack(arr: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(logs, powers, scales)`` of A^n, n = 1..n_max: the one loop that
+    forms matrix powers.
 
-    Maintains P_n = A^n / exp(s_n), renormalizing whenever the residual
-    leaves [1e-100, 1e100], so growing and nilpotent powers both stay in
-    range.  Entry n - 1 is ln ||P_n|| + s_n, the norms of the whole
-    rescaled stack taken in one call of the batched norm kernel.
+    Maintains P_n = A^n / c_n, dividing by the largest entry a whenever
+    that leaves [1e-100, 1e100]; c_n is the running product of those a,
+    1 until the first, and P_n is then A^n bit for bit (c_n is kept apart
+    from e^(s_n) below, which is off by about |s_n| eps).  ``powers`` and
+    ``scales`` are P_n and c_n up to the first zero power.  ``logs[n - 1]``
+    is ln ||P_n|| + s_n, s_n the running sum of ln a, finite where c_n
+    overflows and -inf from the first zero power on; the stack's norms are
+    one call of the batched norm kernel.
     """
-    if n_max < 1:
-        raise PreconditionError("n_max must be >= 1")
-    arr = a.data
+    powers = np.empty((n_max,) + arr.shape, dtype=np.complex128)
+    log_scales, scales = np.zeros(n_max), np.ones(n_max)
     p = arr
-    log_scale = 0.0
-    stack: list[np.ndarray] = []
-    scales: list[float] = []
-    for n in range(1, n_max + 1):
-        if n > 1:
+    log_scale, scale = 0.0, 1.0
+    for n in range(n_max):
+        if n:
             p = arr @ p
         amax = float(np.max(np.abs(p)))
         if amax == 0.0:
+            # a copy, so the rows past a nilpotent matrix's index are freed
+            powers, log_scales, scales = powers[:n].copy(), log_scales[:n], scales[:n]
             break
         if not _POWER_RESCALE_LO <= amax <= _POWER_RESCALE_HI:
             p = p / amax
             log_scale += float(np.log(amax))
-        stack.append(p)
-        scales.append(log_scale)
-    out = np.full(n_max, -np.inf)
-    if stack:
-        out[: len(stack)] = np.log(_batched_spectral_norms(np.stack(stack))) + scales
-    return out
+            scale *= amax  # inf past the float range, where c_n P_n overflows too
+        powers[n], log_scales[n], scales[n] = p, log_scale, scale
+    logs = np.full(n_max, -np.inf)
+    logs[: len(powers)] = np.log(_batched_spectral_norms(powers)) + log_scales
+    return logs, powers, scales
+
+
+def mat_power_seq(a: CMatrix, n_max: int) -> np.ndarray:
+    """ln ||A^n|| for n = 1..n_max as a float64 array; -inf where A^n = 0.
+    The powers are rescaled as they grow or decay (:func:`_power_stack`)."""
+    if n_max < 1:
+        raise PreconditionError("n_max must be >= 1")
+    return _power_stack(a.data, n_max)[0]
 
 
 def hermitian_defect(u: CMatrix) -> float:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .eigen import _circular_runs, power_bounded_probe, spectrum_info
-from .linalg import CMatrix, CVector, _as_complex_array, _batched_spectral_norms, _pow2_scaled
+from .eigen import _circular_runs, _power_verdict, spectrum_info
+from .linalg import CMatrix, CVector, _as_complex_array, _batched_spectral_norms, _pow2_scaled, _power_stack
 from .trend import is_bounded, least_squares_slope
 
 DEFAULT_HORIZON = 16384
@@ -288,7 +288,8 @@ def rotated_mean(x: BoundedSeq, theta: complex, n_used: int | None = None) -> Ro
     so the modulus of a weight theta^-k drifts by at most about
     (A + B) eps, under 2.5 sqrt(n) eps.
     A peak that :func:`spectrum_scan` reports at theta is this mean_norm
-    at theta, bit for bit.
+    at theta, bit for bit unless the scan's power-of-two scaled copy of
+    the window holds subnormal entries or sums.
     """
     if n_used is None:
         n_used = x.horizon
@@ -305,7 +306,7 @@ def _rotated_means(values: np.ndarray, thetas: np.ndarray, n: int) -> np.ndarray
     :func:`_split_layout` of the values.
 
     That plain sum overflows for entries above about 1.8e308 / n (the
-    scan's search evaluates its power-of-two scaled window, which stays
+    scan evaluates its power-of-two scaled window, which stays
     far below that).  Rows whose sum leaves the float range are summed
     again on the values scaled by an exact power of two and scaled back,
     so they are inf only when the mean itself is; every other row keeps
@@ -453,8 +454,10 @@ def spectrum_scan(
     power of two, so no norm overflows, none underflows unless it is far
     below the largest entry, and a sequence scaled by 2^j (with epsilon
     scaled alike) gives the same angles.
-    Each reported peak is the rotated mean at its reported theta, as
-    :func:`rotated_mean` computes it.  Peaks closer than one grid step
+    Each reported peak is the rotated mean at its reported theta, summed
+    on the scaled window's layout and scaled back exactly: the value
+    :func:`rotated_mean` computes, bit for bit unless the scaled window
+    holds subnormal entries or sums.  Peaks closer than one grid step
     are merged, and peaks under the leakage envelope of a taller one are
     dropped as its sidelobes.
     """
@@ -502,7 +505,9 @@ def spectrum_scan(
             2.0**-26 / x.horizon,  # sqrt(eps) / n: the peak's flat top, see the docstring
         )[0]
         thetas = [cmath.exp(1j * phi) for phi in phis.tolist()]
-        peaks = _row_norms(_rotated_means(x.values, np.array([require_unimodular(t) for t in thetas]), x.horizon))
+        means = _split_means(cols, np.array([require_unimodular(t) for t in thetas]), x.horizon)
+        with np.errstate(over="ignore"):  # a mean past the float range is inf
+            peaks = _row_norms(np.ldexp(means.view(np.float64), exp).view(np.complex128))
         for theta, peak in zip(thetas, peaks.tolist()):
             if peak > epsilon:
                 detected.append(DetectedPoint(theta, peak))
@@ -670,11 +675,13 @@ class KtzVerdict:
 def ktz_check(t: CMatrix, theta: complex, n_max: int = 512, bound: float = 1e6, limit_tol: float = 1e-8) -> KtzVerdict:
     """Check that T^n (T - theta I) -> 0 for power-bounded T whose
     unit-circle spectrum is contained in {theta}: every peripheral
-    eigenvalue within 1e-6 rad of theta."""
+    eigenvalue within 1e-6 rad of theta.  One :func:`_power_stack` call
+    gives both the power-boundedness verdict and the powers T^n."""
     if n_max < MIN_HORIZON:
         raise PreconditionError(f"n_max must be >= {MIN_HORIZON}")
     theta = require_unimodular(theta)
-    probe = power_bounded_probe(t, n_max, bound)
+    logs, powers, scales = _power_stack(t.data, n_max)
+    probe = _power_verdict(logs, bound)
     power_bounded = probe.bounded and is_bounded(probe.growth_class)
     info = spectrum_info(t)
     peripheral_ok = all(angular_distance(p, theta) <= 1e-6 for p in info.peripheral)
@@ -691,19 +698,22 @@ def ktz_check(t: CMatrix, theta: complex, n_max: int = 512, bound: float = 1e6, 
     op_tail = None
     attained = None
     if probe.bounded:
-        shift = t.data - theta * np.eye(t.dim)
-        values = np.empty((n_max, t.dim * t.dim), dtype=np.complex128)
-        power = np.eye(t.dim, dtype=np.complex128)
-        # an infinite bound admits powers that overflow to inf or nan
+        # T^n (T - theta I) = c_n P_n (T - theta I), P_0 = I; zero past the first zero power
+        d = t.dim
+        shift = t.data - theta * np.eye(d)
+        values = np.zeros((n_max, d, d), dtype=np.complex128)
+        values[0] = shift
+        m = min(n_max - 1, len(powers))
+        np.matmul(powers[:m], shift, out=values[1 : m + 1])
+        # an infinite bound admits powers past the float range; c_n = 1 keeps the bits
         with np.errstate(over="ignore", invalid="ignore"):
-            for n in range(n_max):
-                values[n] = (power @ shift).reshape(-1)
-                power = t.data @ power
-        if not np.all(np.isfinite(values)):
-            raise PreconditionError("sequence values must all be finite")
+            values[1 : m + 1] *= scales[:m, None, None]
+        finite = np.isfinite(values).all(axis=(1, 2))
+        if not finite.all():
+            raise PreconditionError(f"T^n (T - theta I) leaves the float range at n = {np.argmin(finite)}")
         window = n_max // 2
-        tail = _stats_of_norms(_row_norms(values), window)
-        op_tail = float(np.max(_batched_spectral_norms(values[window:].reshape(-1, t.dim, t.dim))))
+        tail = _stats_of_norms(_row_norms(values.reshape(n_max, d * d)), window)
+        op_tail = float(np.max(_batched_spectral_norms(values[window:])))
         attained = op_tail <= limit_tol
     return KtzVerdict(
         theta=theta,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import helpers
-from seqspectrum import sequences
+from seqspectrum import eigen, linalg, sequences
 from seqspectrum.corpus import generate_corpus
 from seqspectrum.dynamics import DelaySystem, ForcingSpec, delay_limit_probe, simulate_delay
 from seqspectrum.errors import PreconditionError
@@ -657,6 +657,61 @@ def test_ktz_jordan_block_hypotheses_not_met():
     # does not vanish, and the verdict says so
     assert verdict.operator_tail_sup == pytest.approx(1.0, rel=1e-12)
     assert verdict.limit_attained is False
+
+
+def test_ktz_forms_its_powers_once(monkeypatch):
+    calls = []
+    power_stack = linalg._power_stack
+
+    def counting(arr, n_max):
+        calls.append(n_max)
+        return power_stack(arr, n_max)
+
+    for module in (linalg, eigen, sequences):
+        if hasattr(module, "_power_stack"):
+            monkeypatch.setattr(module, "_power_stack", counting)
+    ktz_check(CMatrix(np.diag([1.0, 0.5])), 1.0, n_max=64)
+    assert calls == [64]
+
+
+def _ktz_tail_oracle(t, theta, n_max):
+    """(tail_sup, operator_tail_sup) of T^n (T - theta I) over
+    [n_max // 2, n_max), the powers formed by clongdouble matmul and each
+    product rounded to complex128 once; every norm is taken on the matrix
+    scaled by a power of two, so none under- or overflows."""
+    a = t.astype(np.clongdouble)
+    shift = a - theta * np.eye(t.shape[0])
+    power = np.linalg.matrix_power(a, n_max // 2)
+    tail = []
+    for _ in range(n_max // 2, n_max):
+        tail.append((power @ shift).astype(np.complex128))
+        power = a @ power
+    tail = np.array(tail)
+    exps = np.frexp(np.abs(tail).max(axis=(1, 2)))[1]
+    scaled = tail * np.ldexp(1.0, -exps)[:, None, None]
+    frobenius = np.ldexp(np.linalg.norm(scaled.reshape(len(tail), -1), axis=1), exps)
+    spectral = np.ldexp(np.linalg.norm(scaled, ord=2, axis=(1, 2)), exps)
+    return frobenius.max(), spectral.max()
+
+
+def _stable_normal(seed, d):
+    """Normal matrix with every eigenvalue of modulus in [0.3, 0.5]."""
+    rng = np.random.default_rng(seed)
+    eigs = rng.uniform(0.3, 0.5, d) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, d))
+    q = helpers.random_unitary(rng, d)
+    return q @ np.diag(eigs) @ q.conj().T
+
+
+@pytest.mark.parametrize(
+    "t", [np.diag([0.5, 0.25]), _stable_normal(2, 2), _stable_normal(16, 16)], ids=["diag", "d2", "d16"]
+)
+def test_ktz_rescaled_powers_match_a_long_double_oracle(t):
+    n_max = 512
+    assert (linalg._power_stack(t.astype(np.complex128), n_max)[2] != 1.0).any()  # the stack rescales
+    verdict = ktz_check(CMatrix(t), 1.0, n_max)
+    tail_sup, op_tail = _ktz_tail_oracle(t, 1.0, n_max)
+    assert verdict.tail.tail_sup == pytest.approx(tail_sup, rel=1e-12, abs=0.0)
+    assert verdict.operator_tail_sup == pytest.approx(op_tail, rel=1e-12, abs=0.0)
 
 
 def test_ktz_extra_peripheral_point():

@@ -143,3 +143,28 @@ def test_library_catches_no_broad_exceptions():
         for line in _broad_handlers(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert offenders == []
+
+
+def _orphaned_private_defs(trees):
+    """``file: name`` for every module-level function or class whose name
+    starts with ``_`` and that no code in ``trees`` reads outside its own
+    body."""
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name.startswith("_")):
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            if not any(
+                id(n) not in own
+                and ((isinstance(n, ast.Name) and n.id == node.name) or (isinstance(n, ast.Attribute) and n.attr == node.name))
+                for other in trees.values()
+                for n in ast.walk(other)
+            ):
+                yield f"{path.name}: {node.name}"
+
+
+def test_library_has_no_orphaned_private_helpers():
+    # a private helper only its own body or the tests call is dead code a
+    # refactor left behind
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert list(_orphaned_private_defs(trees)) == []
