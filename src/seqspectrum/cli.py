@@ -30,7 +30,7 @@ from .eigen import (
     gelfand_radius_estimate,
 )
 from .errors import ParseError, SeqSpectrumError, exit_code_for
-from .linalg import operator_norm
+from .linalg import _row_norms, operator_norm
 from .resolvent import (
     DEFAULT_QUADRATURE_NODES,
     cauchy_coefficient,
@@ -252,13 +252,13 @@ def _cmd_cauchy_recover(args) -> None:
         "coefficient": recovered,
     }
     if args.k < len(coeffs):
-        err = float(np.linalg.norm(recovered.data - coeffs[args.k]))
+        err = float(_row_norms(recovered.data[None] - coeffs[args.k])[0])
         report["table_coefficient"] = cnum_array(coeffs[args.k])
         report["abs_error"] = err
     _emit(
         dumps_report(report),
         args.out,
-        f"coefficient {args.k} recovered, norm {float(np.linalg.norm(recovered.data)):.6g}",
+        f"coefficient {args.k} recovered, norm {recovered.norm():.6g}",
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .eigen import spectrum_info, DEFAULT_PERIPHERAL_TOL
 from .errors import PreconditionError, UnboundedTrajectoryError
-from .linalg import CMatrix, CVector, _as_complex_array
+from .linalg import CMatrix, CVector, _as_complex_array, _row_norms
 from .sequences import (
     BoundedSeq,
     DetectedPoint,
@@ -231,7 +231,7 @@ def recurrence_defect(b: CMatrix, seq: BoundedSeq, forcing_values: np.ndarray, p
     self-witness, zero up to rounding for trajectories it produced."""
     steps = max(seq.horizon - p, 0)
     residual = seq.values[p:] - seq.values[:steps] @ b.data.T - forcing_values[:steps]
-    return float(np.max(np.linalg.norm(residual, axis=1) / (1.0 + seq.norms[:steps]), initial=0.0))
+    return float(np.max(_row_norms(residual) / (1.0 + seq.norms[:steps]), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -293,7 +293,7 @@ def verify_asymptotic_decomposition(b: CMatrix, trajectory: BoundedSeq) -> tuple
     limit_value = None
     if limit_tested:
         window = trajectory.values[trajectory.horizon // 2 :]
-        deviation = float(np.abs(np.linalg.norm(window - window[-1], axis=1)).max())
+        deviation = float(_row_norms(window - window[-1]).max())
         limit_exists = deviation <= 2.0 * _RESIDUAL_TOL
         if len(peripheral) == 0:
             limit_value = CVector(np.zeros(trajectory.dim))

@@ -7,6 +7,8 @@ so every norm it returns is certified and every run is reproducible.
 The kernel takes a stack of any size, empty included, and entries of
 any finite magnitude, subnormal ones too: a matrix whose Frobenius norm
 under- or overflows is rescaled by an exact power of two first.
+Every Euclidean norm of caller data goes through ``_row_norms``, which
+rescales the same way each row whose plain norm under- or overflows.
 Every linear solve goes through one elimination kernel, ``_solve_array``:
 a (s, d, d) stack in, with a right-hand side broadcasting to (s, d, k),
 and ``(x, ok)`` out, ``ok`` masking the zero matrices, those with a
@@ -71,7 +73,7 @@ class CVector:
         return self.data.shape[0]
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
+        return float(_row_norms(self.data[None])[0])
 
     def __repr__(self):
         return f"CVector(dim={self.dim})"
@@ -165,6 +167,24 @@ def _pow2_scaled(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     parts = np.ascontiguousarray(arr).view(np.float64)  # real and imaginary parts side by side
     exps = np.frexp(np.abs(parts).max(axis=tuple(range(1, arr.ndim))))[1]
     return np.ldexp(parts, -exps.reshape((-1,) + (1,) * (arr.ndim - 1))).view(np.complex128), exps
+
+
+def _row_norms(arr: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a complex (N, d) array.
+
+    Rows whose plain norm overflows, or is below 1e-140 where the squares
+    that matter may underflow, are recomputed scaled by an exact power of
+    two (Blue, ACM TOMS 1978); every other row keeps the plain norm's bits.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(arr, axis=1)
+    fix = np.flatnonzero((norms < 1e-140) | np.isinf(norms))
+    fix = fix[arr[fix].any(axis=1)]  # a zero row's plain norm is exact
+    if fix.size:
+        scaled, exps = _pow2_scaled(arr[fix])
+        with np.errstate(over="ignore"):  # a norm past the float range is inf
+            norms[fix] = np.ldexp(np.linalg.norm(scaled, axis=1), exps)
+    return norms
 
 
 def operator_norm(a: CMatrix | np.ndarray) -> float:
@@ -369,7 +389,9 @@ def _hermitian_2x2(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> tuple[np.ndar
 
 def _power_stack(arr: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(logs, powers, scales)`` of A^n, n = 1..n_max: the one loop that
-    forms matrix powers.
+    forms matrix powers, called once by each of ``mat_power_seq``,
+    ``power_bounded_probe``, ``gelfand_radius_estimate``, ``ktz_check``
+    and ``resolvent_neumann``.
 
     Maintains P_n = A^n / c_n, dividing by the largest entry a whenever
     that leaves [1e-100, 1e100]; c_n is the running product of those a,

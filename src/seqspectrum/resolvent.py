@@ -3,10 +3,11 @@ unit-circle pole probing.
 
 The resolvent (lambda I - A)^-1 is computed by direct solve and, for
 |lambda| beyond the spectral radius, by the truncated series
-sum A^n / lambda^(n+1).  Coefficient recovery integrates an analytic
-vector-valued function over a circle with the trapezoidal rule, which is
-exact for truncated power series of low degree relative to the node
-count.  Grid scans flag spectral hits instead of failing: sweeping
+sum A^n / lambda^(n+1), whose terms come from the rescaled powers of
+A / lambda that ``linalg._power_stack`` forms.  Coefficient recovery
+integrates an analytic vector-valued function over a circle with the
+trapezoidal rule, which is exact for truncated power series of low
+degree relative to the node count.  Grid scans flag spectral hits instead of failing: sweeping
 across the unit circle necessarily grazes the spectrum.
 """
 
@@ -21,6 +22,7 @@ from .linalg import (
     CMatrix,
     CVector,
     _batched_spectral_norms,
+    _power_stack,
     _solve_array,
     require_unitary,
 )
@@ -78,34 +80,36 @@ def resolvent_neumann(a: CMatrix, lam: complex, k_max: int) -> NeumannResult:
     """Partial sum of A^n / lambda^(n+1) for n = 0..k_max.
 
     Valid only for |lambda| above the spectral radius; misuse is detected
-    by the term norms failing to decay over the final ten terms and
-    raised as a divergence error rather than silently returned.
+    by a term norm above 1e150 or by the term norms failing to decay over
+    the final ten terms, both read off the log norms of one
+    :func:`_power_stack` call, and raised as a divergence error rather
+    than silently returned.
     """
     if k_max < 1:
         raise PreconditionError("k_max must be >= 1")
     lam = complex(lam)
     if lam == 0:
         raise PreconditionError("lambda must be nonzero")
-    terms = np.empty((k_max + 1, a.dim, a.dim), dtype=np.complex128)
-    terms[0] = np.eye(a.dim) / lam
-    for n in range(1, k_max + 1):
-        terms[n] = a.data @ terms[n - 1] / lam
-        # cheap overflow guard; the entry maximum never exceeds the norm
-        if np.max(np.abs(terms[n])) > _SERIES_LIMIT:
-            break
-    term_norms = _batched_spectral_norms(terms[: n + 1])
-    if np.max(term_norms) > _SERIES_LIMIT:
+    # an A / lambda or a power past the float range gives inf or NaN logs, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        logs, powers, scales = _power_stack(a.data / lam, k_max)
+    logs = np.concatenate([[0.0], logs])  # ln ||(A / lambda)^n||, n = 0..k_max; the n-th term is that over |lambda|
+    if not np.max(logs) - math.log(abs(lam)) <= math.log(_SERIES_LIMIT):
         raise DivergenceError(
             f"series terms exceed 1e150 at |lambda| = {abs(lam):.6g}; "
             "expansion point is inside the spectral radius"
         )
-    tail = term_norms[-10:]
-    if len(tail) == 10 and all(b >= a_ for a_, b in zip(tail, tail[1:])) and tail[-1] > 0:
+    tail = logs[-10:]
+    # -inf first: a zero last term ends the check before -inf - -inf
+    if len(tail) == 10 and tail[-1] > -np.inf and (np.diff(tail) >= 0.0).all():
         raise DivergenceError(
             "term norms are non-decreasing over the final 10 terms; "
             "|lambda| does not exceed the spectral radius"
         )
-    return NeumannResult(CMatrix(terms.sum(axis=0)), float(term_norms[-1]), k_max + 1)
+    # the terms past the first zero power are zero and left out
+    terms = np.concatenate([np.eye(a.dim)[None], powers * scales[:, None, None]]) / lam
+    last_norm = np.max(_batched_spectral_norms(terms[k_max:]), initial=0.0)
+    return NeumannResult(CMatrix(terms.sum(axis=0)), float(last_norm), k_max + 1)
 
 
 def _unit_roots_table(nodes: int) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .eigen import _circular_runs, _power_verdict, spectrum_info
-from .linalg import CMatrix, CVector, _as_complex_array, _batched_spectral_norms, _pow2_scaled, _power_stack
+from .linalg import CMatrix, CVector, _as_complex_array, _batched_spectral_norms, _pow2_scaled, _power_stack, _row_norms
 from .trend import is_bounded, least_squares_slope
 
 DEFAULT_HORIZON = 16384
@@ -44,24 +44,6 @@ PROXY_DISCLAIMER = (
     "coincide with the sequence spectrum only for finite sums of "
     "unimodular modes plus a vanishing term"
 )
-
-
-def _row_norms(arr: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a complex (N, d) array.
-
-    Rows whose plain norm overflows, or is below 1e-140 where the squares
-    that matter may underflow, are recomputed scaled by an exact power of
-    two (Blue, ACM TOMS 1978); every other row keeps the plain norm's bits.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(arr, axis=1)
-    fix = np.flatnonzero((norms < 1e-140) | np.isinf(norms))
-    fix = fix[arr[fix].any(axis=1)]  # a zero row's plain norm is exact
-    if fix.size:
-        scaled, exps = _pow2_scaled(arr[fix])
-        with np.errstate(over="ignore"):  # a norm past the float range is inf
-            norms[fix] = np.ldexp(np.linalg.norm(scaled, axis=1), exps)
-    return norms
 
 
 def default_epsilon(sup_norm: float) -> float:
@@ -713,7 +695,7 @@ def ktz_check(t: CMatrix, theta: complex, n_max: int = 512, bound: float = 1e6, 
             raise PreconditionError(f"T^n (T - theta I) leaves the float range at n = {np.argmin(finite)}")
         window = n_max // 2
         tail = _stats_of_norms(_row_norms(values.reshape(n_max, d * d)), window)
-        op_tail = float(np.max(_batched_spectral_norms(values[window:])))
+        op_tail = float(np.max(_batched_spectral_norms(values[window : m + 1]), initial=0.0))
         attained = op_tail <= limit_tol
     return KtzVerdict(
         theta=theta,

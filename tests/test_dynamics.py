@@ -201,6 +201,18 @@ def test_recurrence_defect_reports_a_planted_perturbation():
     assert defect == 0.5 / 6.0
 
 
+def test_recurrence_defect_of_an_orbit_near_the_float_limit():
+    # residuals of about 1e184 square past the float range; the defect is
+    # still rounding-sized
+    c, s = math.cos(0.3), math.sin(0.3)
+    b = np.array([[c, -s], [s, c]])
+    values = np.empty((64, 2))
+    values[0] = [1e200, 0.5e200]
+    for n in range(63):
+        values[n + 1] = b @ values[n]
+    assert recurrence_defect(CMatrix(b), BoundedSeq(values), np.zeros((64, 2))) <= 1e-15
+
+
 def test_flow_linearity():
     rng = np.random.default_rng(41)
     b = CMatrix(0.9 * helpers.random_unitary(rng, 2))
@@ -247,6 +259,14 @@ def test_decomposition_contraction_vanishes():
     assert verdict.residual_ok
     assert verdict.limit_tested and verdict.limit_exists
     assert verdict.limit_value.norm() <= 1e-9
+
+
+def test_decomposition_limit_deviation_near_the_float_limit():
+    # x_n = (1e160, 1e160 / 2^n); the tail window starts at n = 8
+    values = 1e160 * np.stack([np.ones(16), 0.5 ** np.arange(16)], axis=1)
+    _, verdict = verify_asymptotic_decomposition(CMatrix(np.diag([1.0, 0.5])), BoundedSeq(values))
+    assert verdict.limit_tested
+    assert verdict.limit_deviation == pytest.approx(1e160 * (0.5**8 - 0.5**15), rel=1e-14)
 
 
 def test_decomposition_rejects_unbounded_trajectory():

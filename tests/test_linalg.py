@@ -28,6 +28,12 @@ def test_cvector_basics():
         CVector([[1.0, 2.0]])
 
 
+def test_cvector_norm_at_extreme_magnitudes():
+    assert CVector([1e-200]).norm() == 1e-200
+    want = math.sqrt(2.0) * 1e200
+    assert abs(CVector([1e200, 1e200]).norm() - want) <= np.spacing(want)
+
+
 def test_cmatrix_validation():
     with pytest.raises(PreconditionError):
         CMatrix(np.zeros((2, 3)))

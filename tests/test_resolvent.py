@@ -94,6 +94,43 @@ def test_neumann_overflow_guard_raises_divergence():
         resolvent_neumann(CMatrix(10.0 * np.eye(2)), 1.0, 200)
 
 
+@pytest.mark.parametrize(
+    "a, lam",
+    [([[1e300]], 1e-10), (np.full((2, 2), 1.5e308), 1.0)],
+    ids=["quotient", "power"],
+)
+def test_neumann_terms_past_the_float_range_raise_divergence(a, lam):
+    # A / lambda, or the rescaled power after it, overflows: a divergence,
+    # with no warning
+    with pytest.raises(DivergenceError, match="series terms exceed 1e150"):
+        resolvent_neumann(CMatrix(a), lam, 200)
+
+
+@pytest.mark.parametrize(
+    "a, lam",
+    [(0.9 * np.eye(8, k=1), 0.5 + 0.5j), (np.eye(3, k=1), 2.0), (np.zeros((2, 2)), 1j)],
+    ids=["shift-8", "shift-3", "zero"],
+)
+def test_neumann_of_a_nilpotent_matrix(a, lam):
+    # the powers stop at the nilpotency index, so their logs end in -inf
+    res = resolvent_neumann(CMatrix(a), lam, 40)
+    want = np.linalg.inv(lam * np.eye(len(a)) - a)
+    assert np.linalg.norm(res.matrix.data - want, 2) <= 1e-14 * np.linalg.norm(want, 2)
+    assert res.last_term_norm == 0.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 8, 64])
+def test_neumann_matches_numpy_inverse(d):
+    rng = np.random.default_rng(50 + d)
+    for _ in range(5):
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        a *= 0.6 / np.abs(np.linalg.eigvals(a)).max()
+        lam = 1.2 * cmath.exp(2j * math.pi * rng.uniform())
+        want = np.linalg.inv(lam * np.eye(d) - a)
+        got = resolvent_neumann(CMatrix(a), lam, 200).matrix.data
+        assert np.linalg.norm(got - want, 2) <= 1e-14 * np.linalg.norm(want, 2)
+
+
 def test_cauchy_recovers_coefficients_with_an_odd_node_count():
     rng = np.random.default_rng(33)
     coeffs = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import helpers
-from seqspectrum import eigen, linalg, sequences
+from seqspectrum import eigen, linalg, resolvent, sequences
 from seqspectrum.corpus import generate_corpus
 from seqspectrum.dynamics import DelaySystem, ForcingSpec, delay_limit_probe, simulate_delay
 from seqspectrum.errors import PreconditionError
@@ -659,7 +659,18 @@ def test_ktz_jordan_block_hypotheses_not_met():
     assert verdict.limit_attained is False
 
 
-def test_ktz_forms_its_powers_once(monkeypatch):
+@pytest.mark.parametrize(
+    "consumer",
+    [
+        lambda a: linalg.mat_power_seq(a, 64),
+        lambda a: eigen.power_bounded_probe(a, 64, 1e6),
+        lambda a: eigen.gelfand_radius_estimate(a, 64),
+        lambda a: ktz_check(a, 1.0, n_max=64),
+        lambda a: resolvent.resolvent_neumann(a, 2.0, 64),
+    ],
+    ids=["mat_power_seq", "power_bounded_probe", "gelfand_radius_estimate", "ktz_check", "resolvent_neumann"],
+)
+def test_each_power_consumer_forms_its_powers_once(monkeypatch, consumer):
     calls = []
     power_stack = linalg._power_stack
 
@@ -667,10 +678,10 @@ def test_ktz_forms_its_powers_once(monkeypatch):
         calls.append(n_max)
         return power_stack(arr, n_max)
 
-    for module in (linalg, eigen, sequences):
+    for module in (linalg, eigen, sequences, resolvent):
         if hasattr(module, "_power_stack"):
             monkeypatch.setattr(module, "_power_stack", counting)
-    ktz_check(CMatrix(np.diag([1.0, 0.5])), 1.0, n_max=64)
+    consumer(CMatrix(np.diag([1.0, 0.5])))
     assert calls == [64]
 
 

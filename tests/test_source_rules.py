@@ -37,6 +37,27 @@ def test_library_uses_no_numpy_linalg_decompositions():
     assert offenders == []
 
 
+#: Where plain ``np.linalg.norm`` may run, with the reason it is safe
+#: there; every other norm of caller data is ``linalg._row_norms``, which
+#: neither under- nor overflows.
+PLAIN_NORM_SITES = {
+    "linalg.py": "the norm kernels, which scale by a power of two where the plain norm fails",
+    "sequences.py: spectrum_scan": "its window is scaled by a power of two first",
+    "sequences.py: _unit_vector": "a Gaussian draw of its own, of norm near sqrt(2 d)",
+    "dynamics.py: simulate_delay": "only compared with OVERFLOW_LIMIT, which an overflow to inf exceeds too",
+}
+
+
+def test_plain_vector_norms_run_only_where_allowed():
+    offenders = []
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            site = f"{path.name}: {getattr(top, 'name', '')}"
+            if path.name not in PLAIN_NORM_SITES and site not in PLAIN_NORM_SITES:
+                offenders += [f"{site}, line {line}" for line, name in _linalg_uses(top) if name == "norm"]
+    assert offenders == []
+
+
 def _unused_imports(tree):
     """(line, name) for every name a module imports but never reads."""
     imported = {}
