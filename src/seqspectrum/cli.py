@@ -41,13 +41,13 @@ from .sequences import (
     DEFAULT_GRID_SIZE,
     DEFAULT_HORIZON,
     MAX_HORIZON,
+    MIN_HORIZON,
     extract_modes,
     ktz_check,
     spectrum_scan,
 )
 from .serialize import (
-    _parse_horizon,
-    _parse_seed,
+    _parse_int,
     cnum_array,
     dumps_report,
     json_default,
@@ -161,9 +161,8 @@ def _cmd_simulate(args) -> None:
     if args.probe:
         probe = delay_limit_probe(system, seq, args.peripheral_tol, args.grid_size)
         envelope["delay_probe"] = probe
-        one = "n/a" if probe.one_step is None else f"{probe.one_step.tail_sup:.6g}"
         pstep = "n/a" if probe.p_step is None else f"{probe.p_step.tail_sup:.6g}"
-        summary += f"; probe tails one-step {one}, p-step {pstep}"
+        summary += f"; probe tails one-step {probe.one_step.tail_sup:.6g}, p-step {pstep}"
     _emit(dumps_report(envelope), args.out, summary)
 
 
@@ -263,8 +262,8 @@ def _cmd_cauchy_recover(args) -> None:
 
 
 def _cmd_corpus(args) -> None:
-    _parse_horizon(args.horizon, "corpus")
-    _parse_seed(args.seed, "corpus")
+    _parse_int(args.horizon, "horizon", MIN_HORIZON, MAX_HORIZON, "corpus")
+    _parse_int(args.seed, "seed", 0, np.inf, "corpus")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     members = generate_corpus(args.seed, args.horizon)

@@ -277,9 +277,7 @@ def verify_asymptotic_decomposition(b: CMatrix, trajectory: BoundedSeq) -> tuple
         )
     peripheral = spectrum_info(b).peripheral
     burn_in = trajectory.horizon // 2 if trajectory.horizon >= 2 * MIN_HORIZON else 0
-    shifted = trajectory.shifted(burn_in) if burn_in else trajectory
-    n_used = shifted.horizon
-    raw = extract_modes(shifted, peripheral, n_used)
+    raw = extract_modes(trajectory.shifted(burn_in), peripheral)
     # undo the burn-in shift: the mean of the shifted window estimates theta^burn_in v
     modes = tuple(
         Mode(m.theta, CVector(m.v.data * (m.theta ** (-burn_in)))) for m in raw.modes
@@ -287,25 +285,19 @@ def verify_asymptotic_decomposition(b: CMatrix, trajectory: BoundedSeq) -> tuple
     residual = dataclasses.replace(raw.residual, window_start=burn_in + raw.residual.window_start)
     decomp = ModeDecomp(modes, residual)
     only_one = all(angular_distance(t, 1.0) <= 1e-8 for t in peripheral)
-    limit_tested = len(peripheral) == 0 or only_one
-    limit_exists = None
-    deviation = None
-    limit_value = None
-    if limit_tested:
+    limit_exists = deviation = limit_value = None
+    if only_one:  # also with no peripheral point at all
         window = trajectory.values[trajectory.horizon // 2 :]
         deviation = float(_row_norms(window - window[-1]).max())
         limit_exists = deviation <= 2.0 * _RESIDUAL_TOL
-        if len(peripheral) == 0:
-            limit_value = CVector(np.zeros(trajectory.dim))
-        else:
-            limit_value = modes[0].v
+        limit_value = modes[0].v if modes else CVector(np.zeros(trajectory.dim))
     verdict = DecompositionVerdict(
         residual_ok=residual.tail_sup <= _RESIDUAL_TOL,
         residual_tol=_RESIDUAL_TOL,
         peripheral=peripheral,
         burn_in=burn_in,
-        n_used=n_used,
-        limit_tested=limit_tested,
+        n_used=trajectory.horizon - burn_in,
+        limit_tested=only_one,
         limit_exists=limit_exists,
         limit_deviation=deviation,
         limit_value=limit_value,
@@ -338,9 +330,9 @@ class DelayProbeReport:
     peripheral: tuple[complex, ...]
     bounded: bool
     growth_class: str
-    one_step: TailStats | None
+    one_step: TailStats
     p_step: TailStats | None
-    one_step_holds: bool | None
+    one_step_holds: bool
     p_step_holds: bool | None
     tol_vanish: float
     scan_detected: tuple[DetectedPoint, ...]
@@ -389,7 +381,7 @@ def delay_limit_probe(
         growth_class=growth,
         one_step=one_stats,
         p_step=p_stats,
-        one_step_holds=None if one_stats is None else one_stats.tail_sup <= tol_vanish,
+        one_step_holds=one_stats.tail_sup <= tol_vanish,
         p_step_holds=None if p_stats is None else p_stats.tail_sup <= tol_vanish,
         tol_vanish=float(tol_vanish),
         scan_detected=scan.detected,

@@ -396,7 +396,10 @@ def _power_stack(arr: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray, n
     Maintains P_n = A^n / c_n, dividing by the largest entry a whenever
     that leaves [1e-100, 1e100]; c_n is the running product of those a,
     1 until the first, and P_n is then A^n bit for bit (c_n is kept apart
-    from e^(s_n) below, which is off by about |s_n| eps).  ``powers`` and
+    from e^(s_n) below, which is off by about |s_n| eps).  An A whose
+    largest entry a_0 exceeds 1e100 is divided by a_0 once before the
+    loop, so no product overflows, and each step multiplies c_n by a_0;
+    any other A runs as it is, with a step factor of 1.  ``powers`` and
     ``scales`` are P_n and c_n up to the first zero power.  ``logs[n - 1]``
     is ln ||P_n|| + s_n, s_n the running sum of ln a, finite where c_n
     overflows and -inf from the first zero power on; the stack's norms are
@@ -404,11 +407,17 @@ def _power_stack(arr: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray, n
     """
     powers = np.empty((n_max,) + arr.shape, dtype=np.complex128)
     log_scales, scales = np.zeros(n_max), np.ones(n_max)
+    step_log, step = 0.0, 1.0
+    amax = float(np.max(np.abs(arr)))
+    if amax > _POWER_RESCALE_HI:
+        step_log, step, arr = float(np.log(amax)), amax, arr / amax
     p = arr
     log_scale, scale = 0.0, 1.0
     for n in range(n_max):
         if n:
             p = arr @ p
+        log_scale += step_log
+        scale *= step
         amax = float(np.max(np.abs(p)))
         if amax == 0.0:
             # a copy, so the rows past a nilpotent matrix's index are freed

@@ -164,13 +164,19 @@ def cauchy_coefficient(
     fr, fi = f.real, f.imag
     re_terms = wr[:, None] * fr - wi[:, None] * fi
     im_terms = wr[:, None] * fi + wi[:, None] * fr
+    # radius^-k / nodes as one factor goes subnormal, and loses bits, long
+    # before the result does, so the sums take radius^-k in two halves and
+    # nodes last.  A radius^-k past the float range stays an error: the
+    # samples c_k radius^k have underflowed.
     try:
-        scale = radius ** (-k) / nodes
+        lo, hi = radius ** -(k // 2), radius ** -(k - k // 2)
+        if math.isinf(lo * hi):
+            raise OverflowError
     except OverflowError as exc:
         raise PreconditionError(f"radius {radius!r} to the power -{k} leaves the float range") from exc
     out = np.empty(dim, dtype=np.complex128)
     for j in range(dim):
-        out[j] = complex(math.fsum(re_terms[:, j]) * scale, math.fsum(im_terms[:, j]) * scale)
+        out[j] = complex(math.fsum(re_terms[:, j]) * lo * hi / nodes, math.fsum(im_terms[:, j]) * lo * hi / nodes)
     return CVector(out)
 
 

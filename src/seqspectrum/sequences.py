@@ -20,7 +20,7 @@ import numpy as np
 from .errors import PreconditionError
 from .eigen import _circular_runs, _power_verdict, spectrum_info
 from .linalg import CMatrix, CVector, _as_complex_array, _batched_spectral_norms, _pow2_scaled, _power_stack, _row_norms
-from .trend import is_bounded, least_squares_slope
+from .trend import _log_log_slope, is_bounded
 
 DEFAULT_HORIZON = 16384
 DEFAULT_GRID_SIZE = 4096
@@ -224,10 +224,8 @@ def _stats_of_norms(norms: np.ndarray, window_start: int) -> TailStats:
     if not 0 <= window_start < norms.shape[0]:
         raise PreconditionError(f"window_start {window_start} outside [0, {norms.shape[0]})")
     window = norms[window_start:]
-    # indices offset by one so n = 0 stays out of the log fit
-    idx = np.arange(window_start, norms.shape[0], dtype=np.float64) + 1.0
     with np.errstate(divide="ignore"):
-        slope = least_squares_slope(np.log(idx), np.log(window))
+        slope = _log_log_slope(np.log(window), window_start)
     return TailStats(window_start, float(window.max()), slope)
 
 

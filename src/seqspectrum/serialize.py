@@ -14,6 +14,10 @@ which wire dicts hold as it is and :func:`dumps_report` lists; one
 ``json.dumps`` pass whose hook, :func:`json_default`, converts one level
 at a time.  The decoder takes JSON ints, floats and bools, no list empty
 or ragged, every value finite, and keeps each float's bits.
+
+Every integer field (``d``, ``p``, ``seed``, ``horizon``) has one check,
+:func:`_parse_int`, which takes JSON integers only: ``true`` and
+``false`` read as 1 and 0 in a pair, but not there.
 """
 
 import csv
@@ -81,22 +85,19 @@ def matrix_to_json(a: CMatrix) -> dict:
     return {"d": a.dim, "entries": cnum_array(a.data.reshape(-1))}
 
 
-def _parse_dim(d, what: str) -> int:
-    if not isinstance(d, int) or not 1 <= d <= MAX_DIM:
-        raise ParseError(f"{what}: 'd' must be an integer in [1, {MAX_DIM}], got {d!r}")
-    return d
-
-
-def _parse_seed(seed, what: str) -> int:
-    if not isinstance(seed, int) or seed < 0:
-        raise ParseError(f"{what}: 'seed' must be a non-negative integer, got {seed!r}")
-    return seed
+def _parse_int(value, key: str, lo: int, hi: float, what: str) -> int:
+    """The integer field ``key`` of ``what`` when it lies in [lo, hi] (hi
+    is ``np.inf`` for no upper end).  ``type(value) is int`` turns away
+    JSON true and false, which Python counts as the ints 1 and 0."""
+    if type(value) is not int or not lo <= value <= hi:
+        raise ParseError(f"{what}: {key!r} must be an integer in [{lo}, {hi}], got {value!r}")
+    return value
 
 
 def parse_matrix(obj, what: str = "matrix") -> CMatrix:
     if not isinstance(obj, dict):
         raise ParseError(f"{what} must be an object with 'd' and 'entries'")
-    d = _parse_dim(obj.get("d"), what)
+    d = _parse_int(obj.get("d"), "d", 1, MAX_DIM, what)
     entries = parse_cnum_array(obj.get("entries"), f"{what} entries", 1)
     if len(entries) != d * d:
         raise ParseError(f"{what}: 'entries' must list d*d = {d * d} pairs")
@@ -121,7 +122,7 @@ def parse_forcing(obj, what: str = "forcing") -> ForcingSpec:
             direction = obj.get("direction")
             if direction is not None:
                 direction = parse_cnum_array(direction, f"{what} direction", 1)
-            seed = _parse_seed(obj.get("seed", 0), what)
+            seed = _parse_int(obj.get("seed", 0), "seed", 0, np.inf, what)
             return ForcingSpec(kind, None if kind == "log_decay" else float(param), direction, seed=seed)
     # ForcingSpec's own checks, and float() of an int past the float range
     except (PreconditionError, OverflowError) as exc:
@@ -142,12 +143,6 @@ def forcing_to_json(f: ForcingSpec) -> dict:
     return out
 
 
-def _parse_horizon(horizon, what: str) -> int:
-    if not isinstance(horizon, int) or not MIN_HORIZON <= horizon <= MAX_HORIZON:
-        raise ParseError(f"{what}: 'horizon' must be an integer in [{MIN_HORIZON}, {MAX_HORIZON}]")
-    return horizon
-
-
 def parse_system(obj, what: str = "system") -> tuple[DelaySystem, int]:
     if not isinstance(obj, dict):
         raise ParseError(f"{what} must be an object")
@@ -155,12 +150,10 @@ def parse_system(obj, what: str = "system") -> tuple[DelaySystem, int]:
         if key not in obj:
             raise ParseError(f"{what} is missing {key!r}")
     b = parse_matrix(obj["B"], f"{what}.B")
-    p = obj.get("p", 1)
-    if not isinstance(p, int) or p < 1:
-        raise ParseError(f"{what}: 'p' must be a positive integer")
+    p = _parse_int(obj.get("p", 1), "p", 1, np.inf, what)
     initial = parse_cnum_array(obj["initial"], f"{what} initial vectors", 2)
     forcing = parse_forcing(obj.get("forcing"), f"{what}.forcing")
-    horizon = _parse_horizon(obj["horizon"], what)
+    horizon = _parse_int(obj["horizon"], "horizon", MIN_HORIZON, MAX_HORIZON, what)
     try:
         system = DelaySystem(b, p, initial, forcing)
     except PreconditionError as exc:
@@ -213,7 +206,7 @@ def parse_sequence(obj, what: str = "sequence") -> BoundedSeq:
         raise ParseError(f"{what} must be an object with a 'kind'")
     kind = obj["kind"]
     if kind in ("materialized", "custom_table"):
-        d = _parse_dim(obj.get("d"), what)
+        d = _parse_int(obj.get("d"), "d", 1, MAX_DIM, what)
         rows = parse_cnum_array(obj.get("values"), f"{what} values", 2)
         if rows.shape[0] < MIN_HORIZON or rows.shape[1] != d:
             raise ParseError(f"{what}: 'values' must list at least {MIN_HORIZON} vectors of dimension d = {d}")
@@ -228,9 +221,9 @@ def parse_sequence(obj, what: str = "sequence") -> BoundedSeq:
                 raise ParseError(f"{what}: each mode needs 'theta' and 'v'")
             theta = complex(parse_cnum_array(m["theta"], f"{what} mode theta", 0))
             modes.append((theta, parse_cnum_array(m["v"], f"{what} mode v", 1)))
-        horizon = _parse_horizon(obj.get("horizon"), what)
-        seed = _parse_seed(obj.get("seed", 0), what)
-        dim = _parse_dim(obj.get("d") if not modes else len(modes[0][1]), what)
+        horizon = _parse_int(obj.get("horizon"), "horizon", MIN_HORIZON, MAX_HORIZON, what)
+        seed = _parse_int(obj.get("seed", 0), "seed", 0, np.inf, what)
+        dim = _parse_int(obj.get("d") if not modes else len(modes[0][1]), "d", 1, MAX_DIM, what)
         try:
             decay_obj = obj.get("decay")
             decay = None

@@ -1,10 +1,12 @@
 """Trend fitting for norm sequences.
 
 A single least-squares slope serves every fit in the package: ln of
-the norm against ln of the index for the growth classifier and the tail
-statistics, and ln of the resolvent norm against -ln of the radius for
-the pole-order probe.  The growth classifier always fits the last half
-of the range.  Classification thresholds are heuristics: |slope| below
+the resolvent norm against -ln of the radius for the pole-order probe,
+and one log-log fit, :func:`_log_log_slope`, of a window of ln-norms
+against ln of the 1-based index under both the growth classifier and
+the tail statistics.  Both take logs the same way, -inf at a zero norm,
+which stays out of the fit.  The growth classifier always fits the last
+half of the range, the tail statistics the window their caller names.  Classification thresholds are heuristics: |slope| below
 0.05 reads as bounded, a slope above 3 on the fitted window can no
 longer be explained by a polynomial of the dimensions this package
 handles and is flagged as exponential.
@@ -46,6 +48,14 @@ def least_squares_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(x * (y - y.mean())) / denom)
 
 
+def _log_log_slope(window_logs: np.ndarray, start: int) -> float:
+    """Slope of ``window_logs`` (ln-norms at indices start, start + 1, ...)
+    against ln of the 1-based index start + 1, start + 2, ...; indices
+    offset by one keep n = 0 out of the log fit."""
+    idx = np.arange(start + 1, start + window_logs.shape[0] + 1, dtype=np.float64)
+    return least_squares_slope(np.log(idx), window_logs)
+
+
 def classify_from_logs(log_norms: np.ndarray) -> str:
     """Classify growth from ln-norm samples over the last half of the range.
 
@@ -54,15 +64,13 @@ def classify_from_logs(log_norms: np.ndarray) -> str:
     window runs from index n // 2 to n, for n samples.
     """
     logs = np.asarray(log_norms, dtype=float)
-    n = logs.shape[0]
-    start = max(0, n // 2 - 1)
+    start = max(0, logs.shape[0] // 2 - 1)
     window = logs[start:]
-    indices = np.arange(start + 1, n + 1, dtype=float)
     if window.size == 0:
         return GROWTH_BOUNDED
     if not np.isfinite(window).any():
         return GROWTH_DECAYING
-    slope = least_squares_slope(np.log(indices), window)
+    slope = _log_log_slope(window, start)
     if slope >= _SLOPE_EXPONENTIAL:
         return GROWTH_EXPONENTIAL
     if slope >= _SLOPE_FLAT:
@@ -74,7 +82,5 @@ def classify_from_logs(log_norms: np.ndarray) -> str:
 
 def classify_growth(norms: np.ndarray) -> str:
     """Classify a norm sequence; see :func:`classify_from_logs`."""
-    norms = np.asarray(norms, dtype=float)
     with np.errstate(divide="ignore"):
-        logs = np.where(norms > 0.0, np.log(np.maximum(norms, 1e-300)), -np.inf)
-    return classify_from_logs(logs)
+        return classify_from_logs(np.log(np.asarray(norms, dtype=float)))

@@ -463,6 +463,13 @@ def test_non_finite_decay_parameters_exit_parse_error(tmp_path, capsys, command,
     _assert_parse_error(capsys, main([command, path]))
 
 
+@pytest.mark.parametrize(
+    "command, obj", [("gelfand", {"d": True, "entries": [[1, 0]]}), ("spectrum-scan", _descriptor(modes=[], d=True))]
+)
+def test_a_boolean_dimension_exits_parse_error(tmp_path, capsys, command, obj):
+    _assert_parse_error(capsys, main([command, write_json(tmp_path / "in.json", obj)]))
+
+
 OVERSIZED_HORIZONS = [10**400, 2**40, MAX_HORIZON + 1]
 
 

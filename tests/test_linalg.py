@@ -336,6 +336,14 @@ def test_mat_power_seq_rescales_large_powers():
     np.testing.assert_allclose(logs, n * math.log(3.0), rtol=1e-12, atol=0.0)
 
 
+def test_mat_power_seq_rescales_a_matrix_past_the_window():
+    # A @ A of entries 1.5e308 overflows; the loop runs on A / 1.5e308
+    # and adds ln 1.5e308 at each step
+    logs = mat_power_seq(CMatrix(np.full((2, 2), 1.5e308)), 4)
+    n = np.arange(1, 5)
+    np.testing.assert_allclose(logs, n * (math.log(1.5e308) + math.log(2.0)), rtol=1e-15)
+
+
 def test_mat_power_seq_nilpotent():
     logs = mat_power_seq(CMatrix([[0.0, 1.0], [0.0, 0.0]]), 8)
     assert logs.shape == (8,)

@@ -164,6 +164,20 @@ def test_cauchy_respects_radius_scaling():
     assert abs(got.data[0] - 1.0) <= 1e-13
 
 
+def test_cauchy_scale_keeps_full_precision_below_the_normal_range():
+    # c_1030 = 1e-300 of (s z)^1030: radius^-1030 / 1031 as one factor is
+    # subnormal at radius 2, which cost two orders of accuracy (1.5e-11);
+    # 1.04e-13 at either radius is the rounding of the oracle's own powers
+    k = 1030
+    s = 10.0 ** (-300 / k)
+    for radius in (1.0, 2.0):
+        got = cauchy_coefficient(lambda z: np.array([(s * z) ** k]), k, radius=radius, nodes=k + 1)
+        assert abs(got.data[0] - s**k) <= 2e-13 * s**k
+    # each half of radius^-7 is a float, but radius^-7 is not: z^7 is 0 there
+    with pytest.raises(PreconditionError, match="leaves the float range"):
+        cauchy_coefficient(lambda z: np.array([z**7]), 7, radius=1e-50, nodes=16)
+
+
 def test_cauchy_node_validation():
     with pytest.raises(PreconditionError):
         cauchy_coefficient(lambda z: np.array([1.0]), 0, radius=1.0, nodes=2)

@@ -179,11 +179,36 @@ def test_parameters_past_the_float_range_are_parse_errors():
 
 def test_seeds_must_be_non_negative_integers():
     desc = {"kind": "modes_plus_decay", "modes": [], "d": 1, "horizon": 16, "decay": {"type": "geometric", "param": 0.5}}
-    for seed in (-1, 1.5, "3"):
-        with pytest.raises(ParseError, match="'seed' must be a non-negative integer"):
+    for seed in (-1, 1.5, "3", True):
+        with pytest.raises(ParseError, match=r"'seed' must be an integer in \[0, inf\]"):
             parse_sequence({**desc, "seed": seed})
-        with pytest.raises(ParseError, match="'seed' must be a non-negative integer"):
+        with pytest.raises(ParseError, match=r"'seed' must be an integer in \[0, inf\]"):
             parse_forcing({"kind": "power", "param": 2.0, "seed": seed})
+
+
+_ONE_PAIR_ROWS = [[[1, 0]]] * 16
+_BARE_DESCRIPTOR = {"kind": "modes_plus_decay", "modes": [], "d": 1, "horizon": 16}
+_BARE_SYSTEM = {"B": {"d": 1, "entries": [[0.5, 0]]}, "initial": [[[1, 0]]], "horizon": 16}
+
+
+@pytest.mark.parametrize(
+    "parse, obj, key",
+    [
+        (parse_matrix, {"d": True, "entries": [[1, 0]]}, "d"),
+        (parse_sequence, {"kind": "materialized", "d": True, "values": _ONE_PAIR_ROWS}, "d"),
+        (parse_sequence, {**_BARE_DESCRIPTOR, "d": True}, "d"),
+        (parse_sequence, {**_BARE_DESCRIPTOR, "seed": True}, "seed"),
+        (parse_sequence, {**_BARE_DESCRIPTOR, "horizon": True}, "horizon"),
+        (parse_system, {**_BARE_SYSTEM, "p": True}, "p"),
+        (parse_system, {**_BARE_SYSTEM, "horizon": True}, "horizon"),
+        (parse_forcing, {"kind": "power", "param": 2.0, "seed": True}, "seed"),
+    ],
+)
+def test_integer_fields_reject_json_booleans(parse, obj, key):
+    # Python counts True as the int 1; on the wire it is not an integer
+    with pytest.raises(ParseError, match=f"'{key}' must be an integer"):
+        parse(obj)
+
 
 def test_parse_sequence_unknown_kind():
     with pytest.raises(ParseError):
@@ -378,6 +403,8 @@ WIRE_EMITTERS = {
 @example(NON_FINITE_PARAM_INPUTS[1])
 @example(NON_FINITE_PARAM_INPUTS[2])
 @example(NON_FINITE_PARAM_INPUTS[3])
+@example({"d": True, "entries": [[1, 0]]})
+@example({"kind": "modes_plus_decay", "modes": [], "d": True, "horizon": 16})
 def test_parsers_raise_only_parse_error(obj):
     """Each parser raises ParseError or returns an object whose wire form
     is strict JSON: whatever is accepted can be emitted again."""

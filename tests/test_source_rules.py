@@ -58,6 +58,18 @@ def test_plain_vector_norms_run_only_where_allowed():
     assert offenders == []
 
 
+def test_one_least_squares_fit_serves_every_slope():
+    # the log-log fit of norms against the index is trend._log_log_slope
+    callers = sorted(
+        f"{path.name}: {top.name}"
+        for path in SOURCES
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "least_squares_slope"
+    )
+    assert callers == ["resolvent.py: pole_order_probe", "trend.py: _log_log_slope"]
+
+
 def _unused_imports(tree):
     """(line, name) for every name a module imports but never reads."""
     imported = {}
