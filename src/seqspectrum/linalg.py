@@ -253,13 +253,13 @@ def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
     the bound by at most 64 d eps / m relative: 3.6e-15 at d = 64 and
     m = 256, under ``_NORM_RTOL``.
 
-    A matrix whose Frobenius norm is 0 or inf (entries below about
-    1e-162 or above about 1e154) is first scaled, in a copy of the stack,
-    by the power of two that brings its largest real or imaginary part
-    into [0.5, 1), exactly even for subnormal entries, and its norm is
-    scaled back; a zero matrix is closed at 0, a matrix with a NaN or inf
-    entry at inf, and every other matrix keeps the bits of an unscaled
-    run.  See Golub & Van Loan, sections 7.3 and 8.2.
+    A zero matrix is closed at 0 as it stands.  Any other matrix whose
+    Frobenius norm is 0 or inf (entries below about 1e-162 or above about
+    1e154) is first scaled, in a copy of the stack, by the power of two
+    that brings its largest real or imaginary part into [0.5, 1), exactly
+    even for subnormal entries, and its norm is scaled back; a matrix with
+    a NaN or inf entry is closed at inf, and every other matrix keeps the
+    bits of an unscaled run.  See Golub & Van Loan, sections 7.3 and 8.2.
 
     Raises ConvergenceError, with the widest open bracket in its payload,
     when a bracket is still open after ``_MAX_SQUARINGS`` squarings.  The
@@ -273,6 +273,7 @@ def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
     out = np.zeros(s)
     exps = np.zeros(s, dtype=int)  # each norm is out * 2**exps
     odd = np.flatnonzero(~((scale > 0.0) & (scale < np.inf)))
+    odd = odd[[mats[i].any() for i in odd]]  # a zero matrix is closed at 0 as it stands
     if odd.size:
         mats = mats.copy()
         mats[odd], exps[odd] = _pow2_scaled(mats[odd])
@@ -282,13 +283,20 @@ def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
         out[bad], mats[bad] = np.inf, 0.0
         scale[odd] = np.linalg.norm(mats[odd].reshape(odd.size, d * d), axis=1)
     idx = np.flatnonzero(scale > 0.0)  # matrices whose bracket is still open
-    live = mats if idx.size == s else mats[idx]
     # conj(A)/|A| times A, then /|A|: the Gram stack with at most two
     # stack-sized arrays alive and no entry above |A|, so nothing overflows.
+    # While most matrices are open it is formed on the whole stack (a
+    # closed matrix is zero, divided by 1) and then selected, so no copy
+    # of the open matrices is held beside it.
+    rows = idx if 2 * idx.size <= s else slice(None)
+    live = mats[rows]
+    unit = np.where(scale > 0.0, scale, 1.0)[rows, None, None]
     gram = np.conjugate(live)
-    gram /= scale[idx, None, None]
+    gram /= unit
     gram = np.matmul(gram.swapaxes(1, 2), live)
-    gram /= scale[idx, None, None]
+    gram /= unit
+    if len(gram) > idx.size:
+        gram = gram[idx]
     log_top = np.zeros(idx.size)  # ln tr(G^m) / m, an upper bound on ln of the top eigenvalue
     vecs = np.zeros((s, d), dtype=np.complex128)
     for k in range(_MAX_SQUARINGS + 1):

@@ -10,10 +10,13 @@ or ValueError.
 
 Pairs have one encoder, :func:`cnum_array`, and one decoder,
 :func:`parse_cnum_array`.  The encoder gives the float64 pair array,
-which wire dicts hold as it is and :func:`dumps_report` lists; one
-``json.dumps`` pass whose hook, :func:`json_default`, converts one level
-at a time.  The decoder takes JSON ints, floats and bools, no list empty
-or ragged, every value finite, and keeps each float's bits.
+which wire dicts hold as it is.  :func:`dumps_report` writes a report
+in one indented ``json.dumps`` pass whose hook, :func:`json_default`,
+converts one level at a time; each float64 array leaves that pass as a
+placeholder and comes back as one ``%r`` template of its shape, filled
+with all its values at once.  The decoder takes JSON ints, floats and
+bools, no list empty or ragged, every value finite, and keeps each
+float's bits.
 
 Every integer field (``d``, ``p``, ``seed``, ``horizon``) has one check,
 :func:`_parse_int`, which takes JSON integers only: ``true`` and
@@ -90,7 +93,11 @@ def _parse_int(value, key: str, lo: int, hi: float, what: str) -> int:
     is ``np.inf`` for no upper end).  ``type(value) is int`` turns away
     JSON true and false, which Python counts as the ints 1 and 0."""
     if type(value) is not int or not lo <= value <= hi:
-        raise ParseError(f"{what}: {key!r} must be an integer in [{lo}, {hi}], got {value!r}")
+        try:
+            got = repr(value)
+        except ValueError:  # str() of an int past the interpreter's digit limit, alone or in a list
+            got = f"an int of {value.bit_length()} bits" if type(value) is int else f"a {type(value).__name__}"
+        raise ParseError(f"{what}: {key!r} must be an integer in [{lo}, {hi}], got {got}")
     return value
 
 
@@ -275,9 +282,10 @@ _PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
 def dumps_report(obj) -> str:
     """Deterministic JSON text: sorted keys, two-space indent, one
     trailing newline.  Each float64 array is a placeholder string here,
-    then spliced back as json's C-encoded compact text indented by
-    replacement: every float sits ``ndim`` lists deep, so the separator
-    "]" * c + ", " + "[" * c between two floats closes c lists."""
+    then spliced back in one formatting pass: a ``%r`` template of the
+    array's shape, built from the innermost axis out by repeating the
+    inner template, takes every value at once.  ``%r`` of a float is the
+    repr json writes for a finite float; inf and nan are renamed after."""
     blocks = []
 
     def default(o):
@@ -288,15 +296,14 @@ def dumps_report(obj) -> str:
 
     def splice(m: re.Match) -> str:
         a = blocks[int(m.group(1))]
-        k = a.ndim
         line = m.string[m.string.rfind("\n", 0, m.start()) + 1 : m.start()]
-        nl = ["\n" + " " * (len(line) - len(line.lstrip(" ")) + 2 * j) for j in range(k + 1)]
-        close = ["".join(nl[j] + "]" for j in reversed(range(k - c, k))) for c in range(k + 1)]
-        open_ = ["".join("[" + nl[j + 1] for j in range(k - c, k)) for c in range(k + 1)]
-        text = json.dumps(a.tolist())
-        for c in range(k - 1, -1, -1):
-            text = text.replace("]" * c + ", " + "[" * c, close[c] + "," + nl[k - c] + open_[c])
-        return open_[k] + text[k : len(text) - k] + close[k]
+        nl = ["\n" + " " * (len(line) - len(line.lstrip(" ")) + 2 * j) for j in range(a.ndim + 1)]
+        text = "%r"
+        for j in reversed(range(a.ndim)):
+            text = "[" + nl[j + 1] + ("," + nl[j + 1]).join([text] * a.shape[j]) + nl[j] + "]"
+        text %= tuple(a.ravel().tolist())
+        # no finite repr holds these letters
+        return text if np.isfinite(a).all() else text.replace("inf", "Infinity").replace("nan", "NaN")
 
     text = json.dumps(obj, sort_keys=True, indent=2, default=default)
     if sorted(int(i) for i in _PLACEHOLDER.findall(text)) != list(range(len(blocks))):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -317,6 +318,38 @@ def test_rescaled_matrices_leave_the_rest_of_the_stack_bitwise():
     assert norms[2] == 0.0
     want = np.linalg.svd(mixed[[3, 6]], compute_uv=False)[:, 0]
     np.testing.assert_allclose(norms[[3, 6]], want, rtol=1e-14)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_zero_matrices_leave_the_rest_of_the_stack_bitwise(seed):
+    # a few zero matrices, then mostly zero ones; odd seeds add a NaN and a rescaled matrix
+    rng = np.random.default_rng(seed)
+    d, s = 2 + seed, 12
+    plain = rng.standard_normal((s, d, d)) + 1j * rng.standard_normal((s, d, d))
+    zero = rng.random(s) < (0.2 if seed < 3 else 0.8)
+    mixed = np.where(zero[:, None, None], 0.0, plain)
+    if seed % 2:
+        mixed = np.concatenate([mixed, np.full((1, d, d), np.nan), 1e-200 * plain[:1]])
+    norms = linalg._batched_spectral_norms(mixed)
+    np.testing.assert_array_equal(norms[:s][~zero], linalg._batched_spectral_norms(plain[~zero]))
+    assert not norms[:s][zero].any()
+
+
+def _kernel_peak(stack):
+    tracemalloc.start()
+    try:
+        linalg._batched_spectral_norms(stack)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_zero_matrix_does_not_copy_the_stack():
+    rng = np.random.default_rng(4)
+    plain = rng.standard_normal((512, 64, 64)) + 1j * rng.standard_normal((512, 64, 64))
+    zeroed = plain.copy()
+    zeroed[-1] = 0.0
+    assert _kernel_peak(zeroed) <= _kernel_peak(plain) + plain[0].nbytes
 
 
 def test_mat_power_seq_diagonal_decay():

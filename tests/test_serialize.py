@@ -210,6 +210,21 @@ def test_integer_fields_reject_json_booleans(parse, obj, key):
         parse(obj)
 
 
+@pytest.mark.parametrize(
+    "parse, obj, got",
+    [
+        (parse_matrix, {"d": 10**5000, "entries": [[1, 0]]}, "an int of 16610 bits"),
+        (parse_sequence, {**_BARE_DESCRIPTOR, "seed": -(10**5000)}, "an int of 16610 bits"),
+        (parse_system, {**_BARE_SYSTEM, "p": -(10**5000)}, "an int of 16610 bits"),
+        (parse_matrix, {"d": [10**5000], "entries": [[1, 0]]}, "a list"),
+    ],
+)
+def test_integer_fields_past_the_digit_limit_are_parse_errors(parse, obj, got):
+    # repr of an int past 4,300 digits raises ValueError, so the message gives its bit length
+    with pytest.raises(ParseError, match=f"got {got}$"):
+        parse(obj)
+
+
 def test_parse_sequence_unknown_kind():
     with pytest.raises(ParseError):
         parse_sequence({"kind": "mystery"})
@@ -493,6 +508,21 @@ report_objects = st.recursive(
 
 @given(report_objects)
 def test_dumps_report_matches_the_indented_encoder(obj):
+    assert dumps_report(obj) == json.dumps(helpers.jsonable_oracle(obj), sort_keys=True, indent=2) + "\n"
+
+
+def test_dumps_report_matches_the_indented_encoder_on_large_blocks():
+    # the example above stops at 4 per side; a trajectory-sized block
+    # repeats each level of the template thousands of times
+    rng = np.random.default_rng(20)
+    blocks = {}
+    for shape in [(16384, 4, 2), (257,), (33, 3)]:
+        flat = rng.standard_normal(shape).ravel()
+        n = len(AWKWARD_FLOATS)
+        for start in (0, flat.size // 2, flat.size - n):  # first, middle and last positions
+            flat[start : start + n] = AWKWARD_FLOATS
+        blocks[str(len(shape))] = flat.reshape(shape)
+    obj = {"top": blocks, "nested": [{"deeper": [blocks]}]}  # two base indents per block
     assert dumps_report(obj) == json.dumps(helpers.jsonable_oracle(obj), sort_keys=True, indent=2) + "\n"
 
 

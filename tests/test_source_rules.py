@@ -70,6 +70,18 @@ def test_one_least_squares_fit_serves_every_slope():
     assert callers == ["resolvent.py: pole_order_probe", "trend.py: _log_log_slope"]
 
 
+def test_json_encoder_runs_once_per_report():
+    # float blocks are spliced in as %r templates, never by an encoder pass of their own
+    callers = sorted(
+        f"{path.name}: {top.name}"
+        for path in SOURCES
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("json.dumps", "dumps")
+    )
+    assert callers == ["cli.py: main", "serialize.py: dumps_report"]
+
+
 def _unused_imports(tree):
     """(line, name) for every name a module imports but never reads."""
     imported = {}
