@@ -5,10 +5,10 @@ operator norm is the spectral 2-norm throughout the package, computed by
 one kernel that squares the Gram matrix until a two-sided bound closes,
 so every norm it returns is certified and every run is reproducible.
 The kernel takes a stack of any size, empty included, and entries of
-any finite magnitude, subnormal ones too: a matrix whose Frobenius norm
-under- or overflows is rescaled by an exact power of two first.
-Every Euclidean norm of caller data goes through ``_row_norms``, which
-rescales the same way each row whose plain norm under- or overflows.
+any finite magnitude, subnormal ones too.  Every Euclidean norm of
+caller data goes through ``_row_norms``.  These, the matrix powers and
+the spectrum scan keep magnitudes in range by one rule: ``_pow2_scaled``
+scales by an exact power of two, ``_pow2_unscaled`` undoes it.
 Every linear solve goes through one elimination kernel, ``_solve_array``:
 a (s, d, d) stack in, with a right-hand side broadcasting to (s, d, k),
 and ``(x, ok)`` out, ``ok`` masking the zero matrices, those with a
@@ -169,6 +169,18 @@ def _pow2_scaled(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(parts, -exps.reshape((-1,) + (1,) * (arr.ndim - 1))).view(np.complex128), exps
 
 
+def _pow2_unscaled(arr, exps):
+    """The inverse of :func:`_pow2_scaled`: each ``arr[i]`` of a real or
+    complex array or numpy scalar times 2^exps[i], a scalar exponent
+    scaling all of ``arr``; inf past the float range, with no warning, and
+    ``arr`` itself when every exponent is 0."""
+    exps = np.asarray(exps)
+    if not exps.any():
+        return arr
+    with np.errstate(over="ignore"):
+        return np.ldexp(arr.view(np.float64), exps.reshape(exps.shape + (1,) * (arr.ndim - exps.ndim))).view(arr.dtype)
+
+
 def _row_norms(arr: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a complex (N, d) array.
 
@@ -182,8 +194,7 @@ def _row_norms(arr: np.ndarray) -> np.ndarray:
     fix = fix[arr[fix].any(axis=1)]  # a zero row's plain norm is exact
     if fix.size:
         scaled, exps = _pow2_scaled(arr[fix])
-        with np.errstate(over="ignore"):  # a norm past the float range is inf
-            norms[fix] = np.ldexp(np.linalg.norm(scaled, axis=1), exps)
+        norms[fix] = _pow2_unscaled(np.linalg.norm(scaled, axis=1), exps)
     return norms
 
 
@@ -255,11 +266,10 @@ def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
 
     A zero matrix is closed at 0 as it stands.  Any other matrix whose
     Frobenius norm is 0 or inf (entries below about 1e-162 or above about
-    1e154) is first scaled, in a copy of the stack, by the power of two
-    that brings its largest real or imaginary part into [0.5, 1), exactly
-    even for subnormal entries, and its norm is scaled back; a matrix with
-    a NaN or inf entry is closed at inf, and every other matrix keeps the
-    bits of an unscaled run.  See Golub & Van Loan, sections 7.3 and 8.2.
+    1e154) is first scaled by :func:`_pow2_scaled`, in a copy of the
+    stack, and its norm scaled back by :func:`_pow2_unscaled`; a matrix
+    with a NaN or inf entry is closed at inf, and every other matrix keeps
+    the bits of an unscaled run.  See Golub & Van Loan, sections 7.3 and 8.2.
 
     Raises ConvergenceError, with the widest open bracket in its payload,
     when a bracket is still open after ``_MAX_SQUARINGS`` squarings.  The
@@ -321,16 +331,14 @@ def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
             done = upper - lower <= _NORM_RTOL * lower
         out[idx[done]] = scale[idx[done]] * lower[done]
         if done.all():
-            with np.errstate(over="ignore"):  # a norm past the float range is inf
-                return np.ldexp(out, exps)
+            return _pow2_unscaled(out, exps)
         vecs[idx[done]] = 0.0
         keep = ~done
         idx, gram, log_top = idx[keep], gram[keep], log_top[keep]
     lower, upper = lower[keep], upper[keep]
     worst = int(np.argmax((upper - lower) / lower))
     i = int(idx[worst])
-    with np.errstate(over="ignore"):
-        lo, hi = np.ldexp(scale[i] * np.array([lower[worst], upper[worst]]), exps[i])
+    lo, hi = _pow2_unscaled(scale[i] * np.array([lower[worst], upper[worst]]), exps[i])
     raise ConvergenceError(
         f"spectral norm bracket open after {_MAX_SQUARINGS} squarings for "
         f"{idx.size} of {s} matrices",
@@ -396,49 +404,42 @@ def _hermitian_2x2(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> tuple[np.ndar
 
 
 def _power_stack(arr: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(logs, powers, scales)`` of A^n, n = 1..n_max: the one loop that
+    """``(logs, powers, exps)`` of A^n, n = 1..n_max: the one loop that
     forms matrix powers, called once by each of ``mat_power_seq``,
     ``power_bounded_probe``, ``gelfand_radius_estimate``, ``ktz_check``
     and ``resolvent_neumann``.
 
-    Maintains P_n = A^n / c_n, dividing by the largest entry a whenever
-    that leaves [1e-100, 1e100]; c_n is the running product of those a,
-    1 until the first, and P_n is then A^n bit for bit (c_n is kept apart
-    from e^(s_n) below, which is off by about |s_n| eps).  An A whose
-    largest entry a_0 exceeds 1e100 is divided by a_0 once before the
-    loop, so no product overflows, and each step multiplies c_n by a_0;
-    any other A runs as it is, with a step factor of 1.  ``powers`` and
-    ``scales`` are P_n and c_n up to the first zero power.  ``logs[n - 1]``
-    is ln ||P_n|| + s_n, s_n the running sum of ln a, finite where c_n
-    overflows and -inf from the first zero power on; the stack's norms are
-    one call of the batched norm kernel.
+    Maintains P_n = A^n 2^-e_n, scaled by :func:`_pow2_scaled` whenever
+    its largest real or imaginary part leaves [1e-100, 1e100], as A is
+    once before the loop when its own exceeds 1e100.  Every scaling is
+    exact, so ``_pow2_unscaled(powers, exps)`` is A^n bit for bit wherever
+    A^n and its products stay normal.  ``powers`` and the int64 ``exps``
+    run up to the first zero power.  ``logs[n - 1]`` is ln ||P_n|| +
+    e_n ln 2, finite where A^n overflows and -inf from the first zero
+    power on; the stack's norms are one batched norm kernel call.
     """
     powers = np.empty((n_max,) + arr.shape, dtype=np.complex128)
-    log_scales, scales = np.zeros(n_max), np.ones(n_max)
-    step_log, step = 0.0, 1.0
-    amax = float(np.max(np.abs(arr)))
-    if amax > _POWER_RESCALE_HI:
-        step_log, step, arr = float(np.log(amax)), amax, arr / amax
-    p = arr
-    log_scale, scale = 0.0, 1.0
+    exps = np.zeros(n_max, dtype=np.int64)
+    step = 0
+    if np.abs(arr.view(np.float64)).max() > _POWER_RESCALE_HI:
+        (arr,), (step,) = _pow2_scaled(arr[None])
+    p, e = arr, np.int64(0)  # no n_max overflows an int64 exponent
     for n in range(n_max):
         if n:
             p = arr @ p
-        log_scale += step_log
-        scale *= step
-        amax = float(np.max(np.abs(p)))
+        e += step
+        amax = np.abs(p.view(np.float64)).max()
         if amax == 0.0:
             # a copy, so the rows past a nilpotent matrix's index are freed
-            powers, log_scales, scales = powers[:n].copy(), log_scales[:n], scales[:n]
+            powers, exps = powers[:n].copy(), exps[:n]
             break
         if not _POWER_RESCALE_LO <= amax <= _POWER_RESCALE_HI:
-            p = p / amax
-            log_scale += float(np.log(amax))
-            scale *= amax  # inf past the float range, where c_n P_n overflows too
-        powers[n], log_scales[n], scales[n] = p, log_scale, scale
+            (p,), (k,) = _pow2_scaled(p[None])
+            e += k
+        powers[n], exps[n] = p, e
     logs = np.full(n_max, -np.inf)
-    logs[: len(powers)] = np.log(_batched_spectral_norms(powers)) + log_scales
-    return logs, powers, scales
+    logs[: len(powers)] = np.log(_batched_spectral_norms(powers)) + exps * np.log(2.0)
+    return logs, powers, exps
 
 
 def mat_power_seq(a: CMatrix, n_max: int) -> np.ndarray:

@@ -2,13 +2,13 @@
 unit-circle pole probing.
 
 The resolvent (lambda I - A)^-1 is computed by direct solve and, for
-|lambda| beyond the spectral radius, by the truncated series
-sum A^n / lambda^(n+1), whose terms come from the rescaled powers of
-A / lambda that ``linalg._power_stack`` forms.  Coefficient recovery
-integrates an analytic vector-valued function over a circle with the
-trapezoidal rule, which is exact for truncated power series of low
-degree relative to the node count.  Grid scans flag spectral hits instead of failing: sweeping
-across the unit circle necessarily grazes the spectrum.
+|lambda| beyond the spectral radius, by the truncated series sum
+A^n / lambda^(n+1) over the powers of A / lambda from ``_power_stack``.
+Coefficient recovery integrates an analytic vector-valued function over
+a circle with the trapezoidal rule, which is exact for truncated power
+series of low degree relative to the node count.  Grid scans flag
+spectral hits instead of failing: sweeping across the unit circle
+necessarily grazes the spectrum.
 """
 
 import math
@@ -22,6 +22,7 @@ from .linalg import (
     CMatrix,
     CVector,
     _batched_spectral_norms,
+    _pow2_unscaled,
     _power_stack,
     _solve_array,
     require_unitary,
@@ -92,7 +93,7 @@ def resolvent_neumann(a: CMatrix, lam: complex, k_max: int) -> NeumannResult:
         raise PreconditionError("lambda must be nonzero")
     # an A / lambda or a power past the float range gives inf or NaN logs, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        logs, powers, scales = _power_stack(a.data / lam, k_max)
+        logs, powers, exps = _power_stack(a.data / lam, k_max)
     logs = np.concatenate([[0.0], logs])  # ln ||(A / lambda)^n||, n = 0..k_max; the n-th term is that over |lambda|
     if not np.max(logs) - math.log(abs(lam)) <= math.log(_SERIES_LIMIT):
         raise DivergenceError(
@@ -107,7 +108,7 @@ def resolvent_neumann(a: CMatrix, lam: complex, k_max: int) -> NeumannResult:
             "|lambda| does not exceed the spectral radius"
         )
     # the terms past the first zero power are zero and left out
-    terms = np.concatenate([np.eye(a.dim)[None], powers * scales[:, None, None]]) / lam
+    terms = np.concatenate([np.eye(a.dim)[None], _pow2_unscaled(powers, exps)]) / lam
     last_norm = np.max(_batched_spectral_norms(terms[k_max:]), initial=0.0)
     return NeumannResult(CMatrix(terms.sum(axis=0)), float(last_norm), k_max + 1)
 
@@ -164,6 +165,10 @@ def cauchy_coefficient(
     fr, fi = f.real, f.imag
     re_terms = wr[:, None] * fr - wi[:, None] * fi
     im_terms = wr[:, None] * fi + wi[:, None] * fr
+    # a component whose samples are nonzero but all subnormal has lost bits before any sum
+    lost = (np.maximum(np.abs(fr), np.abs(fi)).max(axis=0) < np.finfo(float).tiny) & f.any(axis=0)
+    if lost.any():
+        raise PreconditionError(f"oracle samples of component {lost.argmax()} are subnormal at radius {radius!r}")
     # radius^-k / nodes as one factor goes subnormal, and loses bits, long
     # before the result does, so the sums take radius^-k in two halves and
     # nodes last.  A radius^-k past the float range stays an error: the

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .eigen import _circular_runs, _power_verdict, spectrum_info
-from .linalg import CMatrix, CVector, _as_complex_array, _batched_spectral_norms, _pow2_scaled, _power_stack, _row_norms
+from .linalg import CMatrix, CVector, _as_complex_array, _batched_spectral_norms, _pow2_scaled, _pow2_unscaled, _power_stack, _row_norms
 from .trend import _log_log_slope, is_bounded
 
 DEFAULT_HORIZON = 16384
@@ -297,9 +297,7 @@ def _rotated_means(values: np.ndarray, thetas: np.ndarray, n: int) -> np.ndarray
     fix = np.flatnonzero(~np.isfinite(out).all(axis=1))
     if fix.size:
         (scaled,), (exp,) = _pow2_scaled(values[None, :n])
-        means = _split_means(_split_layout(scaled, n), thetas[fix], n)
-        with np.errstate(over="ignore"):  # a mean past the float range is inf
-            out[fix] = np.ldexp(means.view(np.float64), exp).view(np.complex128)
+        out[fix] = _pow2_unscaled(_split_means(_split_layout(scaled, n), thetas[fix], n), exp)
     return out
 
 
@@ -450,8 +448,7 @@ def spectrum_scan(
     k = int(grid_size)
     n_grid = min(x.horizon, k)
     (window,), (exp,) = _pow2_scaled(x.values[None])
-    with np.errstate(over="ignore"):  # a threshold past the float range detects nothing
-        scaled_eps = np.ldexp(epsilon, -exp)
+    scaled_eps = _pow2_unscaled(np.float64(epsilon), -exp)  # inf past the float range: nothing is detected
     grid_means = np.fft.fft(window[:n_grid], n=k, axis=0) / n_grid  # row m = mean at e^(2 pi i m / K)
     grid_norms = np.linalg.norm(grid_means, axis=1)
     above = grid_norms > scaled_eps
@@ -486,8 +483,7 @@ def spectrum_scan(
         )[0]
         thetas = [cmath.exp(1j * phi) for phi in phis.tolist()]
         means = _split_means(cols, np.array([require_unimodular(t) for t in thetas]), x.horizon)
-        with np.errstate(over="ignore"):  # a mean past the float range is inf
-            peaks = _row_norms(np.ldexp(means.view(np.float64), exp).view(np.complex128))
+        peaks = _row_norms(_pow2_unscaled(means, exp))
         for theta, peak in zip(thetas, peaks.tolist()):
             if peak > epsilon:
                 detected.append(DetectedPoint(theta, peak))
@@ -660,7 +656,7 @@ def ktz_check(t: CMatrix, theta: complex, n_max: int = 512, bound: float = 1e6, 
     if n_max < MIN_HORIZON:
         raise PreconditionError(f"n_max must be >= {MIN_HORIZON}")
     theta = require_unimodular(theta)
-    logs, powers, scales = _power_stack(t.data, n_max)
+    logs, powers, exps = _power_stack(t.data, n_max)
     probe = _power_verdict(logs, bound)
     power_bounded = probe.bounded and is_bounded(probe.growth_class)
     info = spectrum_info(t)
@@ -678,16 +674,14 @@ def ktz_check(t: CMatrix, theta: complex, n_max: int = 512, bound: float = 1e6, 
     op_tail = None
     attained = None
     if probe.bounded:
-        # T^n (T - theta I) = c_n P_n (T - theta I), P_0 = I; zero past the first zero power
+        # T^n (T - theta I) = 2^e_n P_n (T - theta I), P_0 = I; inf past the float range, 0 past a zero power
         d = t.dim
         shift = t.data - theta * np.eye(d)
         values = np.zeros((n_max, d, d), dtype=np.complex128)
         values[0] = shift
         m = min(n_max - 1, len(powers))
         np.matmul(powers[:m], shift, out=values[1 : m + 1])
-        # an infinite bound admits powers past the float range; c_n = 1 keeps the bits
-        with np.errstate(over="ignore", invalid="ignore"):
-            values[1 : m + 1] *= scales[:m, None, None]
+        values[1 : m + 1] = _pow2_unscaled(values[1 : m + 1], exps[:m])
         finite = np.isfinite(values).all(axis=(1, 2))
         if not finite.all():
             raise PreconditionError(f"T^n (T - theta I) leaves the float range at n = {np.argmin(finite)}")

@@ -589,6 +589,29 @@ def test_resolvent_scan_rejects_an_empty_radius_list(tmp_path, capsys, radius):
     assert "at least one radius" in err["message"]
 
 
+def test_resolvent_scan_rejects_a_negative_radius(tmp_path, capsys):
+    path = write_json(tmp_path / "m.json", matrix_to_json(CMatrix(np.eye(2))))
+    rc = main(["resolvent-scan", path, "--radius", "-1"])
+    assert rc == 1
+    assert _error_line(capsys.readouterr().err)["message"] == "grid radius must be positive, got -1.0"
+
+
+def test_cauchy_recover_rejects_a_list_input(tmp_path, capsys):
+    path = write_json(tmp_path / "series.json", [[[1.0, 0.0]]])
+    rc = main(["cauchy-recover", path, "--k", "0"])
+    assert rc == 1
+    assert "must be an object with a 'coeffs' list" in _error_line(capsys.readouterr().err)["message"]
+
+
+def test_delay_simulate_horizon_below_twice_the_delay_exits_precondition(tmp_path, capsys):
+    system = DelaySystem(CMatrix([[0.5]]), 64, [CVector([1.0])] * 64, ForcingSpec.zero())
+    path = write_json(tmp_path / "system.json", system_to_json(system, 16))
+    assert main(["delay-simulate", path]) == 3
+    err = _error_line(capsys.readouterr().err)
+    assert err["error"] == "PreconditionError"
+    assert err["message"] == "horizon must be >= max(16, 2p) = 128"
+
+
 def test_cauchy_recover_rejects_unbounded_nodes(tmp_path, capsys):
     path = write_json(tmp_path / "series.json", {"coeffs": [[[1.0, 0.0], [0.5, -0.5]]]})
     _assert_parse_error(capsys, main(["cauchy-recover", path, "--k", "0", "--nodes", str(2**40)]))

@@ -338,6 +338,14 @@ def test_delay_probe_two_peripheral_points_not_met():
     assert report.notes
 
 
+def test_delay_probe_notes_an_unbounded_trajectory():
+    # a Jordan block at 1 from (0, 1) gives x_n = (n, 1)
+    system = DelaySystem(CMatrix([[1.0, 1.0], [0.0, 1.0]]), 1, [CVector([0.0, 1.0])], ForcingSpec.zero())
+    report = delay_limit_probe(system, simulate_delay(system, 256)[0])
+    assert report.notes == ("trajectory is not bounded (growth class polynomial-suspect)",)
+    assert not report.hypotheses_met
+
+
 def test_delay_probe_empty_peripheral_defaults_to_one():
     system = DelaySystem(CMatrix([[0.5]]), 1, [CVector([1.0])], ForcingSpec.zero())
     report = delay_limit_probe(system, simulate_delay(system, 256)[0])

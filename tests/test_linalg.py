@@ -384,6 +384,39 @@ def test_mat_power_seq_nilpotent():
     assert np.all(logs[1:] == -np.inf)
 
 
+def test_pow2_unscaled_inverts_pow2_scaled():
+    rng = np.random.default_rng(3)
+    magnitudes = np.array([1e-310, 1e-200, 1.0, 1e300])[:, None, None]
+    arr = (rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))) * magnitudes
+    scaled, exps = linalg._pow2_scaled(arr)
+    assert (linalg._pow2_unscaled(scaled, exps) == arr).all()
+    assert linalg._pow2_unscaled(arr, np.zeros(4, dtype=int)) is arr
+    # past the float range is inf, with no warning
+    assert linalg._pow2_unscaled(np.array([1.0, 1.0]), np.array([1023, 1024])).tolist() == [2.0**1023, math.inf]
+
+
+@pytest.mark.parametrize("factor", [3.0, 0.05])
+@pytest.mark.parametrize("d", [2, 4, 8, 16])
+def test_power_stack_unscaled_is_the_plain_loop_bit_for_bit(d, factor):
+    # every rescale is an exact power of two, so scaling back gives the
+    # plain loop's A^n wherever that loop stays in range
+    rng = np.random.default_rng(d)
+    a = factor * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    n_max = 400
+    _, powers, exps = linalg._power_stack(a, n_max)
+    assert exps.dtype == np.int64
+    got = linalg._pow2_unscaled(powers, exps)
+    p, in_range = a, []
+    for n in range(n_max):
+        if n:
+            with np.errstate(over="ignore", invalid="ignore"):  # the plain loop leaves the float range
+                p = a @ p
+        if 1e-280 <= np.abs(p).max() <= 1e300:
+            in_range.append(n)
+            assert (got[n].view(np.uint64) == p.view(np.uint64)).all(), n
+    assert (exps[in_range] != 0).sum() >= 100  # the rescaled powers are checked
+
+
 def test_unitarity_defect():
     rng = np.random.default_rng(11)
     u = helpers.random_unitary(rng, 5)

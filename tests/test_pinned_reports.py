@@ -190,7 +190,7 @@ PINNED = {
     "gelfand-diagonal": "47a553121c1726ed960361c9e237459d0a82d3b7ca5e02e7d123cfb6b0db5336",
     "gelfand-jordan": "cbca9abc93e3d1052b984ca6247bd2a69f81f47fca0a185c8aa5b707b6adc168",
     "gelfand-nilpotent": "2da75310a676b38f09676310c9dd1e41d361b4bdf8977f9fe4b69faf735d3646",
-    "gelfand-random-16": "e69b2dd89c9d5b911fb0ff94778a6e656870ae64faffe78e9b3bf5a843a61494",
+    "gelfand-random-16": "7ab6864c8c26c8e423766cd3a518749a2815bb030f0e6c38c09d3f4d80243ba2",
     "ktz-met": "2de9427bf889a68ff7af52c55888f43936b37c69985433bac153943a28bd189b",
     "ktz-nilpotent": "25591f6e2ab9a034fd80544a7ec99aa4d5ce98c46b2dd1f0353ea71fb645caf6",
     "ktz-not-met": "9034e77015dedeb68d49e6f0bcbb8074a8fa18ba5011bd64631092e050dba562",

@@ -178,6 +178,12 @@ def test_cauchy_scale_keeps_full_precision_below_the_normal_range():
         cauchy_coefficient(lambda z: np.array([z**7]), 7, radius=1e-50, nodes=16)
 
 
+def test_cauchy_rejects_subnormal_samples():
+    # 1e-20 z^6 at radius 1e-50 is subnormal on the circle: its mean would be 1.1e-5 off
+    with pytest.raises(PreconditionError, match=r"component 1 are subnormal at radius 1e-50"):
+        cauchy_coefficient(lambda z: np.array([1.0, 1e-20 * z**6]), 6, radius=1e-50, nodes=16)
+
+
 def test_cauchy_node_validation():
     with pytest.raises(PreconditionError):
         cauchy_coefficient(lambda z: np.array([1.0]), 0, radius=1.0, nodes=2)

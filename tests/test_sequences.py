@@ -718,11 +718,17 @@ def _stable_normal(seed, d):
 )
 def test_ktz_rescaled_powers_match_a_long_double_oracle(t):
     n_max = 512
-    assert (linalg._power_stack(t.astype(np.complex128), n_max)[2] != 1.0).any()  # the stack rescales
+    assert (linalg._power_stack(t.astype(np.complex128), n_max)[2] != 0).any()  # the stack rescales
     verdict = ktz_check(CMatrix(t), 1.0, n_max)
     tail_sup, op_tail = _ktz_tail_oracle(t, 1.0, n_max)
     assert verdict.tail.tail_sup == pytest.approx(tail_sup, rel=1e-12, abs=0.0)
     assert verdict.operator_tail_sup == pytest.approx(op_tail, rel=1e-12, abs=0.0)
+
+
+def test_ktz_powers_past_the_float_range_are_a_precondition_error():
+    # an infinite bound admits every power; T^n (T - I) = 2^n first overflows at n = 1024
+    with pytest.raises(PreconditionError, match=r"leaves the float range at n = 1024$"):
+        ktz_check(CMatrix([[2.0]]), 1.0, n_max=2048, bound=math.inf)
 
 
 def test_ktz_extra_peripheral_point():

@@ -402,6 +402,22 @@ NON_FINITE_PARAM_INPUTS = [
     {"B": {"d": 1, "entries": [[0.5, 0]]}, "initial": [[[1, 0]]], "horizon": 16, "forcing": {"kind": "power", "param": math.inf}},
 ]
 
+#: (parser, input, message) for each wire error branch of the parsers
+WIRE_ERRORS = [
+    (parse_forcing, {"kind": "geometric", "param": "0.5"}, "needs a numeric 'param'"),
+    (parse_system, {"B": {"d": 1, "entries": [[0.5, 0]]}, "p": 65, "initial": [[[1, 0]]], "horizon": 256}, r"delay p must be in \[1, 64\], got 65"),
+    (parse_sequence, {"kind": "materialized", "d": 1, "values": [[[1, 0]]] * 3}, "must list at least 16 vectors"),
+    (parse_sequence, {"kind": "modes_plus_decay", "modes": {}, "horizon": 16}, "'modes' must be a list"),
+    (parse_sequence, {"kind": "modes_plus_decay", "modes": [{"theta": [1, 0]}], "horizon": 16}, "needs 'theta' and 'v'"),
+    (parse_sequence, {"kind": "modes_plus_decay", "d": 1, "modes": [], "horizon": 16, "decay": "none"}, "'decay' must be an object"),
+    (parse_sequence, _decay_descriptor("power", "x"), "decay type 'power' needs a numeric 'param'"),
+    (
+        parse_sequence,
+        {"kind": "forced_system_output", "B": {"d": 1, "entries": [[10, 0]]}, "initial": [[[1, 0]]], "horizon": 256},
+        "simulation failed",
+    ),
+]
+
 #: each parser with the emitter of what it returns
 WIRE_EMITTERS = {
     parse_cnum: cnum,
@@ -420,6 +436,14 @@ WIRE_EMITTERS = {
 @example(NON_FINITE_PARAM_INPUTS[3])
 @example({"d": True, "entries": [[1, 0]]})
 @example({"kind": "modes_plus_decay", "modes": [], "d": True, "horizon": 16})
+@example(WIRE_ERRORS[0][1])
+@example(WIRE_ERRORS[1][1])
+@example(WIRE_ERRORS[2][1])
+@example(WIRE_ERRORS[3][1])
+@example(WIRE_ERRORS[4][1])
+@example(WIRE_ERRORS[5][1])
+@example(WIRE_ERRORS[6][1])
+@example(WIRE_ERRORS[7][1])
 def test_parsers_raise_only_parse_error(obj):
     """Each parser raises ParseError or returns an object whose wire form
     is strict JSON: whatever is accepted can be emitted again."""
@@ -429,6 +453,12 @@ def test_parsers_raise_only_parse_error(obj):
         except ParseError:
             continue
         helpers.strict_json(dumps_report(emit(parsed)))
+
+
+@pytest.mark.parametrize("parse, obj, message", WIRE_ERRORS)
+def test_wire_error_branches_name_the_fault(parse, obj, message):
+    with pytest.raises(ParseError, match=message):
+        parse(obj)
 
 
 @pytest.mark.parametrize(

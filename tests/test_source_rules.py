@@ -82,6 +82,19 @@ def test_json_encoder_runs_once_per_report():
     assert callers == ["cli.py: main", "serialize.py: dumps_report"]
 
 
+def test_power_of_two_scaling_lives_in_linalg():
+    # magnitudes are kept in range by linalg._pow2_scaled and brought back by linalg._pow2_unscaled
+    callers = sorted(
+        {
+            path.name
+            for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in ("ldexp", "frexp")
+        }
+    )
+    assert callers == ["linalg.py"]
+
+
 def _unused_imports(tree):
     """(line, name) for every name a module imports but never reads."""
     imported = {}
