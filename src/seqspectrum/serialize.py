@@ -117,20 +117,20 @@ def parse_forcing(obj, what: str = "forcing") -> ForcingSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError(f"{what} must be an object with a 'kind'")
     kind = obj["kind"]
+    param = obj.get("param")  # handed on as given: ForcingSpec rejects one where its kind takes none
     try:
         if kind == "zero":
-            return ForcingSpec.zero()
+            return ForcingSpec(kind, param)
         if kind == "custom_table":
-            return ForcingSpec.custom(parse_cnum_array(obj.get("values"), f"{what} values", 2))
+            return ForcingSpec(kind, param, table=parse_cnum_array(obj.get("values"), f"{what} values", 2))
         if kind in ("geometric", "power", "log_decay"):
-            param = obj.get("param")
             if kind != "log_decay" and not isinstance(param, numbers.Real):
                 raise ParseError(f"{what}: kind {kind!r} needs a numeric 'param'")
             direction = obj.get("direction")
             if direction is not None:
                 direction = parse_cnum_array(direction, f"{what} direction", 1)
             seed = _parse_int(obj.get("seed", 0), "seed", 0, np.inf, what)
-            return ForcingSpec(kind, None if kind == "log_decay" else float(param), direction, seed=seed)
+            return ForcingSpec(kind, param, direction, seed=seed)
     # ForcingSpec's own checks, and float() of an int past the float range
     except (PreconditionError, OverflowError) as exc:
         raise ParseError(f"{what}: {exc}") from exc
@@ -237,12 +237,11 @@ def parse_sequence(obj, what: str = "sequence") -> BoundedSeq:
             if decay_obj is not None:
                 if not isinstance(decay_obj, dict) or "type" not in decay_obj:
                     raise ParseError(f"{what}: 'decay' must be an object with a 'type'")
-                if decay_obj["type"] != "none":
-                    param = decay_obj.get("param")
-                    if not isinstance(param, numbers.Real) and not (param is None and decay_obj["type"] == "log"):
-                        raise ParseError(f"{what}: decay type {decay_obj['type']!r} needs a numeric 'param'")
-                    # float() inside the try: an int past float range is a ParseError
-                    decay = (decay_obj["type"], None if param is None else float(param))
+                param = decay_obj.get("param")
+                if not isinstance(param, numbers.Real) and not (param is None and decay_obj["type"] in ("log", "none")):
+                    raise ParseError(f"{what}: decay type {decay_obj['type']!r} needs a numeric 'param'")
+                # float() inside the try: an int past float range is a ParseError
+                decay = (decay_obj["type"], None if param is None else float(param))
             return modes_plus_decay(modes, horizon, decay=decay, seed=seed, dim=dim)
         except (PreconditionError, OverflowError) as exc:
             raise ParseError(f"{what}: {exc}") from exc

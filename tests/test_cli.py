@@ -456,6 +456,15 @@ def _descriptor(**fields):
             "simulate",
             {"B": {"d": 1, "entries": [[0.5, 0]]}, "initial": [[[1, 0]]], "horizon": 64, "forcing": {"kind": "power", "param": math.inf}},
         ),
+        (
+            "simulate",
+            {"B": {"d": 1, "entries": [[0.5, 0]]}, "initial": [[[1, 0]]], "horizon": 64, "forcing": {"kind": "log_decay", "param": math.inf}},
+        ),
+        (
+            "simulate",
+            {"B": {"d": 1, "entries": [[0.5, 0]]}, "initial": [[[1, 0]]], "horizon": 64, "forcing": {"kind": "zero", "param": "abc"}},
+        ),
+        ("spectrum-scan", _descriptor(decay={"type": "none", "param": math.inf})),
     ],
 )
 def test_non_finite_decay_parameters_exit_parse_error(tmp_path, capsys, command, obj):

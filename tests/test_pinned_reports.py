@@ -180,13 +180,13 @@ REPORTS = {
 PINNED = {
     "cli-cauchy-recover": "b859ed4941e15eb9ed9e1c366a6aa9494cd63ae8361d5bbc9738e7a11cc8b31a",
     "cli-cayley": "3ab089caddb8036415641f2ca45a00f3e443f9fd3843832166076fe531c3db7c",
-    "cli-delay-probe": "0f3de296dca9a5540d7f65827d2fb8b6ee94e24d2a7dcd852f6b4e702a47b06c",
+    "cli-delay-probe": "7c3ce6024cac9edcd5b54a68c69776d8425c3684ccd740c93a217e747ed6c2e1",
     "cli-corpus": "466b8f5e857236860c0f33060090e4fa48ab27ce28d0f2defb0cdddfb583e211",
     "cli-modes-materialized": "5c15add289ee9acfa3c4671985697c88a17b10fc30b80286e1b6182328615ae7",
-    "cli-scan-materialized": "52c21744b7cad86ac1770942fa16a14e9f5895801a984455d7501b1715f5d05b",
+    "cli-scan-materialized": "43aa3c51bf9434a408c16fb590c12d7d08426a749575393e49798270a019a947",
     "cli-simulate": "dcbe2ff0fedf00e72fcdf6a4c662621736a8a37e3928dcb06be4579b2d6fe896",
     "corpus-modes": "927bf2de18b04681495ddc1ad1e58925bf6ac4ea1f8f9ad4c8f23b92757d25f2",
-    "corpus-vanishing": "ef974f9b50513eb4b677f7572b36408a5859afbc63ff47d5f06c8167ca2104c8",
+    "corpus-vanishing": "4eb04be0597da5e4a9bd018f223aae90b271e2e9cfab162b622e89991d32c36c",
     "gelfand-diagonal": "47a553121c1726ed960361c9e237459d0a82d3b7ca5e02e7d123cfb6b0db5336",
     "gelfand-jordan": "cbca9abc93e3d1052b984ca6247bd2a69f81f47fca0a185c8aa5b707b6adc168",
     "gelfand-nilpotent": "2da75310a676b38f09676310c9dd1e41d361b4bdf8977f9fe4b69faf735d3646",

@@ -400,6 +400,8 @@ NON_FINITE_PARAM_INPUTS = [
     _decay_descriptor("power", math.inf),
     _decay_descriptor("log", math.nan),
     {"B": {"d": 1, "entries": [[0.5, 0]]}, "initial": [[[1, 0]]], "horizon": 16, "forcing": {"kind": "power", "param": math.inf}},
+    {"kind": "log_decay", "param": math.inf},
+    _decay_descriptor("none", math.inf),
 ]
 
 #: (parser, input, message) for each wire error branch of the parsers
@@ -416,6 +418,8 @@ WIRE_ERRORS = [
         {"kind": "forced_system_output", "B": {"d": 1, "entries": [[10, 0]]}, "initial": [[[1, 0]]], "horizon": 256},
         "simulation failed",
     ),
+    (parse_forcing, {"kind": "zero", "param": "abc"}, "kind 'zero' takes no parameter"),
+    (parse_forcing, {"kind": "log_decay", "param": 2.0}, "kind 'log_decay' takes no parameter"),
 ]
 
 #: each parser with the emitter of what it returns
@@ -434,6 +438,8 @@ WIRE_EMITTERS = {
 @example(NON_FINITE_PARAM_INPUTS[1])
 @example(NON_FINITE_PARAM_INPUTS[2])
 @example(NON_FINITE_PARAM_INPUTS[3])
+@example(NON_FINITE_PARAM_INPUTS[4])
+@example(NON_FINITE_PARAM_INPUTS[5])
 @example({"d": True, "entries": [[1, 0]]})
 @example({"kind": "modes_plus_decay", "modes": [], "d": True, "horizon": 16})
 @example(WIRE_ERRORS[0][1])
@@ -444,6 +450,8 @@ WIRE_EMITTERS = {
 @example(WIRE_ERRORS[5][1])
 @example(WIRE_ERRORS[6][1])
 @example(WIRE_ERRORS[7][1])
+@example(WIRE_ERRORS[8][1])
+@example(WIRE_ERRORS[9][1])
 def test_parsers_raise_only_parse_error(obj):
     """Each parser raises ParseError or returns an object whose wire form
     is strict JSON: whatever is accepted can be emitted again."""
@@ -462,16 +470,25 @@ def test_wire_error_branches_name_the_fault(parse, obj, message):
 
 
 @pytest.mark.parametrize(
-    "parse, obj", zip([parse_forcing, parse_sequence, parse_sequence, parse_system], NON_FINITE_PARAM_INPUTS)
+    "parse, obj",
+    zip([parse_forcing, parse_sequence, parse_sequence, parse_system, parse_forcing, parse_sequence], NON_FINITE_PARAM_INPUTS),
 )
 def test_non_finite_decay_parameters_are_parse_errors(parse, obj):
-    with pytest.raises(ParseError, match="finite"):
+    # a log_decay forcing takes no parameter at all, finite or not
+    with pytest.raises(ParseError, match="takes no parameter" if obj.get("kind") == "log_decay" else "finite"):
         parse(obj)
 
 
 def test_a_finite_log_decay_parameter_is_echoed():
     x = parse_sequence(_decay_descriptor("log", 2.5))
     assert sequence_to_json(x)["decay"] == {"type": "log", "param": 2.5}
+
+
+def test_a_none_decay_parameter_is_echoed():
+    for param in (0.3, None):
+        x = parse_sequence(_decay_descriptor("none", param))
+        assert sequence_to_json(x)["decay"] == {"type": "none", "param": param}
+        assert not x.values.any()
 
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1.7e308, -1.7e308]
