@@ -1,6 +1,6 @@
 """Numerical toolkit for bounded sequences in finite-dimensional complex
 spaces: rotated Cesaro means and unit-circle spectrum scans, mode
-decompositions, linear difference-equation simulators with asymptotic
+decompositions, a linear difference-equation simulator with asymptotic
 checks, and the supporting matrix calculus (spectral radius estimates,
 resolvents, contour-quadrature coefficient recovery).
 """
@@ -62,7 +62,6 @@ from .sequences import (
     TailStats,
     VanishingVerdict,
     angular_distance,
-    custom_table,
     difference_tail,
     extract_modes,
     ktz_check,
@@ -84,7 +83,6 @@ from .dynamics import (
     delay_limit_probe,
     recurrence_defect,
     simulate_delay,
-    simulate_forced,
     spectrum_containment_check,
     verify_asymptotic_decomposition,
 )

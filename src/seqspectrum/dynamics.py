@@ -1,8 +1,8 @@
-"""Simulators and asymptotic checks for x_{n+1} = B x_n + y_n and the
-delay equation x_{n+p} = B x_n + y_n.
+"""One simulator and asymptotic checks for the delay equation
+x_{n+p} = B x_n + y_n, whose p = 1 case is x_{n+1} = B x_n + y_n.
 
 Boundedness of a solution is a hypothesis everywhere in this module,
-never an assumption: simulators classify the trajectory's growth and
+never an assumption: the simulator classifies the trajectory's growth and
 the checkers gate on that classification.  The delay probe reports the
 one-step and p-step difference statistics side by side without
 adjudicating between them; on delay systems they genuinely differ (see
@@ -96,26 +96,6 @@ class ForcingSpec:
         self.table = table
         self.seed = int(seed)
 
-    @classmethod
-    def zero(cls) -> "ForcingSpec":
-        return cls("zero")
-
-    @classmethod
-    def geometric(cls, ratio: float, direction=None, seed: int = 0) -> "ForcingSpec":
-        return cls("geometric", ratio, direction, seed=seed)
-
-    @classmethod
-    def power(cls, exponent: float, direction=None, seed: int = 0) -> "ForcingSpec":
-        return cls("power", exponent, direction, seed=seed)
-
-    @classmethod
-    def log_decay(cls, direction=None, seed: int = 0) -> "ForcingSpec":
-        return cls("log_decay", direction=direction, seed=seed)
-
-    @classmethod
-    def custom(cls, table) -> "ForcingSpec":
-        return cls("custom_table", table=table)
-
     @property
     def summable(self) -> bool | None:
         if self.kind in ("zero", "geometric"):
@@ -187,14 +167,6 @@ class TrajectoryReport:
     growth_class: str
     bounded_verdict: bool
     horizon: int
-
-
-def simulate_forced(
-    b: CMatrix, x0: CVector, forcing: ForcingSpec, horizon: int
-) -> tuple[BoundedSeq, TrajectoryReport]:
-    """Iterate x_{n+1} = B x_n + y_n from x_0 and classify the result:
-    the delay simulator with p = 1."""
-    return simulate_delay(DelaySystem(b, 1, [x0], forcing), horizon)
 
 
 def simulate_delay(system: DelaySystem, horizon: int) -> tuple[BoundedSeq, TrajectoryReport]:
@@ -277,7 +249,7 @@ def verify_asymptotic_decomposition(b: CMatrix, trajectory: BoundedSeq) -> tuple
         )
     peripheral = spectrum_info(b).peripheral
     burn_in = trajectory.horizon // 2 if trajectory.horizon >= 2 * MIN_HORIZON else 0
-    raw = extract_modes(trajectory.shifted(burn_in), peripheral)
+    raw = extract_modes(BoundedSeq(trajectory.values[burn_in:]), peripheral)
     # undo the burn-in shift: the mean of the shifted window estimates theta^burn_in v
     modes = tuple(
         Mode(m.theta, CVector(m.v.data * (m.theta ** (-burn_in)))) for m in raw.modes

@@ -180,10 +180,11 @@ def cayley_hamilton_residual(a: CMatrix) -> float:
     """|| chi_A(A) || with the polynomial evaluated by Horner in matrix arithmetic."""
     coeffs = char_poly(a).coeffs
     d = a.dim
-    eye = np.eye(d, dtype=np.complex128)
-    acc = eye.copy()  # leading (monic) coefficient
+    acc = np.eye(d, dtype=np.complex128)  # leading (monic) coefficient
     for c in coeffs[-2::-1]:
-        acc = acc @ a.data + c * eye
+        acc = acc @ a.data
+        # added, not multiplied: numpy's product c * (1 + 0j) can overflow for a finite c near the float limit
+        acc.flat[:: d + 1] += c
     return operator_norm(acc)
 
 

@@ -20,7 +20,6 @@ pure function of its inputs.
 """
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -96,14 +95,6 @@ class CMatrix:
     @property
     def dim(self) -> int:
         return self.data.shape[0]
-
-    @classmethod
-    def identity(cls, dim: int) -> "CMatrix":
-        return cls(np.eye(dim))
-
-    @classmethod
-    def diagonal(cls, entries: Iterable[complex]) -> "CMatrix":
-        return cls(np.diag(np.asarray(list(entries), dtype=np.complex128)))
 
     def __repr__(self):
         return f"CMatrix(dim={self.dim})"

@@ -125,12 +125,6 @@ class BoundedSeq:
     def horizon(self) -> int:
         return self.values.shape[0]
 
-    def shifted(self, k: int) -> "BoundedSeq":
-        """The window x_k .. x_(N-1) as a sequence in its own right."""
-        if not 0 <= k <= self.horizon - MIN_HORIZON:
-            raise PreconditionError(f"shift {k} leaves fewer than {MIN_HORIZON} entries")
-        return BoundedSeq(self.values[k:])
-
     def __repr__(self):
         return f"BoundedSeq(horizon={self.horizon}, dim={self.dim})"
 
@@ -200,11 +194,6 @@ def modes_plus_decay(
         "seed": seed,
     }
     return BoundedSeq(values, descriptor)
-
-
-def custom_table(values) -> BoundedSeq:
-    """Materialized sequence from an explicit table of vectors."""
-    return BoundedSeq(values, {"kind": "custom_table"})
 
 
 @dataclass(frozen=True)

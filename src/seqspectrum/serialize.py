@@ -72,16 +72,8 @@ def parse_cnum_array(obj, what: str, ndim: int) -> np.ndarray:
     return pairs.view(np.complex128)[..., 0]
 
 
-def parse_cnum(obj) -> complex:
-    return complex(parse_cnum_array(obj, "complex number", 0))
-
-
 def vector_to_json(v) -> np.ndarray:
     return cnum_array(np.ravel(getattr(v, "data", v)))
-
-
-def parse_vector(obj) -> CVector:
-    return CVector(parse_cnum_array(obj, "vector", 1))
 
 
 def matrix_to_json(a: CMatrix) -> dict:
@@ -113,7 +105,7 @@ def parse_matrix(obj, what: str = "matrix") -> CMatrix:
 
 def parse_forcing(obj, what: str = "forcing") -> ForcingSpec:
     if obj is None:
-        return ForcingSpec.zero()
+        return ForcingSpec("zero")
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError(f"{what} must be an object with a 'kind'")
     kind = obj["kind"]

@@ -33,7 +33,6 @@ from seqspectrum import (
     resolvent_direct,
     resolvent_neumann,
     simulate_delay,
-    simulate_forced,
     single_mode_check,
     vanishing_check,
     verify_asymptotic_decomposition,
@@ -210,17 +209,17 @@ def test_criterion_08_forced_decompositions():
     rng = np.random.default_rng(808)
     horizon = 2**14
     cases = [
-        ((-1.0, 0.5, 0.3), ForcingSpec.zero(), (-1.0,), False),
-        ((1.0, 0.6, 0.4), ForcingSpec.geometric(0.7, seed=1), (1.0,), True),
-        ((1.0, -1.0, 0.5), ForcingSpec.zero(), (1.0, -1.0), False),
-        ((0.5, 0.3, 0.2), ForcingSpec.geometric(0.5, seed=2), (), True),
+        ((-1.0, 0.5, 0.3), ForcingSpec("zero"), (-1.0,), False),
+        ((1.0, 0.6, 0.4), ForcingSpec("geometric", 0.7, seed=1), (1.0,), True),
+        ((1.0, -1.0, 0.5), ForcingSpec("zero"), (1.0, -1.0), False),
+        ((0.5, 0.3, 0.2), ForcingSpec("geometric", 0.5, seed=2), (), True),
     ]
     failures = []
     for i, (eigs, forcing, peripheral, want_limit) in enumerate(cases):
         u = helpers.random_unitary(rng, 3)
         b = CMatrix(u @ np.diag(eigs) @ u.conj().T)
         x0 = CVector(u @ np.array([1.0, 1.0, 1.0]))
-        x, report = simulate_forced(b, x0, forcing, horizon)
+        x, report = simulate_delay(DelaySystem(b, 1, [x0], forcing), horizon)
         decomp, verdict = verify_asymptotic_decomposition(b, x)
         ok = report.bounded_verdict and verdict.residual_ok
         ok = ok and len(verdict.peripheral) == len(peripheral)
@@ -263,7 +262,7 @@ def test_criterion_09_power_bounded_tail():
 
 def test_criterion_10_delay_counterexample():
     system = DelaySystem(
-        CMatrix.identity(1), 2, [CVector([1.0]), CVector([-1.0])], ForcingSpec.zero()
+        CMatrix(np.eye(1)), 2, [CVector([1.0]), CVector([-1.0])], ForcingSpec("zero")
     )
     horizons = list(range(16, 101)) + [128, 256, 512, 1024, 4096, 16384]
     worst_one = 0.0

@@ -32,7 +32,7 @@ def seq_file(tmp_path, name="seq.json", horizon=1024):
 
 def alternating_system_json(horizon=256):
     system = DelaySystem(
-        CMatrix.identity(1), 2, [CVector([1.0]), CVector([-1.0])], ForcingSpec.zero()
+        CMatrix(np.eye(1)), 2, [CVector([1.0]), CVector([-1.0])], ForcingSpec("zero")
     )
     return system_to_json(system, horizon)
 
@@ -274,6 +274,16 @@ def test_cayley_command_at_tiny_magnitudes(tmp_path, capsys):
     path = write_json(tmp_path / "m.json", matrix_to_json(CMatrix(np.diag([1e-200, 5e-201]))))
     assert main(["cayley", path]) == 0
     assert json.loads(capsys.readouterr().out)["matrix_norm"] == pytest.approx(1e-200, rel=1e-14, abs=0.0)
+
+
+def test_cayley_command_near_the_float_limit(tmp_path, capsys):
+    # numpy's product c * (1 + 0j) overflows for this finite coefficient c = -a
+    a = CMatrix([[1e308 + 1e308j]])
+    assert eigen.cayley_hamilton_residual(a) == 0.0
+    assert main(["cayley", write_json(tmp_path / "m.json", matrix_to_json(a))]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["residual"] == 0.0
 
 
 def test_cauchy_recover_command(tmp_path, capsys):
@@ -613,7 +623,7 @@ def test_cauchy_recover_rejects_a_list_input(tmp_path, capsys):
 
 
 def test_delay_simulate_horizon_below_twice_the_delay_exits_precondition(tmp_path, capsys):
-    system = DelaySystem(CMatrix([[0.5]]), 64, [CVector([1.0])] * 64, ForcingSpec.zero())
+    system = DelaySystem(CMatrix([[0.5]]), 64, [CVector([1.0])] * 64, ForcingSpec("zero"))
     path = write_json(tmp_path / "system.json", system_to_json(system, 16))
     assert main(["delay-simulate", path]) == 3
     err = _error_line(capsys.readouterr().err)

@@ -194,7 +194,7 @@ def test_power_bounded_probe_past_the_float_range(bound, bounded):
 
 def test_power_bounded_probe_rejects_tiny_n_max():
     with pytest.raises(PreconditionError):
-        power_bounded_probe(CMatrix.identity(2), 4, 1e6)
+        power_bounded_probe(CMatrix(np.eye(2)), 4, 1e6)
 
 
 def test_gelfand_diagonal():

@@ -40,7 +40,7 @@ def test_cmatrix_validation():
         CMatrix(np.zeros((2, 3)))
     with pytest.raises(PreconditionError):
         CMatrix(np.zeros((MAX_DIM + 1, MAX_DIM + 1)))
-    eye = CMatrix.identity(3)
+    eye = CMatrix(np.eye(3))
     assert np.array_equal(eye.data, np.eye(3))
 
 

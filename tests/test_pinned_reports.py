@@ -89,13 +89,13 @@ def _corpus_bytes(tmp_path):
 
 def _system():
     b = CMatrix([[0.6, 0.3j], [-0.2, 0.5 + 0.4j]])
-    forcing = ForcingSpec.geometric(0.9, direction=[1.0 - 0.5j, 0.25j])
+    forcing = ForcingSpec("geometric", 0.9, direction=[1.0 - 0.5j, 0.25j])
     return DelaySystem(b, 1, [CVector([1.0, -2.0j])], forcing)
 
 
 def _delay_system():
     b = CMatrix([[cmath.exp(0.9j), 0.3], [0.0, 0.4]])
-    forcing = ForcingSpec.geometric(0.8, direction=[0.5j, 1.0])
+    forcing = ForcingSpec("geometric", 0.8, direction=[0.5j, 1.0])
     return DelaySystem(b, 2, [CVector([1.0, -0.5j]), CVector([0.25, 1.0])], forcing)
 
 
@@ -103,7 +103,7 @@ def _wire_formats():
     x = modes_plus_decay(
         [(cmath.exp(0.4j), [1.0, 0.5j]), (-1.0, [0.25, -1.0])], 64, decay=("power", 1.5), seed=3
     )
-    table = ForcingSpec.custom(np.arange(12).reshape(6, 2) * (0.1 - 0.3j))
+    table = ForcingSpec("custom_table", table=np.arange(12).reshape(6, 2) * (0.1 - 0.3j))
     return {
         "matrix": matrix_to_json(_ginibre(3, 3)),
         "vector": vector_to_json(CVector([1.0, -0.0, 2.5j])),
@@ -131,7 +131,7 @@ def _materialized():
 
 REPORTS = {
     "gelfand-diagonal": lambda tmp: _bytes(
-        gelfand_radius_estimate(CMatrix.diagonal([0.9, 0.5j, -0.3]), 64)
+        gelfand_radius_estimate(CMatrix(np.diag([0.9, 0.5j, -0.3])), 64)
     ),
     "gelfand-nilpotent": lambda tmp: _bytes(gelfand_radius_estimate(NILPOTENT, 64)),
     "gelfand-jordan": lambda tmp: _bytes(gelfand_radius_estimate(JORDAN, 256)),

@@ -18,7 +18,6 @@ from seqspectrum.sequences import (
     _rotated_means,
     BoundedSeq,
     angular_distance,
-    custom_table,
     decay_envelope,
     default_epsilon,
     default_tol_vanish,
@@ -46,15 +45,6 @@ def test_bounded_seq_validation():
     assert x.values.shape == (16, 1)  # scalar sequences get a vector axis
     assert x.dim == 1 and x.horizon == 16
     assert not x.values.flags.writeable
-
-
-def test_bounded_seq_shifted():
-    x = BoundedSeq(np.arange(64, dtype=float))
-    y = x.shifted(10)
-    assert y.horizon == 54
-    assert y.values[0, 0] == 10.0
-    with pytest.raises(PreconditionError):
-        x.shifted(60)  # fewer than 16 entries would remain
 
 
 def test_require_unimodular():
@@ -324,7 +314,7 @@ def _pinned_scan_inputs():
     """(system, trajectory) per PINNED_DETECTIONS entry; system is None for a
     sequence scanned on its own rather than through delay_limit_probe."""
     counterexample = DelaySystem(
-        CMatrix.identity(1), 2, [CVector([1.0]), CVector([-1.0])], ForcingSpec.zero()
+        CMatrix(np.eye(1)), 2, [CVector([1.0]), CVector([-1.0])], ForcingSpec("zero")
     )
     # one unit-circle eigenvalue, three inside the disk
     b = CMatrix([
@@ -334,7 +324,7 @@ def _pinned_scan_inputs():
         [0.0, 0.0, 0.0, -0.5j],
     ])
     initial = [CVector([1.0, 0.5j, -0.25, 2.0]), CVector([0.0, 1.0, 1.0j, -1.0]), CVector([0.5, 0.0, 0.0, 1.0])]
-    interior = DelaySystem(b, 3, initial, ForcingSpec.geometric(0.8, seed=3))
+    interior = DelaySystem(b, 3, initial, ForcingSpec("geometric", 0.8, seed=3))
     member = next(m for m in generate_corpus(seed=7, horizon=4096) if m.member_id == "two-mode-0")
     return {
         "delay-counterexample-37": (counterexample, simulate_delay(counterexample, 37)[0]),
@@ -654,12 +644,6 @@ def test_decay_envelope_kinds():
     assert np.allclose(decay_envelope("power", 1.0, 3), [1.0, 0.5, 1.0 / 3.0])
     env = decay_envelope("log", None, 4)
     assert env[0] >= env[1] >= env[2] >= env[3] > 0
-
-
-def test_custom_table():
-    x = custom_table(np.ones((32, 2)))
-    assert x.dim == 2
-    assert x.descriptor["kind"] == "custom_table"
 
 
 def test_ktz_diagonal_contraction():

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -16,7 +17,7 @@ from seqspectrum.dynamics import DelaySystem, ForcingSpec, simulate_delay
 from seqspectrum.errors import ParseError
 from seqspectrum.linalg import CMatrix, CVector
 from seqspectrum.resolvent import ResolventSample, resolvent_neumann
-from seqspectrum.sequences import MAX_HORIZON, BoundedSeq, angular_distance, custom_table, modes_plus_decay
+from seqspectrum.sequences import MAX_HORIZON, BoundedSeq, angular_distance, modes_plus_decay
 from seqspectrum.serialize import (
     cnum,
     cnum_array,
@@ -24,13 +25,11 @@ from seqspectrum.serialize import (
     forcing_to_json,
     load_json,
     matrix_to_json,
-    parse_cnum,
     parse_cnum_array,
     parse_forcing,
     parse_matrix,
     parse_sequence,
     parse_system,
-    parse_vector,
     resolvent_scan_csv,
     sequence_to_json,
     system_to_json,
@@ -40,23 +39,23 @@ from seqspectrum.serialize import (
 
 def test_cnum_round_trip():
     z = 1.5 - 2.25j
-    assert parse_cnum(cnum(z)) == z
+    assert complex(parse_cnum_array(cnum(z), "complex number", 0)) == z
 
 
 def test_parse_cnum_rejects_bad_shapes():
     with pytest.raises(ParseError):
-        parse_cnum([1.0])
+        parse_cnum_array([1.0], "complex number", 0)
     with pytest.raises(ParseError):
-        parse_cnum([1.0, 2.0, 3.0])
+        parse_cnum_array([1.0, 2.0, 3.0], "complex number", 0)
     with pytest.raises(ParseError):
-        parse_cnum(["a", 0.0])
+        parse_cnum_array(["a", 0.0], "complex number", 0)
     with pytest.raises(ParseError):
-        parse_cnum([float("inf"), 0.0])
+        parse_cnum_array([float("inf"), 0.0], "complex number", 0)
 
 
 def test_vector_round_trip():
     v = CVector([1.0 + 2j, -3.5])
-    got = parse_vector(vector_to_json(v))
+    got = CVector(parse_cnum_array(vector_to_json(v), "vector", 1))
     assert np.array_equal(got.data, v.data)
 
 
@@ -79,16 +78,16 @@ def test_parse_matrix_validation():
 
 def test_forcing_round_trip_all_kinds():
     specs = [
-        ForcingSpec.zero(),
-        ForcingSpec.geometric(0.5, direction=CVector([1.0, 2.0])),
-        ForcingSpec.power(1.5, seed=3),
-        ForcingSpec.log_decay(seed=4),
+        ForcingSpec("zero"),
+        ForcingSpec("geometric", 0.5, direction=CVector([1.0, 2.0])),
+        ForcingSpec("power", 1.5, seed=3),
+        ForcingSpec("log_decay", seed=4),
     ]
     for f in specs:
         f2 = parse_forcing(forcing_to_json(f))
         assert f2.kind == f.kind
         assert np.array_equal(f.materialize(16, 2), f2.materialize(16, 2))
-    custom = ForcingSpec.custom(np.eye(16))
+    custom = ForcingSpec("custom_table", table=np.eye(16))
     custom2 = parse_forcing(forcing_to_json(custom))
     assert np.array_equal(custom.materialize(16, 16), custom2.materialize(16, 16))
 
@@ -107,7 +106,7 @@ def test_parse_forcing_default_is_zero():
 
 def test_system_round_trip():
     system = DelaySystem(
-        CMatrix.identity(1), 2, [CVector([1.0]), CVector([-1.0])], ForcingSpec.zero()
+        CMatrix(np.eye(1)), 2, [CVector([1.0]), CVector([-1.0])], ForcingSpec("zero")
     )
     j = system_to_json(system, 64)
     system2, horizon = parse_system(j)
@@ -120,7 +119,7 @@ def test_system_round_trip():
 
 def test_parse_system_missing_keys():
     with pytest.raises(ParseError, match="initial"):
-        parse_system({"B": matrix_to_json(CMatrix.identity(1)), "horizon": 64})
+        parse_system({"B": matrix_to_json(CMatrix(np.eye(1))), "horizon": 64})
 
 
 def test_sequence_descriptor_round_trip():
@@ -142,7 +141,7 @@ def test_sequence_materialized_round_trip():
 
 
 def test_sequence_envelope_accepted():
-    x = custom_table(np.ones((16, 1)))
+    x = BoundedSeq(np.ones((16, 1)))
     j = {"sequence": sequence_to_json(x), "extra_report": {"ignored": True}}
     x2 = parse_sequence(j)
     assert np.array_equal(x.values, x2.values)
@@ -150,7 +149,7 @@ def test_sequence_envelope_accepted():
 
 def test_sequence_forced_system_output():
     system = DelaySystem(
-        CMatrix.identity(1), 2, [CVector([1.0]), CVector([-1.0])], ForcingSpec.zero()
+        CMatrix(np.eye(1)), 2, [CVector([1.0]), CVector([-1.0])], ForcingSpec("zero")
     )
     j = system_to_json(system, 64)
     j["kind"] = "forced_system_output"
@@ -168,7 +167,7 @@ def test_parameters_past_the_float_range_are_parse_errors():
     desc = {"kind": "modes_plus_decay", "modes": [], "d": 1, "horizon": 16, "decay": {"type": "geometric", "param": huge}}
     with pytest.raises(ParseError):
         parse_sequence(desc)
-    system = system_to_json(DelaySystem(CMatrix.identity(1), 1, [CVector([1.0])], ForcingSpec.zero()), 16)
+    system = system_to_json(DelaySystem(CMatrix(np.eye(1)), 1, [CVector([1.0])], ForcingSpec("zero")), 16)
     system["forcing"] = {"kind": "geometric", "param": huge}
     with pytest.raises(ParseError):
         parse_system(system)
@@ -353,11 +352,15 @@ def _valid_wire_objects():
     x = modes_plus_decay([(1j, [1.0, -0.5]), (-1.0, [0.0, 2.0])], 16, decay=("power", 1.5), seed=3)
     system = DelaySystem(
         CMatrix([[0.5, 0.25j], [0.0, -0.5]]), 2, [CVector([1.0, 0.0]), CVector([0.0, 1.0j])],
-        ForcingSpec.geometric(0.5, direction=[1.0, 1.0j], seed=2),
+        ForcingSpec("geometric", 0.5, direction=[1.0, 1.0j], seed=2),
     )
     forced = system_to_json(system, 32)
     forced["kind"] = "forced_system_output"
-    forcings = [ForcingSpec.custom(np.ones((3, 2))), ForcingSpec.log_decay(seed=1), ForcingSpec.power(2.0)]
+    forcings = [
+        ForcingSpec("custom_table", table=np.ones((3, 2))),
+        ForcingSpec("log_decay", seed=1),
+        ForcingSpec("power", 2.0),
+    ]
     objs = [sequence_to_json(x), sequence_to_json(BoundedSeq(x.values)), forced, system_to_json(system, 32)]
     objs += [forcing_to_json(f) for f in forcings] + [vector_to_json(CVector([1.0, 2.0j])), [0.5, -0.0]]
     return json.loads(dumps_report(objs))
@@ -424,8 +427,8 @@ WIRE_ERRORS = [
 
 #: each parser with the emitter of what it returns
 WIRE_EMITTERS = {
-    parse_cnum: cnum,
-    parse_vector: vector_to_json,
+    functools.partial(parse_cnum_array, what="complex number", ndim=0): cnum_array,
+    functools.partial(parse_cnum_array, what="vector", ndim=1): cnum_array,
     parse_matrix: matrix_to_json,
     parse_forcing: forcing_to_json,
     parse_system: lambda parsed: system_to_json(*parsed),

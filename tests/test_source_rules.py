@@ -226,3 +226,15 @@ def test_library_has_no_orphaned_private_helpers():
     # refactor left behind
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
     assert list(_orphaned_private_defs(trees)) == []
+
+
+def test_library_defines_no_alternate_constructors():
+    # each object has one constructor; a classmethod would be a second way to build it
+    offenders = [
+        f"{path.name}:{node.lineno}: {node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(ast.unparse(d) == "classmethod" for d in node.decorator_list)
+    ]
+    assert offenders == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqspectrum.dynamics import ForcingSpec, simulate_forced
+from seqspectrum.dynamics import DelaySystem, ForcingSpec, simulate_delay
 from seqspectrum.linalg import CMatrix, CVector
 from seqspectrum.trend import GROWTH_DECAYING, classify_growth, least_squares_slope
 
@@ -32,5 +32,6 @@ def test_a_decay_into_subnormal_norms_reads_decaying():
 
 @pytest.mark.parametrize("horizon", [2000, 2100])
 def test_a_simulated_decay_into_subnormal_norms_reads_decaying(horizon):
-    _, report = simulate_forced(CMatrix([[0.5]]), CVector([1.0]), ForcingSpec.zero(), horizon)
+    system = DelaySystem(CMatrix([[0.5]]), 1, [CVector([1.0])], ForcingSpec("zero"))
+    _, report = simulate_delay(system, horizon)
     assert report.growth_class == GROWTH_DECAYING
