@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .eigen import _circular_runs, _power_verdict, spectrum_info
+from .eigen import _power_verdict, spectrum_info
 from .linalg import CMatrix, CVector, _as_complex_array, _batched_spectral_norms, _pow2_scaled, _pow2_unscaled, _power_stack, _row_norms
 from .trend import _log_log_slope, is_bounded
 
@@ -361,8 +361,54 @@ class SpectrumScanReport:
     proxy_disclaimer: str = PROXY_DISCLAIMER
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << max(int(n) - 1, 1).bit_length()
+def _fine_size(horizon: int, grid_size: int) -> int:
+    """Length of the scan's fine transform, max(K, 2 next_pow2(horizon)):
+    at least 2 * horizon, so one fine bin of 2 pi / n_fine <= pi / horizon
+    stays inside a peak's main lobe (half-width 2 pi / horizon), and at
+    least the grid size K, so a window of at most K / 2 entries is refined
+    on the grid transform."""
+    return max(grid_size, 2 << (horizon - 1).bit_length())
+
+
+def _cluster_argmax(idx: np.ndarray, k: int, fine_norms: np.ndarray) -> np.ndarray:
+    """The fine bin of each cluster of above-threshold grid points: the
+    first maximum of ``fine_norms`` over the bins floor((start - 1) r) ..
+    ceil((end + 1) r), r = n_fine / K, taken in that order modulo n_fine.
+
+    Clusters are the runs of consecutive points of ``idx`` (ascending, on a
+    circle of K points); a run ending at K - 1 continues at 0, and comes
+    first, starting below 0.
+    """
+    n_fine = fine_norms.shape[0]
+    breaks = np.flatnonzero(np.diff(idx) > 1)
+    starts = idx[np.concatenate(([0], breaks + 1))]
+    ends = idx[np.concatenate((breaks, [-1]))]
+    if breaks.size and idx[0] == 0 and idx[-1] == k - 1:
+        starts[0] = starts[-1] - k
+        starts, ends = starts[:-1], ends[:-1]
+    ratio = n_fine / k
+    j_lo = np.floor((starts - 1) * ratio).astype(np.int64)
+    sizes = np.ceil((ends + 1) * ratio).astype(np.int64) - j_lo + 1
+    firsts = np.cumsum(sizes) - sizes
+    bins = (np.arange(firsts[-1] + sizes[-1]) + np.repeat(j_lo - firsts, sizes)) % n_fine
+    vals = fine_norms[bins]
+    at_max = np.flatnonzero(vals == np.repeat(np.maximum.reduceat(vals, firsts), sizes))
+    return bins[at_max[np.searchsorted(at_max, firsts)]]
+
+
+def _unit_thetas(phis: np.ndarray) -> np.ndarray:
+    """require_unimodular(cmath.exp(1j * phi)) of each phi, bit for bit, as
+    one array: cmath.exp(1j * phi) is cos(phi) + i sin(0.0 + phi), Python's
+    abs is hypot of the parts, and its quotient by a real modulus divides
+    each part (numpy's complex abs and quotient round differently)."""
+    re, im = np.cos(phis), np.sin(0.0 + phis)
+    mod = np.hypot(re, im)
+    bad = np.flatnonzero(~(np.abs(mod - 1.0) <= _UNIMODULAR_TOL))  # NaN fails too
+    if bad.size:
+        require_unimodular(complex(re[bad[0]], im[bad[0]]))  # raises
+    out = np.empty(mod.shape, dtype=np.complex128)
+    out.real, out.imag = re / mod, im / mod
+    return out
 
 
 def spectrum_scan(
@@ -377,22 +423,27 @@ def spectrum_scan(
     kernel vanishes on the whole grid), whereas a single-period window
     keeps the worst-case attenuation at 2/pi.
     Clusters of above-threshold grid points are then refined at the full
-    horizon: first by argmax over a dense zero-padded transform, which
-    brackets each peak by one fine bin each way, then by Newton steps on
+    horizon n: first by argmax over a zero-padded transform of
+    n_fine = max(K, 2 next_pow2(n)) points (:func:`_fine_size`), which
+    brackets each peak by one fine bin each way.  When n_fine = K (every
+    window of at most K / 2 entries) that transform is the grid's own, so
+    the scan takes one FFT; longer windows take a second.  Then come
+    Newton steps on
     g = Re<m, m'> = (1/2) d|m|^2/dphi, with g' = |m'|^2 + Re<m, m''>,
     safeguarded by that bracket (Press et al., Numerical Recipes, 3rd ed.,
     2007, sec. 9.4): the sign of g halves the bracket, and a step bisects
     it instead where g' >= 0 or the Newton point leaves it.  All clusters
-    step together until every move is at most 2^-40 / n (n the horizon),
-    or for 16 steps: 3 evaluations at horizon 16 and 5 at 16384.  With
+    step together until every move is at most 2^-40 / n, or for 16 steps:
+    3 or 4 evaluations at horizons 16-128 and 4 or 5 at 16384.  With
     z = conj(theta), m' = -i (1/n) sum k z^k x_k and
     m'' = -(1/n) sum k^2 z^k x_k are rotated means too, so x_k, k x_k and
     k^2 x_k are laid out side by side for the two-level sum over
     k = a B + b once per scan (:func:`_split_layout`), and each step is
     one :func:`_split_means` call over every cluster, whose weights'
-    moduli drift by at most about (A + B) eps.  The transforms
-    and the steps work on one copy of the window scaled by an exact
-    power of two, so no norm overflows, none underflows unless it is far
+    moduli drift by at most about (A + B) eps.  The transforms and the
+    steps work on one copy of the window, laid out (d, n) so that each
+    transform runs along a row, and scaled by an exact power of two, so
+    no norm overflows, none underflows unless it is far
     below the largest entry, and a sequence scaled by 2^j (with epsilon
     scaled alike) gives the same angles.
     Each reported peak is the m of the last step, taken at the reported
@@ -410,15 +461,13 @@ def spectrum_scan(
         raise PreconditionError("epsilon must be positive")
     k = int(grid_size)
     n_grid = min(x.horizon, k)
-    (window,), (exp,) = _pow2_scaled(x.values[None])
+    (window,), (exp,) = _pow2_scaled(x.values.T[None])
     scaled_eps = _pow2_unscaled(np.float64(epsilon), -exp)  # inf past the float range: nothing is detected
-    grid_means = np.fft.fft(window[:n_grid], n=k, axis=0) / n_grid  # row m = mean at e^(2 pi i m / K)
-    grid_norms = np.linalg.norm(grid_means, axis=1)
-    above = grid_norms > scaled_eps
-    idx = np.flatnonzero(above)
+    grid_means = np.fft.fft(window[:, :n_grid], n=k, axis=1) / n_grid  # column m = mean at e^(2 pi i m / K)
+    grid_norms = np.linalg.norm(grid_means, axis=0)
+    idx = np.flatnonzero(grid_norms > scaled_eps)
     detected: list[DetectedPoint] = []
     if idx.size:
-        clusters = _circular_runs(idx, 1, k)  # a run ending at K-1 continues at 0
         # Full-horizon fine spectrum for refinement.  The mean as a
         # function of angle has lobes of width 2 pi / horizon -- far
         # narrower than a coarse grid step when horizon > 2K -- so a
@@ -426,20 +475,16 @@ def spectrum_scan(
         # zero-padded transform samples the full-horizon mean densely
         # enough that the argmax bin sits inside the peak's main lobe,
         # and the bracket of one fine bin each way is unimodal.
-        n_fine = 2 * _next_pow2(max(x.horizon, k))
-        fine_norms = np.linalg.norm(np.fft.fft(window, n=n_fine, axis=0) / x.horizon, axis=1)
+        n_fine = _fine_size(x.horizon, k)
+        if n_fine == k:  # n_grid is the horizon: the grid transform is the fine one
+            fine_norms = grid_norms
+        else:
+            fine_norms = np.linalg.norm(np.fft.fft(window, n=n_fine, axis=1) / x.horizon, axis=0)
         fine_step = 2.0 * math.pi / n_fine
-        ratio = n_fine / k
-        j_stars = []
-        for cluster in clusters:
-            j_lo = int(math.floor((cluster[0] - 1) * ratio))
-            j_hi = int(math.ceil((cluster[-1] + 1) * ratio))
-            js = np.arange(j_lo, j_hi + 1) % n_fine
-            j_stars.append(js[np.argmax(fine_norms[js])])
-        phis = fine_step * np.array(j_stars, dtype=np.float64)
+        phis = fine_step * _cluster_argmax(idx, k, fine_norms)
         lo, hi = phis - fine_step, phis + fine_step
         # the (A, 3d, B) layout of x_k, k x_k and k^2 x_k, filled in place
-        layout = _split_layout(window, x.horizon)
+        layout = _split_layout(window.T, x.horizon)
         a, d, b = layout.shape
         cols = np.empty((a, 3 * d, b), dtype=np.complex128)
         cols[:, :d] = layout
@@ -448,8 +493,8 @@ def spectrum_scan(
         np.multiply(cols[:, :d], ks, out=cols[:, d : 2 * d])
         np.multiply(cols[:, :d], ks * ks, out=cols[:, 2 * d :])
         for _ in range(16):
-            thetas = [require_unimodular(cmath.exp(1j * phi)) for phi in phis.tolist()]
-            sums = _split_means(cols, np.array(thetas), x.horizon)
+            thetas = _unit_thetas(phis)
+            sums = _split_means(cols, thetas, x.horizon)
             m, m1, m2 = sums[:, :d], -1j * sums[:, d : 2 * d], -sums[:, 2 * d :]
             g = (m.conj() * m1).real.sum(axis=1)  # (1/2) d|m|^2/dphi
             dg = (m1.conj() * m1).real.sum(axis=1) + (m.conj() * m2).real.sum(axis=1)
@@ -461,7 +506,7 @@ def spectrum_scan(
                 break
             phis = phis + step
         peaks = _row_norms(_pow2_unscaled(m, exp))
-        for theta, peak in zip(thetas, peaks.tolist()):
+        for theta, peak in zip(thetas.tolist(), peaks.tolist()):
             if peak > epsilon:
                 detected.append(DetectedPoint(theta, peak))
     # Greedy acceptance, tallest first.  A candidate within one grid step

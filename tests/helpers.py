@@ -6,9 +6,11 @@ oracle; the library itself never does.
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 
+from seqspectrum.eigen import _circular_runs
 from seqspectrum.errors import SingularMatrixError
 from seqspectrum.linalg import PIVOT_RTOL, CMatrix, CVector
 from seqspectrum.sequences import BoundedSeq
@@ -48,6 +50,22 @@ def loop_solve(a, rhs):
     for col in range(d - 1, -1, -1):
         x[col] = (x[col] - m[col, col + 1 :] @ x[col + 1 :]) / m[col, col]
     return x
+
+
+def loop_cluster_argmax(idx, k, fine_norms):
+    """Reference for ``sequences._cluster_argmax``: the per-cluster loop it
+    replaced, over the runs of ``eigen._circular_runs`` (gap 1 on K points),
+    taking ``np.argmax`` over each run's fine bins
+    floor((start - 1) r) .. ceil((end + 1) r) modulo n_fine, r = n_fine / K."""
+    n_fine = fine_norms.shape[0]
+    ratio = n_fine / k
+    j_stars = []
+    for cluster in _circular_runs(idx, 1, k):
+        j_lo = int(math.floor((cluster[0] - 1) * ratio))
+        j_hi = int(math.ceil((cluster[-1] + 1) * ratio))
+        js = np.arange(j_lo, j_hi + 1) % n_fine
+        j_stars.append(js[np.argmax(fine_norms[js])])
+    return np.array(j_stars, dtype=np.int64)
 
 
 def random_unitary(rng, d):

@@ -183,7 +183,7 @@ PINNED = {
     "cli-delay-probe": "7c3ce6024cac9edcd5b54a68c69776d8425c3684ccd740c93a217e747ed6c2e1",
     "cli-corpus": "466b8f5e857236860c0f33060090e4fa48ab27ce28d0f2defb0cdddfb583e211",
     "cli-modes-materialized": "5c15add289ee9acfa3c4671985697c88a17b10fc30b80286e1b6182328615ae7",
-    "cli-scan-materialized": "43aa3c51bf9434a408c16fb590c12d7d08426a749575393e49798270a019a947",
+    "cli-scan-materialized": "d67de97a9c3ad34c079561e65e2204d64cdd07f0f179aa3924d559ff6470826a",
     "cli-simulate": "dcbe2ff0fedf00e72fcdf6a4c662621736a8a37e3928dcb06be4579b2d6fe896",
     "corpus-modes": "927bf2de18b04681495ddc1ad1e58925bf6ac4ea1f8f9ad4c8f23b92757d25f2",
     "corpus-vanishing": "4eb04be0597da5e4a9bd018f223aae90b271e2e9cfab162b622e89991d32c36c",

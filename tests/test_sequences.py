@@ -77,7 +77,7 @@ def test_unimodular_powers_match_scalar_powers():
         assert unimodular_powers(theta, 3000).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("horizon, calls", [(16, 3), (16384, 5)])
+@pytest.mark.parametrize("horizon, calls", [(16, 4), (16384, 5)])
 def test_scan_search_stops_at_its_resolution(monkeypatch, horizon, calls):
     # Newton steps until every move is at most 2^-40 / n; the last
     # evaluation, whose move is not taken, gives the reported peak
@@ -231,16 +231,18 @@ def test_scan_finds_mode_between_grid_points():
     assert report.detected[0].peak_mean_norm == pytest.approx(0.9, abs=1e-6)
 
 
-def _mode_mixture(seed):
-    """One to four unimodular modes in C^d, d from 1 to 8, plus a 1/n decay,
-    at a horizon of 64, 256, 1024 or 4096 (by seed)."""
+def _mode_mixture(seed, horizon=None, d=None):
+    """One to four unimodular modes in C^d, d from 1 to 8 unless given, plus
+    a 1/n decay, at a horizon of 64, 256, 1024 or 4096 (by seed) unless given."""
     rng = np.random.default_rng(seed)
-    d = int(rng.integers(1, 9))
+    d = int(rng.integers(1, 9)) if d is None else d
     modes = [
         (cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)), rng.standard_normal(d) + 1j * rng.standard_normal(d))
         for _ in range(int(rng.integers(1, 5)))
     ]
-    return modes_plus_decay(modes, (64, 256, 1024, 4096)[seed % 4], decay=("power", 1.0), seed=seed)
+    if horizon is None:
+        horizon = (64, 256, 1024, 4096)[seed % 4]
+    return modes_plus_decay(modes, horizon, decay=("power", 1.0), seed=seed)
 
 
 def test_scan_detections_clear_threshold():
@@ -385,25 +387,130 @@ def test_scan_detections_keep_pinned_bytes():
 #: corpus members at the benchmark's scan horizon, beyond the mixtures' 4096
 CORPUS_16384 = [f"{kind}-{i}" for kind in ("single-mode", "two-mode", "mode-plus-decay") for i in (0, 1)]
 
+#: (horizon, grid size) pairs around the one-transform rule 2 next_pow2(n) <= K
+SHORT_WINDOWS = [(n, k) for n in (16, 37, 100, 1000, 2047, 2048, 2049) for k in (64, 100, 3000)]
+
 
 @pytest.mark.parametrize(
     "source",
-    [*sorted(PINNED_DETECTIONS), *(f"mixture-{seed}" for seed in range(16)), *(f"corpus-11-16384-{m}" for m in CORPUS_16384)],
+    [
+        *sorted(PINNED_DETECTIONS),
+        *(f"mixture-{seed}" for seed in range(16)),
+        *(f"corpus-11-16384-{m}" for m in CORPUS_16384),
+        *(f"short-{n}-{k}" for n, k in SHORT_WINDOWS),
+    ],
 )
 def test_scan_detections_match_a_longdouble_maximiser(source):
+    grid_size = sequences.DEFAULT_GRID_SIZE
     if source in PINNED_DETECTIONS:
         x = _pinned_scan_inputs()[source][1]
     elif source.startswith("corpus-11-16384-"):
         member_id = source.removeprefix("corpus-11-16384-")
         x = next(m.seq for m in generate_corpus(11, 16384) if m.member_id == member_id)
+    elif source.startswith("short-"):
+        horizon, grid_size = map(int, source.split("-")[1:])
+        x = _mode_mixture(horizon + grid_size, horizon)
     else:
         x = _mode_mixture(int(source.removeprefix("mixture-")))
-    report = spectrum_scan(x)
+    report = spectrum_scan(x, grid_size)
     assert report.detected
     for det in report.detected:
         phi, peak = _longdouble_peak(x.values, cmath.phase(det.theta))
         assert abs(det.peak_mean_norm - peak) <= 1e-13 * peak
         assert angular_distance(det.theta, cmath.exp(1j * float(phi))) <= 1e-12
+
+
+@pytest.mark.parametrize("horizon, grid_size", [*SHORT_WINDOWS, (16, 4096), (2048, 4096), (2049, 4096), (16384, 4096)])
+def test_short_windows_take_one_transform(monkeypatch, horizon, grid_size):
+    # the grid transform is the fine one when 2 next_pow2(n) <= K
+    fft = np.fft.fft
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["n"])
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    report = spectrum_scan(modes_plus_decay([(cmath.exp(0.7j), [1.0, 0.5j])], horizon), grid_size)
+    assert len(report.detected) == 1
+    one = 2 * 2 ** math.ceil(math.log2(horizon)) <= grid_size
+    assert calls == ([grid_size] if one else [grid_size, sequences._fine_size(horizon, grid_size)])
+    assert sequences._fine_size(horizon, grid_size) >= 2 * horizon  # one fine bin is at most pi / n
+
+
+def _grid_masks(rng, k):
+    """Above-threshold masks on K grid points: random densities, a run
+    across the wrap, the full circle and lone points at 0 and K - 1."""
+    masks = [(rng.uniform(size=k) < p) | (np.arange(k) == rng.integers(k)) for p in (0.02, 0.2, 0.5, 0.8, 0.97)]
+    wrap = rng.uniform(size=k) < 0.3
+    wrap[:3] = wrap[-4:] = True
+    masks += [wrap, np.ones(k, dtype=bool)]
+    for ends in ([0], [k - 1], [0, k - 1], [0, 2, k - 3, k - 1]):
+        lone = np.zeros(k, dtype=bool)
+        lone[ends] = True
+        masks.append(lone)
+    alternate = np.zeros(k, dtype=bool)
+    alternate[::2] = True  # neighbouring clusters share the fine bins between them
+    return masks + [alternate, np.roll(alternate, 1)]
+
+
+#: fine/grid ratios of 1, 2 and 8, and non-integer ones
+FINE_RATIOS = [(64, 64), (64, 128), (64, 512), (100, 128), (100, 256), (3000, 4096), (3000, 3000)]
+
+
+@pytest.mark.parametrize("k, n_fine", FINE_RATIOS)
+def test_cluster_argmax_matches_the_per_cluster_loop(k, n_fine):
+    rng = np.random.default_rng(k + n_fine)
+    for mask in _grid_masks(rng, k):
+        idx = np.flatnonzero(mask)
+        assert idx.size  # the scan refines only when some grid point is above the threshold
+        # a few levels make ties common, so the first maximum is tested too
+        for fine_norms in (rng.uniform(size=n_fine), rng.integers(0, 4, n_fine).astype(np.float64)):
+            got = sequences._cluster_argmax(idx, k, fine_norms)
+            assert got.tolist() == helpers.loop_cluster_argmax(idx, k, fine_norms).tolist()
+
+
+def test_unit_thetas_match_python_complex_bits(monkeypatch):
+    rng = np.random.default_rng(0)
+    special = [0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, 1e-300, -1e-300, 5e-324, 2.0**-40, 1e-8, 7.0]
+    phis = np.concatenate([special, rng.uniform(-7.0, 7.0, 90000), rng.uniform(-1e-6, 1e-6, 10000)])
+    for phi, theta in zip(phis.tolist(), sequences._unit_thetas(phis).tolist()):
+        want = require_unimodular(cmath.exp(1j * phi))
+        assert (theta.real.hex(), theta.imag.hex()) == (want.real.hex(), want.imag.hex()), phi
+    with pytest.raises(PreconditionError, match="not unimodular"):
+        sequences._unit_thetas(np.array([0.5, math.nan]))
+    # a cosine off by 2e-12 leaves the unit circle by more than the tolerance
+    cos = np.cos
+    monkeypatch.setattr(np, "cos", lambda p: cos(p) + 2e-12)
+    with pytest.raises(PreconditionError, match="not unimodular"):
+        sequences._unit_thetas(np.array([0.0, 0.5]))
+    monkeypatch.setattr(np, "cos", lambda p: cos(p) + 5e-13)
+    assert sequences._unit_thetas(np.array([0.0])).tolist() == [require_unimodular(1.0 + 5e-13)]
+
+
+@pytest.mark.parametrize("d", [8, 13, 64])
+def test_row_layout_norms_pick_the_same_clusters_and_bins(d):
+    # from d = 8 numpy sums a contiguous row of squares pairwise, so the norms
+    # of the (d, n) transforms may differ from the (n, d) ones in the last bit
+    k = sequences.DEFAULT_GRID_SIZE
+    last_bits = False
+    for seed, horizon in [(s, n) for s in range(4) for n in (37, 128, 2048, 4096)]:
+        x = _mode_mixture(seed, horizon, d)
+        (rows,), (exp,) = linalg._pow2_scaled(x.values.T[None])
+        (cols,), _ = linalg._pow2_scaled(x.values[None])
+        eps = linalg._pow2_unscaled(np.float64(default_epsilon(x.sup_norm)), -exp)
+        n_grid, n_fine = min(horizon, k), sequences._fine_size(horizon, k)
+        grid_rows = np.linalg.norm(np.fft.fft(rows[:, :n_grid], n=k, axis=1) / n_grid, axis=0)
+        grid_cols = np.linalg.norm(np.fft.fft(cols[:n_grid], n=k, axis=0) / n_grid, axis=1)
+        fine_rows = np.linalg.norm(np.fft.fft(rows, n=n_fine, axis=1) / horizon, axis=0)
+        fine_cols = np.linalg.norm(np.fft.fft(cols, n=n_fine, axis=0) / horizon, axis=1)
+        assert np.abs(grid_rows - grid_cols).max() <= 4e-16 * grid_cols.max()
+        last_bits |= (grid_rows != grid_cols).any()
+        idx = np.flatnonzero(grid_rows > eps)
+        assert idx.size and idx.tolist() == np.flatnonzero(grid_cols > eps).tolist()
+        got = sequences._cluster_argmax(idx, k, fine_rows)
+        assert got.tolist() == sequences._cluster_argmax(idx, k, fine_cols).tolist()
+    assert last_bits
 
 
 @pytest.mark.parametrize("m1_scale, m2_scale", [(1.0, -1.0), (1e-6, 1e-12)])
@@ -417,7 +524,7 @@ def test_scan_safeguard_bisects_and_still_finds_the_maximiser(monkeypatch, m1_sc
         x = modes_plus_decay([(cmath.exp(0.7j), [1.0, 0.5j])], 16384)
     else:
         x = _mode_mixture(3)
-    fine_step = 2.0 * math.pi / (2 * max(x.horizon, sequences.DEFAULT_GRID_SIZE))
+    fine_step = 2.0 * math.pi / sequences._fine_size(x.horizon, sequences.DEFAULT_GRID_SIZE)
     means = sequences._split_means
     phis = []
 
