@@ -172,6 +172,21 @@ def _pow2_unscaled(arr, exps):
         return np.ldexp(arr.view(np.float64), exps.reshape(exps.shape + (1,) * (arr.ndim - exps.ndim))).view(arr.dtype)
 
 
+def _div_real(z: np.ndarray, r) -> np.ndarray:
+    """z / r in place for a complex array z whose last axis is contiguous
+    and real divisors r broadcasting against it; returns z.
+
+    numpy divides by r + 0j as (re + im 0) (1 / r), so multiplying the
+    real and imaginary parts by 1 / r gives its bits wherever z is finite,
+    up to the sign of a zero part, without its full complex quotient.
+    Dividing the parts by r would round differently.  An inf or NaN part
+    of z is not numpy's quotient, since numpy's im 0 turns inf into NaN.
+    """
+    parts = z.view(np.float64)
+    parts *= 1.0 / r
+    return z
+
+
 def _row_norms(arr: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a complex (N, d) array.
 
@@ -262,6 +277,13 @@ def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
     with a NaN or inf entry is closed at inf, and every other matrix keeps
     the bits of an unscaled run.  See Golub & Van Loan, sections 7.3 and 8.2.
 
+    Every quotient by a real number, the trace renormalisation included,
+    is :func:`_div_real`'s product by the reciprocal.  That keeps the bits
+    of numpy's complex quotient only on finite arrays, and every array
+    divided here is finite: a matrix with a NaN or inf entry is zeroed
+    before the loop, and every array formed from the others is bounded by
+    the Frobenius norm of its matrix.
+
     Raises ConvergenceError, with the widest open bracket in its payload,
     when a bracket is still open after ``_MAX_SQUARINGS`` squarings.  The
     payload gives the caller's index into ``mats`` and the bracket in the
@@ -292,10 +314,8 @@ def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
     rows = idx if 2 * idx.size <= s else slice(None)
     live = mats[rows]
     unit = np.where(scale > 0.0, scale, 1.0)[rows, None, None]
-    gram = np.conjugate(live)
-    gram /= unit
-    gram = np.matmul(gram.swapaxes(1, 2), live)
-    gram /= unit
+    gram = _div_real(np.conjugate(live), unit)
+    gram = _div_real(np.matmul(gram.swapaxes(1, 2), live), unit)
     if len(gram) > idx.size:
         gram = gram[idx]
     log_top = np.zeros(idx.size)  # ln tr(G^m) / m, an upper bound on ln of the top eigenvalue
@@ -303,14 +323,14 @@ def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
     for k in range(_MAX_SQUARINGS + 1):
         if k:
             gram = np.matmul(gram, gram)
-        trace = np.trace(gram, axis1=1, axis2=2).real
-        gram /= trace[:, None, None]
+        trace = np.diagonal(gram, axis1=1, axis2=2).sum(axis=1).real  # np.trace's bits, faster
+        _div_real(gram, trace[:, None, None])
         log_top += np.log(trace) / 2.0**k
         cols = np.argmax(np.diagonal(gram, axis1=1, axis2=2).real, axis=1)
         v = gram[np.arange(idx.size), :, cols]
         # one batched mat-vec on the whole input stack; closed rows hold zeros
         vecs[idx] = v
-        image = np.matmul(mats, vecs[:, :, None])[idx, :, 0] / scale[idx, None]
+        image = _div_real(np.matmul(mats, vecs[:, :, None])[idx, :, 0], scale[idx, None])
         lower = np.linalg.norm(image, axis=1) / np.linalg.norm(v, axis=1)
         upper = np.exp(0.5 * log_top)
         done = upper - lower <= _NORM_RTOL * lower
@@ -323,10 +343,11 @@ def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
         out[idx[done]] = scale[idx[done]] * lower[done]
         if done.all():
             return _pow2_unscaled(out, exps)
-        vecs[idx[done]] = 0.0
-        keep = ~done
-        idx, gram, log_top = idx[keep], gram[keep], log_top[keep]
-    lower, upper = lower[keep], upper[keep]
+        if done.any():  # compacting copies the open stack, so only where a bracket closed
+            vecs[idx[done]] = 0.0
+            keep = ~done
+            idx, gram, log_top = idx[keep], gram[keep], log_top[keep]
+    lower, upper = lower[~done], upper[~done]
     worst = int(np.argmax((upper - lower) / lower))
     i = int(idx[worst])
     lo, hi = _pow2_unscaled(scale[i] * np.array([lower[worst], upper[worst]]), exps[i])
@@ -360,15 +381,15 @@ def _ritz_bounds(
     top2 = np.argpartition(-np.diagonal(gram, axis1=1, axis2=2).real, 1, axis=1)[:, :2]
     q = gram[np.arange(n), :, top2.T]  # (2, n, d): the two largest-diagonal columns
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero residual gives NaN, rejected below
-        q[0] /= norms(q[0])[:, None]
+        _div_real(q[0], norms(q[0])[:, None])
         for _ in range(2):
             q[1] -= q[0] * np.vecdot(q[0], q[1])[:, None]
             residual = norms(q[1])
-            q[1] /= residual[:, None]
+            _div_real(q[1], residual[:, None])
         hq = np.matmul(gram, q[..., None])[..., 0]
         # A Q / |A|; the copy of mats[idx] is the size of the gram stack,
         # so this step holds about as much memory as a squaring
-        aq = np.matmul(mats[idx], q[..., None])[..., 0] / scale[idx, None]
+        aq = _div_real(np.matmul(mats[idx], q[..., None])[..., 0], scale[idx, None])
         # the 2x2 compressions of H and of A*A onto span(Q), solved together
         u, v = np.concatenate([q, aq], axis=1), np.concatenate([hq, aq], axis=1)
         theta, y = _hermitian_2x2(np.vecdot(u[0], v[0]).real, np.vecdot(u[1], v[1]).real, np.vecdot(u[0], v[1]))
@@ -414,10 +435,11 @@ def _power_stack(arr: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray, n
     step = 0
     if np.abs(arr.view(np.float64)).max() > _POWER_RESCALE_HI:
         (arr,), (step,) = _pow2_scaled(arr[None])
-    p, e = arr, np.int64(0)  # no n_max overflows an int64 exponent
+    p, e = powers[0], np.int64(0)  # no n_max overflows an int64 exponent
+    p[...] = arr
     for n in range(n_max):
         if n:
-            p = arr @ p
+            p = np.matmul(arr, p, out=powers[n])  # P_n in its row of the stack, rescaled there
         e += step
         amax = np.abs(p.view(np.float64)).max()
         if amax == 0.0:
@@ -425,9 +447,9 @@ def _power_stack(arr: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray, n
             powers, exps = powers[:n].copy(), exps[:n]
             break
         if not _POWER_RESCALE_LO <= amax <= _POWER_RESCALE_HI:
-            (p,), (k,) = _pow2_scaled(p[None])
+            (p[...],), (k,) = _pow2_scaled(p[None])
             e += k
-        powers[n], exps[n] = p, e
+        exps[n] = e
     logs = np.full(n_max, -np.inf)
     logs[: len(powers)] = np.log(_batched_spectral_norms(powers)) + exps * np.log(2.0)
     return logs, powers, exps

@@ -10,9 +10,10 @@ import math
 
 import numpy as np
 
+from seqspectrum import linalg
 from seqspectrum.eigen import _circular_runs
-from seqspectrum.errors import SingularMatrixError
-from seqspectrum.linalg import PIVOT_RTOL, CMatrix, CVector
+from seqspectrum.errors import ConvergenceError, SingularMatrixError
+from seqspectrum.linalg import PIVOT_RTOL, CMatrix, CVector, _hermitian_2x2, _pow2_scaled, _pow2_unscaled
 from seqspectrum.sequences import BoundedSeq
 from seqspectrum.serialize import matrix_to_json, sequence_to_json, vector_to_json
 
@@ -66,6 +67,98 @@ def loop_cluster_argmax(idx, k, fine_norms):
         js = np.arange(j_lo, j_hi + 1) % n_fine
         j_stars.append(js[np.argmax(fine_norms[js])])
     return np.array(j_stars, dtype=np.int64)
+
+
+def reference_spectral_norms(mats):
+    """Reference for ``linalg._batched_spectral_norms``: the kernel before
+    its per-level cuts, which divided by real numbers with numpy's complex
+    quotient, took ``np.trace`` and compacted the open stack at every
+    level.  It reads ``_MAX_SQUARINGS``, ``_RITZ_AFTER`` and ``_NORM_RTOL``
+    from ``linalg`` at call time, so a test that patches them patches both."""
+    mats = np.asarray(mats, dtype=np.complex128)
+    s, d, _ = mats.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.linalg.norm(mats.reshape(s, d * d), axis=1)
+    out = np.zeros(s)
+    exps = np.zeros(s, dtype=int)
+    odd = np.flatnonzero(~((scale > 0.0) & (scale < np.inf)))
+    odd = odd[[mats[i].any() for i in odd]]
+    if odd.size:
+        mats = mats.copy()
+        mats[odd], exps[odd] = _pow2_scaled(mats[odd])
+        bad = odd[~np.isfinite(mats[odd]).all(axis=(1, 2))]
+        out[bad], mats[bad] = np.inf, 0.0
+        scale[odd] = np.linalg.norm(mats[odd].reshape(odd.size, d * d), axis=1)
+    idx = np.flatnonzero(scale > 0.0)
+    rows = idx if 2 * idx.size <= s else slice(None)
+    live = mats[rows]
+    unit = np.where(scale > 0.0, scale, 1.0)[rows, None, None]
+    gram = np.conjugate(live)
+    gram /= unit
+    gram = np.matmul(gram.swapaxes(1, 2), live)
+    gram /= unit
+    if len(gram) > idx.size:
+        gram = gram[idx]
+    log_top = np.zeros(idx.size)
+    vecs = np.zeros((s, d), dtype=np.complex128)
+    for k in range(linalg._MAX_SQUARINGS + 1):
+        if k:
+            gram = np.matmul(gram, gram)
+        trace = np.trace(gram, axis1=1, axis2=2).real
+        gram /= trace[:, None, None]
+        log_top += np.log(trace) / 2.0**k
+        cols = np.argmax(np.diagonal(gram, axis1=1, axis2=2).real, axis=1)
+        v = gram[np.arange(idx.size), :, cols]
+        vecs[idx] = v
+        image = np.matmul(mats, vecs[:, :, None])[idx, :, 0] / scale[idx, None]
+        lower = np.linalg.norm(image, axis=1) / np.linalg.norm(v, axis=1)
+        upper = np.exp(0.5 * log_top)
+        done = upper - lower <= linalg._NORM_RTOL * lower
+        if k >= linalg._RITZ_AFTER and not done.all():
+            ritz_lower, theta = _reference_ritz_bounds(mats, scale, idx, gram)
+            lower = np.where(done, lower, np.fmax(lower, ritz_lower))
+            upper = np.where(done, upper, np.exp(0.5 * (log_top + np.log1p(-theta) / 2.0**k)))
+            done = upper - lower <= linalg._NORM_RTOL * lower
+        out[idx[done]] = scale[idx[done]] * lower[done]
+        if done.all():
+            return _pow2_unscaled(out, exps)
+        vecs[idx[done]] = 0.0
+        keep = ~done
+        idx, gram, log_top = idx[keep], gram[keep], log_top[keep]
+    lower, upper = lower[keep], upper[keep]
+    worst = int(np.argmax((upper - lower) / lower))
+    i = int(idx[worst])
+    lo, hi = _pow2_unscaled(scale[i] * np.array([lower[worst], upper[worst]]), exps[i])
+    raise ConvergenceError(
+        f"spectral norm bracket open after {linalg._MAX_SQUARINGS} squarings for "
+        f"{idx.size} of {s} matrices",
+        {"index": i, "lower": float(lo), "upper": float(hi)},
+    )
+
+
+def _reference_ritz_bounds(mats, scale, idx, gram):
+    """The two-vector Ritz step of :func:`reference_spectral_norms`."""
+    n, d, _ = gram.shape
+
+    def norms(x):
+        return np.sqrt(np.vecdot(x, x).real)
+
+    top2 = np.argpartition(-np.diagonal(gram, axis1=1, axis2=2).real, 1, axis=1)[:, :2]
+    q = gram[np.arange(n), :, top2.T]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q[0] /= norms(q[0])[:, None]
+        for _ in range(2):
+            q[1] -= q[0] * np.vecdot(q[0], q[1])[:, None]
+            residual = norms(q[1])
+            q[1] /= residual[:, None]
+        hq = np.matmul(gram, q[..., None])[..., 0]
+        aq = np.matmul(mats[idx], q[..., None])[..., 0] / scale[idx, None]
+        u, v = np.concatenate([q, aq], axis=1), np.concatenate([hq, aq], axis=1)
+        theta, y = _hermitian_2x2(np.vecdot(u[0], v[0]).real, np.vecdot(u[1], v[1]).real, np.vecdot(u[0], v[1]))
+        theta = np.where(residual >= 0.5, np.clip(theta[:n] - 64 * d * np.finfo(float).eps, 0.0, 0.5), 0.0)
+        y1, y2 = y[n:, :1], y[n:, 1:]
+        lower = norms(aq[0] * y1 + aq[1] * y2) / norms(q[0] * y1 + q[1] * y2)
+    return lower, theta
 
 
 def random_unitary(rng, d):

@@ -252,10 +252,8 @@ def _peripheral_normal(rng, d, peripheral):
     return q @ np.diag(np.concatenate([unimodular, interior])) @ q.conj().T
 
 
-def test_tied_power_sequence_takes_few_squarings(monkeypatch):
-    # every power of a matrix with two unimodular eigenvalues has a tied
-    # top pair; without the Ritz step each took about 44 squarings
-    a = _peripheral_normal(np.random.default_rng(16), 16, 2)
+def _squarings(monkeypatch, call):
+    """``(call(), n)``, n the number of matrices ``call`` squared with np.matmul."""
     squared = []
     matmul = np.matmul
 
@@ -264,9 +262,17 @@ def test_tied_power_sequence_takes_few_squarings(monkeypatch):
             squared.append(x.shape[0])
         return matmul(x, y, *args, **kwargs)
 
-    monkeypatch.setattr(np, "matmul", counting)
-    mat_power_seq(CMatrix(a), 512)
-    assert sum(squared) <= 12 * 512
+    with monkeypatch.context() as m:
+        m.setattr(np, "matmul", counting)
+        return call(), sum(squared)
+
+
+def test_tied_power_sequence_takes_few_squarings(monkeypatch):
+    # every power of a matrix with two unimodular eigenvalues has a tied
+    # top pair; without the Ritz step each took about 44 squarings
+    a = _peripheral_normal(np.random.default_rng(16), 16, 2)
+    _, squared = _squarings(monkeypatch, lambda: mat_power_seq(CMatrix(a), 512))
+    assert squared <= 12 * 512
 
 
 @pytest.mark.parametrize("peripheral", [1, 2])
@@ -333,6 +339,114 @@ def test_zero_matrices_leave_the_rest_of_the_stack_bitwise(seed):
     norms = linalg._batched_spectral_norms(mixed)
     np.testing.assert_array_equal(norms[:s][~zero], linalg._batched_spectral_norms(plain[~zero]))
     assert not norms[:s][zero].any()
+
+
+def _kernel_run(kernel, stack, monkeypatch):
+    """``(outcome, squarings)`` of one kernel call: the int64 view of the
+    norms, or the message and payload of its ConvergenceError, and the
+    number of matrices it squared."""
+
+    def call():
+        try:
+            return kernel(stack).view(np.int64).tolist()
+        except ConvergenceError as exc:
+            return str(exc), repr(exc.payload)
+
+    return _squarings(monkeypatch, call)
+
+
+def _unimodular_normal_powers(rng, d, peripheral, count):
+    """A, ..., A^count for a normal A with ``peripheral`` unimodular
+    eigenvalues and the rest of modulus in [0.3, 0.8]."""
+    eigs = np.concatenate([
+        np.exp(2j * np.pi * rng.uniform(0.0, 1.0, peripheral)),
+        rng.uniform(0.3, 0.8, d - peripheral) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, d - peripheral)),
+    ])
+    q = helpers.random_unitary(rng, d)
+    powers = [q @ np.diag(eigs) @ q.conj().T]
+    for _ in range(count - 1):
+        powers.append(powers[0] @ powers[-1])
+    return np.array(powers)
+
+
+def _reference_stack(case):
+    kind, _, arg = case.partition("-")
+    rng = np.random.default_rng(sum(map(ord, case)))
+    if kind == "gaussian":
+        d = int(arg)
+        return rng.standard_normal((12, d, d))
+    if kind == "ginibre":
+        d = int(arg)
+        return (rng.standard_normal((12, d, d)) + 1j * rng.standard_normal((12, d, d))) / np.sqrt(2 * d)
+    if kind == "powers":
+        d, peripheral = map(int, arg.split("x"))
+        return _unimodular_normal_powers(rng, d, peripheral, 48)
+    if kind == "extreme":
+        return np.asarray(EXTREME_MATRICES[int(arg)])[None]
+    if kind == "near1e300":
+        return 1e300 * (rng.standard_normal((1, 3, 3)) + 1j * rng.standard_normal((1, 3, 3)))
+    if kind == "mixed":
+        plain = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
+        nan, inf = np.full((5, 5), np.nan), np.diag([np.inf, 1.0, 1.0, 1.0, 1.0])
+        return np.array([plain[0], np.zeros((5, 5)), 1e-200 * plain[1], nan, plain[2], 1e200 * plain[3], inf])
+    assert kind == "empty"
+    return np.zeros((0, 3, 3))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [f"{kind}-{d}" for kind in ("gaussian", "ginibre") for d in (1, 2, 4, 8, 16, 32, 64)]
+    + [f"powers-{d}x{p}" for d in (6, 16) for p in (2, 3, 4)]
+    + [f"extreme-{i}" for i in range(len(EXTREME_MATRICES))]
+    + ["near1e300", "mixed", "empty"],
+)
+def test_norm_kernel_is_the_reference_bit_for_bit(monkeypatch, case):
+    # the kernel's per-level cuts keep every returned bit and every squaring
+    stack = _reference_stack(case)
+    assert _kernel_run(linalg._batched_spectral_norms, stack, monkeypatch) == _kernel_run(
+        helpers.reference_spectral_norms, stack, monkeypatch
+    )
+
+
+@pytest.mark.parametrize("cap", [9, 10, 11])
+@pytest.mark.parametrize("case", ["triple ties", "mixed"])
+def test_forced_open_kernel_is_the_reference_bit_for_bit(monkeypatch, cap, case):
+    monkeypatch.setattr(linalg, "_MAX_SQUARINGS", cap)
+    rng = np.random.default_rng(cap)
+    stack = _tied_stack(rng, 6, [3], [0.0, 0.0, 0.0])
+    if case == "mixed":
+        stack = np.concatenate([np.zeros((1, 6, 6)), 1e-200 * stack[:1], np.full((1, 6, 6), np.nan), stack[1:], np.eye(6)[None]])
+    got = _kernel_run(linalg._batched_spectral_norms, stack, monkeypatch)
+    assert isinstance(got[0], tuple)  # the bracket stays open
+    assert got == _kernel_run(helpers.reference_spectral_norms, stack, monkeypatch)
+
+
+def test_div_real_is_numpys_quotient_up_to_the_sign_of_zero():
+    # parts from 2^-1074 to 2^1000 and zeros of both signs, over ordinary
+    # divisors, large and small ones, and one whose reciprocal overflows
+    rng = np.random.default_rng(21)
+    r = np.array([1.0, -3.0, 0.1, 7e-5, 2.0**-1000, -(2.0**1000), 1e300, 2.0**-1030, 3e-310])[:, None]
+    parts = rng.choice([-1.0, 1.0], (len(r), 4096)) * np.ldexp(rng.uniform(1.0, 2.0, (len(r), 4096)), rng.integers(-1074, 1001, (len(r), 4096)))
+    parts[:, :512] = rng.choice([-0.0, 0.0], (len(r), 512))
+    rng.permuted(parts, axis=1, out=parts)
+    z = parts.view(np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range, and 0 times an infinite reciprocal
+        want = (z / r).view(np.float64)
+        got = linalg._div_real(z.copy(), r).view(np.float64)
+    np.testing.assert_array_equal(got, want)
+    differ = got.view(np.int64) != want.view(np.int64)
+    assert differ.any() and (want[differ] == 0.0).all()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16, 32, 64])
+def test_diagonal_sum_is_the_trace_bit_for_bit(d):
+    # the norm kernel's trace; summing the real parts alone rounds differently
+    rng = np.random.default_rng(d)
+    for s in (1, 7, 512):
+        g = (rng.standard_normal((s, d, d)) + 1j * rng.standard_normal((s, d, d))) * np.exp(rng.uniform(-20.0, 20.0, (s, d, d)))
+        want = np.trace(g, axis1=1, axis2=2).real
+        got = np.diagonal(g, axis1=1, axis2=2).sum(axis=1).real
+        assert (got.view(np.int64) == want.view(np.int64)).all()
 
 
 def _kernel_peak(stack):

@@ -95,6 +95,19 @@ def test_power_of_two_scaling_lives_in_linalg():
     assert callers == ["linalg.py"]
 
 
+def test_linalg_divides_no_array_in_place():
+    # every complex-by-real quotient of the kernels is linalg._div_real's
+    # product by the reciprocal, numpy's own arithmetic without its full
+    # complex quotient
+    (path,) = [path for path in SOURCES if path.name == "linalg.py"]
+    offenders = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div)
+    ]
+    assert offenders == []
+
+
 def _unused_imports(tree):
     """(line, name) for every name a module imports but never reads."""
     imported = {}
