@@ -18,7 +18,7 @@ import numpy as np
 
 from .eigen import spectrum_info, DEFAULT_PERIPHERAL_TOL
 from .errors import PreconditionError, UnboundedTrajectoryError
-from .linalg import CMatrix, CVector, _as_complex_array, _row_norms
+from .linalg import CMatrix, CVector, _row_norms
 from .sequences import (
     BoundedSeq,
     DetectedPoint,
@@ -30,7 +30,8 @@ from .sequences import (
     default_tol_vanish,
     difference_tail,
     extract_modes,
-    _unit_vector,
+    _as_table,
+    _decaying_term,
     spectrum_scan,
     DEFAULT_GRID_SIZE,
     MIN_HORIZON,
@@ -81,11 +82,7 @@ class ForcingSpec:
         if kind == "custom_table":
             if table is None:
                 raise PreconditionError("custom_table forcing needs a table")
-            table = _as_complex_array(table)
-            if table.ndim == 1:
-                table = table[:, None]
-            if table.ndim != 2 or table.shape[0] < 1:
-                raise PreconditionError("forcing table must be a nonempty (N, d) array")
+            table = _as_table(table, "forcing table")
         elif table is not None:
             raise PreconditionError("only custom_table forcing takes a table")
         if direction is not None:
@@ -120,16 +117,8 @@ class ForcingSpec:
                     f"forcing table has {self.table.shape[0]} entries, need {count}"
                 )
             return self.table[:count]
-        if self.direction is None:
-            direction = _unit_vector(np.random.default_rng(self.seed), dim, 1.0)
-        else:
-            if self.direction.shape[0] != dim:
-                raise PreconditionError(
-                    f"forcing direction dimension {self.direction.shape[0]} != system dimension {dim}"
-                )
-            direction = self.direction
         env = decay_envelope(_ENVELOPE_FOR[self.kind], self.param, count)
-        return env[:, None] * direction
+        return _decaying_term(env, self.direction, self.seed, dim)
 
 
 class DelaySystem:
@@ -188,7 +177,7 @@ def simulate_delay(system: DelaySystem, horizon: int) -> tuple[BoundedSeq, Traje
             if over.size:
                 step = start + int(over[0])
                 raise UnboundedTrajectoryError(f"trajectory norm exceeded {OVERFLOW_LIMIT:.1e} at step {step}", step)
-    seq = BoundedSeq(values, {"kind": "forced_system_output", "p": p, "horizon": horizon})
+    seq = BoundedSeq(values)
     growth = classify_growth(seq.norms)
     return seq, TrajectoryReport(
         sup_norm=seq.sup_norm,

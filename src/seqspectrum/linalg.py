@@ -48,7 +48,7 @@ _POWER_RESCALE_HI = 1e100
 
 def _as_complex_array(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    if not np.isfinite(arr).all():
         raise PreconditionError("entries must be finite (no NaN/Inf)")
     arr = arr.copy()
     arr.flags.writeable = False

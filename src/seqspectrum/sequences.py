@@ -93,6 +93,16 @@ def unimodular_powers(theta: complex, count: int) -> np.ndarray:
     return out
 
 
+def _as_table(values, what: str) -> np.ndarray:
+    """``values`` as a read-only complex (N, d) array, N, d >= 1; a 1-D input is one column."""
+    arr = _as_complex_array(values)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    if arr.ndim != 2 or not arr.size:
+        raise PreconditionError(f"{what} must form a nonempty (N, d) array")
+    return arr
+
+
 class BoundedSeq:
     """A finite window x_0 .. x_(N-1) of a bounded sequence in C^d.
 
@@ -103,15 +113,9 @@ class BoundedSeq:
     """
 
     def __init__(self, values, descriptor: dict | None = None):
-        arr = _as_complex_array(values)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.ndim != 2:
-            raise PreconditionError("sequence values must form an (N, d) array")
+        arr = _as_table(values, "sequence values")
         if arr.shape[0] < MIN_HORIZON:
             raise PreconditionError(f"horizon must be >= {MIN_HORIZON}, got {arr.shape[0]}")
-        if arr.shape[1] < 1:
-            raise PreconditionError("sequence dimension must be >= 1")
         self.values = arr
         self.descriptor = descriptor
         self.norms = _row_norms(arr)
@@ -159,6 +163,16 @@ def _unit_vector(rng: np.random.Generator, dim: int, amp: float) -> np.ndarray:
     return amp * v / np.linalg.norm(v)
 
 
+def _decaying_term(envelope: np.ndarray, direction: np.ndarray | None, seed: int, dim: int) -> np.ndarray:
+    """The vanishing term envelope(n) u as a (len(envelope), dim) array; u is
+    ``direction``, or a unit vector seeded by ``seed`` when that is None."""
+    if direction is None:
+        direction = _unit_vector(np.random.default_rng(seed), dim, 1.0)
+    elif direction.shape[0] != dim:
+        raise PreconditionError(f"forcing direction dimension {direction.shape[0]} != system dimension {dim}")
+    return envelope[:, None] * direction
+
+
 def modes_plus_decay(
     modes, horizon: int, decay: tuple[str, float] | None = None, seed: int = 0, dim: int | None = None
 ) -> BoundedSeq:
@@ -185,7 +199,7 @@ def modes_plus_decay(
     if decay is not None:
         envelope = decay_envelope(*decay, horizon)  # checks the parameter of every law
         if decay[0] != "none":
-            values += envelope[:, None] * _unit_vector(np.random.default_rng(seed), d, 1.0)
+            values += _decaying_term(envelope, None, seed, d)
     descriptor = {
         "kind": "modes_plus_decay",
         "modes": [(t, tuple(v.tolist())) for t, v in modes],

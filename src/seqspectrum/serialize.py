@@ -33,8 +33,8 @@ import sys
 
 import numpy as np
 
-from .dynamics import DelaySystem, ForcingSpec, simulate_delay
-from .errors import ParseError, PreconditionError, SeqSpectrumError
+from .dynamics import DelaySystem, ForcingSpec
+from .errors import ParseError, PreconditionError
 from .linalg import CMatrix, CVector, MAX_DIM
 from .sequences import BoundedSeq, MAX_HORIZON, MIN_HORIZON, modes_plus_decay
 
@@ -142,21 +142,21 @@ def forcing_to_json(f: ForcingSpec) -> dict:
     return out
 
 
-def parse_system(obj, what: str = "system") -> tuple[DelaySystem, int]:
+def parse_system(obj) -> tuple[DelaySystem, int]:
     if not isinstance(obj, dict):
-        raise ParseError(f"{what} must be an object")
+        raise ParseError("system must be an object")
     for key in ("B", "initial", "horizon"):
         if key not in obj:
-            raise ParseError(f"{what} is missing {key!r}")
-    b = parse_matrix(obj["B"], f"{what}.B")
-    p = _parse_int(obj.get("p", 1), "p", 1, np.inf, what)
-    initial = parse_cnum_array(obj["initial"], f"{what} initial vectors", 2)
-    forcing = parse_forcing(obj.get("forcing"), f"{what}.forcing")
-    horizon = _parse_int(obj["horizon"], "horizon", MIN_HORIZON, MAX_HORIZON, what)
+            raise ParseError(f"system is missing {key!r}")
+    b = parse_matrix(obj["B"], "system.B")
+    p = _parse_int(obj.get("p", 1), "p", 1, np.inf, "system")
+    initial = parse_cnum_array(obj["initial"], "system initial vectors", 2)
+    forcing = parse_forcing(obj.get("forcing"), "system.forcing")
+    horizon = _parse_int(obj["horizon"], "horizon", MIN_HORIZON, MAX_HORIZON, "system")
     try:
         system = DelaySystem(b, p, initial, forcing)
     except PreconditionError as exc:
-        raise ParseError(f"{what}: {exc}") from exc
+        raise ParseError(f"system: {exc}") from exc
     return system, horizon
 
 
@@ -195,21 +195,22 @@ def sequence_to_json(x: BoundedSeq) -> dict:
     }
 
 
-def parse_sequence(obj, what: str = "sequence") -> BoundedSeq:
-    """Parse any sequence form; simulator report envelopes (objects with
-    a 'sequence' member) are accepted directly, so simulation output can
-    be piped straight into the scan and mode commands."""
-    if isinstance(obj, dict) and "sequence" in obj and "kind" not in obj:
-        return parse_sequence(obj["sequence"], what)
+def parse_sequence(obj) -> BoundedSeq:
+    """A ``materialized`` window or a ``modes_plus_decay`` descriptor,
+    alone or in a simulator report envelope (an object with a 'sequence'
+    member), so simulation output pipes straight into the scan and mode commands."""
+    what = "sequence"
+    while isinstance(obj, dict) and "sequence" in obj and "kind" not in obj:
+        obj = obj["sequence"]
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError(f"{what} must be an object with a 'kind'")
     kind = obj["kind"]
-    if kind in ("materialized", "custom_table"):
+    if kind == "materialized":
         d = _parse_int(obj.get("d"), "d", 1, MAX_DIM, what)
         rows = parse_cnum_array(obj.get("values"), f"{what} values", 2)
         if rows.shape[0] < MIN_HORIZON or rows.shape[1] != d:
             raise ParseError(f"{what}: 'values' must list at least {MIN_HORIZON} vectors of dimension d = {d}")
-        return BoundedSeq(rows, {"kind": kind})
+        return BoundedSeq(rows)
     if kind == "modes_plus_decay":
         modes_obj = obj.get("modes")
         if not isinstance(modes_obj, list):
@@ -222,7 +223,7 @@ def parse_sequence(obj, what: str = "sequence") -> BoundedSeq:
             modes.append((theta, parse_cnum_array(m["v"], f"{what} mode v", 1)))
         horizon = _parse_int(obj.get("horizon"), "horizon", MIN_HORIZON, MAX_HORIZON, what)
         seed = _parse_int(obj.get("seed", 0), "seed", 0, np.inf, what)
-        dim = _parse_int(obj.get("d") if not modes else len(modes[0][1]), "d", 1, MAX_DIM, what)
+        dim = _parse_int(obj.get("d", len(modes[0][1]) if modes else None), "d", 1, MAX_DIM, what)
         try:
             decay_obj = obj.get("decay")
             decay = None
@@ -237,13 +238,6 @@ def parse_sequence(obj, what: str = "sequence") -> BoundedSeq:
             return modes_plus_decay(modes, horizon, decay=decay, seed=seed, dim=dim)
         except (PreconditionError, OverflowError) as exc:
             raise ParseError(f"{what}: {exc}") from exc
-    if kind == "forced_system_output":
-        system, horizon = parse_system(obj, what)
-        try:
-            seq, _ = simulate_delay(system, horizon)
-        except SeqSpectrumError as exc:
-            raise ParseError(f"{what}: simulation failed: {exc}") from exc
-        return seq
     raise ParseError(f"{what}: unknown kind {kind!r}")
 
 

@@ -489,6 +489,22 @@ def test_a_boolean_dimension_exits_parse_error(tmp_path, capsys, command, obj):
     _assert_parse_error(capsys, main([command, write_json(tmp_path / "in.json", obj)]))
 
 
+@pytest.mark.parametrize("d", [1000, True, -5, "x", 3])
+def test_a_descriptor_d_other_than_its_mode_dimension_exits_parse_error(tmp_path, capsys, d):
+    # the modes are 1-vectors; a d that is no integer in [1, 64], or not 1, is the fault
+    _assert_parse_error(capsys, main(["spectrum-scan", write_json(tmp_path / "in.json", _descriptor(d=d))]))
+
+
+@pytest.mark.parametrize("kind", ["custom_table", "forced_system_output"])
+def test_an_undocumented_sequence_kind_exits_parse_error(tmp_path, capsys, kind):
+    # all that either kind once read is there; only the kind is refused
+    obj = {**alternating_system_json(), "kind": kind, "d": 1, "values": [[[1, 0]]] * 16}
+    rc = main(["spectrum-scan", write_json(tmp_path / "in.json", obj)])
+    assert rc == 1
+    err = _error_line(capsys.readouterr().err)
+    assert err["error"] == "ParseError" and err["message"] == f"sequence: unknown kind '{kind}'"
+
+
 OVERSIZED_HORIZONS = [10**400, 2**40, MAX_HORIZON + 1]
 
 

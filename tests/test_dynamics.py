@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from seqspectrum.dynamics import (
 )
 from seqspectrum.errors import PreconditionError, UnboundedTrajectoryError
 from seqspectrum.linalg import CMatrix, CVector
-from seqspectrum.sequences import BoundedSeq, angular_distance
+from seqspectrum.sequences import BoundedSeq, angular_distance, modes_plus_decay
 
 
 def test_forcing_validation():
@@ -29,6 +30,50 @@ def test_forcing_validation():
         ForcingSpec("power", 0.0)
     with pytest.raises(PreconditionError):
         ForcingSpec("nonsense")
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        (("zero",), {"seed": -1}, "forcing seed must be >= 0, got -1"),
+        (("power",), {}, "power forcing needs a parameter"),
+        (("custom_table",), {}, "custom_table forcing needs a table"),
+        (("custom_table",), {"table": np.zeros((0, 2))}, "forcing table must form a nonempty (N, d) array"),
+        (("custom_table",), {"table": np.zeros((16, 2, 2))}, "forcing table must form a nonempty (N, d) array"),
+        (("custom_table",), {"table": [np.inf] * 16}, "entries must be finite (no NaN/Inf)"),
+        (("geometric", 0.5), {"table": np.ones((16, 1))}, "only custom_table forcing takes a table"),
+    ],
+)
+def test_forcing_spec_names_each_bad_argument(args, kwargs, message):
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        ForcingSpec(*args, **kwargs)
+
+
+def test_a_one_dimensional_forcing_table_is_one_column():
+    f = ForcingSpec("custom_table", table=np.arange(16.0))
+    assert f.table.shape == (16, 1)
+    assert np.array_equal(f.materialize(16, 1)[:, 0], np.arange(16.0))
+
+
+@pytest.mark.parametrize(
+    "forcing, count, dim, message",
+    [
+        (ForcingSpec("custom_table", table=np.ones((16, 2))), 16, 3, "forcing table dimension 2 != system dimension 3"),
+        (ForcingSpec("custom_table", table=np.ones((16, 2))), 17, 2, "forcing table has 16 entries, need 17"),
+        (ForcingSpec("geometric", 0.5, direction=[1.0, 0.0]), 16, 3, "forcing direction dimension 2 != system dimension 3"),
+    ],
+)
+def test_forcing_materialize_names_a_mismatch(forcing, count, dim, message):
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        forcing.materialize(count, dim)
+
+
+@pytest.mark.parametrize("kind, decay", [("geometric", ("geometric", 0.7)), ("power", ("power", 1.5)), ("log_decay", ("log", None))])
+def test_a_seeded_forcing_is_the_decay_term_of_a_descriptor(kind, decay):
+    # both draw their direction from the same seed and scale it by the same envelope
+    param = decay[1]
+    forcing = ForcingSpec(kind, param, seed=11).materialize(64, 3)
+    assert np.array_equal(forcing, modes_plus_decay([], 64, decay=decay, seed=11, dim=3).values)
 
 
 def test_forcing_summable_flags():

@@ -1,6 +1,7 @@
 import cmath
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -45,6 +46,20 @@ def test_bounded_seq_validation():
     assert x.values.shape == (16, 1)  # scalar sequences get a vector axis
     assert x.dim == 1 and x.horizon == 16
     assert not x.values.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        (np.ones((16, 2, 2)), "sequence values must form a nonempty (N, d) array"),
+        (np.ones((16, 0)), "sequence values must form a nonempty (N, d) array"),
+        (np.ones((0, 2)), "sequence values must form a nonempty (N, d) array"),
+        ([1.0] * 15 + [complex(0.0, np.nan)], "entries must be finite (no NaN/Inf)"),  # one part is enough
+    ],
+)
+def test_bounded_seq_names_each_bad_window(values, message):
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        BoundedSeq(values)
 
 
 def test_require_unimodular():
@@ -751,6 +766,43 @@ def test_decay_envelope_kinds():
     assert np.allclose(decay_envelope("power", 1.0, 3), [1.0, 0.5, 1.0 / 3.0])
     env = decay_envelope("log", None, 4)
     assert env[0] >= env[1] >= env[2] >= env[3] > 0
+
+
+@pytest.mark.parametrize(
+    "kind, param, message",
+    [
+        ("cubic", 0.5, "unknown decay kind 'cubic'"),
+        ("geometric", 1.0, "geometric ratio must be in (0,1), got 1.0"),
+        ("power", 0.0, "power exponent must be > 0, got 0.0"),
+        ("log", math.inf, "decay parameter must be finite, got inf"),
+    ],
+)
+def test_decay_envelope_names_each_bad_law(kind, param, message):
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        decay_envelope(kind, param, 4)
+
+
+@pytest.mark.parametrize(
+    "modes, dim, message",
+    [
+        ([(1.0, [1.0]), (-1.0, [1.0, 0.0])], None, "mode vectors must share one dimension"),
+        ([(1.0, [1.0])], 2, "dim contradicts the mode vectors"),
+        ([], None, "need at least one mode or an explicit dim"),
+        ([(2.0, [1.0])], None, "theta = (2+0j) is not unimodular: | |theta|-1 | = 1.000e+00"),
+    ],
+)
+def test_modes_plus_decay_names_each_bad_shape(modes, dim, message):
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        modes_plus_decay(modes, 16, dim=dim)
+
+
+def test_a_none_decay_draws_no_direction(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a none decay drew a direction")
+
+    monkeypatch.setattr(sequences, "_unit_vector", no_draw)
+    x = modes_plus_decay([(1j, [1.0, 0.0])], 16, decay=("none", None), seed=5)
+    assert np.array_equal(x.values[:, 0], unimodular_powers(1j, 16)) and not x.values[:, 1].any()
 
 
 def test_ktz_diagonal_contraction():

@@ -147,18 +147,6 @@ def test_sequence_envelope_accepted():
     assert np.array_equal(x.values, x2.values)
 
 
-def test_sequence_forced_system_output():
-    system = DelaySystem(
-        CMatrix(np.eye(1)), 2, [CVector([1.0]), CVector([-1.0])], ForcingSpec("zero")
-    )
-    j = system_to_json(system, 64)
-    j["kind"] = "forced_system_output"
-    x = parse_sequence(j)
-    want, _ = simulate_delay(system, 64)
-    assert np.array_equal(x.values, want.values)
-
-
-
 def test_parameters_past_the_float_range_are_parse_errors():
     # float() of a JSON integer past the float range raises OverflowError
     huge = 10**400
@@ -171,9 +159,6 @@ def test_parameters_past_the_float_range_are_parse_errors():
     system["forcing"] = {"kind": "geometric", "param": huge}
     with pytest.raises(ParseError):
         parse_system(system)
-    system["kind"] = "forced_system_output"
-    with pytest.raises(ParseError):
-        parse_sequence(system)
 
 
 def test_seeds_must_be_non_negative_integers():
@@ -187,6 +172,7 @@ def test_seeds_must_be_non_negative_integers():
 
 _ONE_PAIR_ROWS = [[[1, 0]]] * 16
 _BARE_DESCRIPTOR = {"kind": "modes_plus_decay", "modes": [], "d": 1, "horizon": 16}
+_ONE_MODE_DESCRIPTOR = {"kind": "modes_plus_decay", "modes": [{"theta": [0, 1], "v": [[1, 0]]}], "horizon": 16}
 _BARE_SYSTEM = {"B": {"d": 1, "entries": [[0.5, 0]]}, "initial": [[[1, 0]]], "horizon": 16}
 
 
@@ -354,14 +340,13 @@ def _valid_wire_objects():
         CMatrix([[0.5, 0.25j], [0.0, -0.5]]), 2, [CVector([1.0, 0.0]), CVector([0.0, 1.0j])],
         ForcingSpec("geometric", 0.5, direction=[1.0, 1.0j], seed=2),
     )
-    forced = system_to_json(system, 32)
-    forced["kind"] = "forced_system_output"
     forcings = [
         ForcingSpec("custom_table", table=np.ones((3, 2))),
         ForcingSpec("log_decay", seed=1),
         ForcingSpec("power", 2.0),
     ]
-    objs = [sequence_to_json(x), sequence_to_json(BoundedSeq(x.values)), forced, system_to_json(system, 32)]
+    envelope = {"sequence": sequence_to_json(x), "report": {"horizon": 16}}
+    objs = [sequence_to_json(x), sequence_to_json(BoundedSeq(x.values)), envelope, system_to_json(system, 32)]
     objs += [forcing_to_json(f) for f in forcings] + [vector_to_json(CVector([1.0, 2.0j])), [0.5, -0.0]]
     return json.loads(dumps_report(objs))
 
@@ -419,10 +404,17 @@ WIRE_ERRORS = [
     (
         parse_sequence,
         {"kind": "forced_system_output", "B": {"d": 1, "entries": [[10, 0]]}, "initial": [[[1, 0]]], "horizon": 256},
-        "simulation failed",
+        "unknown kind 'forced_system_output'",
     ),
     (parse_forcing, {"kind": "zero", "param": "abc"}, "kind 'zero' takes no parameter"),
     (parse_forcing, {"kind": "log_decay", "param": 2.0}, "kind 'log_decay' takes no parameter"),
+    (parse_sequence, {"kind": "custom_table", "d": 1, "values": _ONE_PAIR_ROWS}, "unknown kind 'custom_table'"),
+    # a descriptor's d is read even where its modes give the dimension
+    (parse_sequence, {**_ONE_MODE_DESCRIPTOR, "d": 1000}, r"'d' must be an integer in \[1, 64\], got 1000"),
+    (parse_sequence, {**_ONE_MODE_DESCRIPTOR, "d": True}, r"'d' must be an integer in \[1, 64\], got True"),
+    (parse_sequence, {**_ONE_MODE_DESCRIPTOR, "d": -5}, r"'d' must be an integer in \[1, 64\], got -5"),
+    (parse_sequence, {**_ONE_MODE_DESCRIPTOR, "d": "x"}, r"'d' must be an integer in \[1, 64\], got 'x'"),
+    (parse_sequence, {**_ONE_MODE_DESCRIPTOR, "d": 3}, "dim contradicts the mode vectors"),
 ]
 
 #: each parser with the emitter of what it returns
@@ -455,6 +447,12 @@ WIRE_EMITTERS = {
 @example(WIRE_ERRORS[7][1])
 @example(WIRE_ERRORS[8][1])
 @example(WIRE_ERRORS[9][1])
+@example(WIRE_ERRORS[10][1])
+@example(WIRE_ERRORS[11][1])
+@example(WIRE_ERRORS[12][1])
+@example(WIRE_ERRORS[13][1])
+@example(WIRE_ERRORS[14][1])
+@example(WIRE_ERRORS[15][1])
 def test_parsers_raise_only_parse_error(obj):
     """Each parser raises ParseError or returns an object whose wire form
     is strict JSON: whatever is accepted can be emitted again."""

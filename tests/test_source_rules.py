@@ -58,28 +58,35 @@ def test_plain_vector_norms_run_only_where_allowed():
     assert offenders == []
 
 
-def test_one_least_squares_fit_serves_every_slope():
-    # the log-log fit of norms against the index is trend._log_log_slope
-    callers = sorted(
+def _callers(name):
+    """``file: top-level name`` for every call of ``name`` in the library."""
+    return sorted(
         f"{path.name}: {top.name}"
         for path in SOURCES
         for top in ast.parse(path.read_text(encoding="utf-8")).body
         for node in ast.walk(top)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "least_squares_slope"
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == name
     )
-    assert callers == ["resolvent.py: pole_order_probe", "trend.py: _log_log_slope"]
+
+
+def test_one_least_squares_fit_serves_every_slope():
+    # the log-log fit of norms against the index is trend._log_log_slope
+    assert _callers("least_squares_slope") == ["resolvent.py: pole_order_probe", "trend.py: _log_log_slope"]
+
+
+def test_the_parser_never_simulates():
+    # a system's trajectory comes from the simulate commands, which a scan reads as a report envelope
+    assert [site for site in _callers("simulate_delay") if site.startswith("serialize.py")] == []
+
+
+def test_one_helper_draws_every_seeded_direction():
+    # sequences._decaying_term builds every vanishing term, descriptor decay and forcing alike
+    assert _callers("_unit_vector") == ["corpus.py: generate_corpus", "sequences.py: _decaying_term"]
 
 
 def test_json_encoder_runs_once_per_report():
     # float blocks are spliced in as %r templates, never by an encoder pass of their own
-    callers = sorted(
-        f"{path.name}: {top.name}"
-        for path in SOURCES
-        for top in ast.parse(path.read_text(encoding="utf-8")).body
-        for node in ast.walk(top)
-        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("json.dumps", "dumps")
-    )
-    assert callers == ["cli.py: main", "serialize.py: dumps_report"]
+    assert _callers("dumps") == ["cli.py: main", "serialize.py: dumps_report"]
 
 
 def test_power_of_two_scaling_lives_in_linalg():
