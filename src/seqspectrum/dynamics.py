@@ -18,7 +18,7 @@ import numpy as np
 
 from .eigen import spectrum_info, DEFAULT_PERIPHERAL_TOL
 from .errors import PreconditionError, UnboundedTrajectoryError
-from .linalg import CMatrix, CVector, _row_norms
+from .linalg import CMatrix, CVector, _plain_norms, _row_norms
 from .sequences import (
     BoundedSeq,
     DetectedPoint,
@@ -118,7 +118,7 @@ class ForcingSpec:
                 )
             return self.table[:count]
         env = decay_envelope(_ENVELOPE_FOR[self.kind], self.param, count)
-        return _decaying_term(env, self.direction, self.seed, dim)
+        return _decaying_term(env, self.direction, self.seed, np.empty((count, dim), dtype=np.complex128))
 
 
 class DelaySystem:
@@ -173,7 +173,7 @@ def simulate_delay(system: DelaySystem, horizon: int) -> tuple[BoundedSeq, Traje
             stop = min(start + _CHECK_BLOCK, horizon)
             for n in range(start - p, stop - p):
                 values[n + p] = arr @ values[n] + y[n]
-            over = np.flatnonzero(np.linalg.norm(values[start:stop], axis=1) > OVERFLOW_LIMIT)
+            over = np.flatnonzero(_plain_norms(values[start:stop], 1) > OVERFLOW_LIMIT)
             if over.size:
                 step = start + int(over[0])
                 raise UnboundedTrajectoryError(f"trajectory norm exceeded {OVERFLOW_LIMIT:.1e} at step {step}", step)

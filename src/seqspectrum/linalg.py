@@ -6,9 +6,11 @@ one kernel that squares the Gram matrix until a two-sided bound closes,
 so every norm it returns is certified and every run is reproducible.
 The kernel takes a stack of any size, empty included, and entries of
 any finite magnitude, subnormal ones too.  Every Euclidean norm of
-caller data goes through ``_row_norms``.  These, the matrix powers and
-the spectrum scan keep magnitudes in range by one rule: ``_pow2_scaled``
-scales by an exact power of two, ``_pow2_unscaled`` undoes it.
+caller data goes through ``_row_norms``, or through ``_plain_norms``
+where a plain norm's under- or overflow changes no result.  These, the
+matrix powers and the spectrum scan keep magnitudes in range by one
+rule: ``_pow2_scaled`` scales by an exact power of two,
+``_pow2_unscaled`` undoes it.
 Every linear solve goes through one elimination kernel, ``_solve_array``:
 a (s, d, d) stack in, with a right-hand side broadcasting to (s, d, k),
 and ``(x, ok)`` out, ``ok`` masking the zero matrices, those with a
@@ -187,20 +189,45 @@ def _div_real(z: np.ndarray, r) -> np.ndarray:
     return z
 
 
+def _plain_norms(arr: np.ndarray, axis: int) -> np.ndarray:
+    """``np.linalg.norm(arr, axis=axis)`` of a complex 2-D array, bit for bit.
+
+    numpy sums the squares ``(arr.conj() * arr).real`` with one reduce.
+    Along axis 0 that reduce adds whole rows in order.  Along axis 1 it
+    makes one inner-loop call per row, which on a long window of a few
+    columns costs more than the arithmetic; there the columns are added
+    left to right instead, which is numpy's order for rows of at most 7
+    entries, and rows of 8 or more keep numpy's pairwise reduce.  The
+    product stays out of place: numpy's in-place complex product can round
+    differently.
+    """
+    squares = (arr.conj() * arr).real
+    if axis == 0 or arr.shape[1] >= 8:
+        total = np.add.reduce(squares, axis=axis)
+    else:
+        total = squares[:, 0].copy()
+        for j in range(1, arr.shape[1]):
+            total += squares[:, j]
+    return np.sqrt(total, out=total)
+
+
 def _row_norms(arr: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a complex (N, d) array.
 
+    The plain norm is :func:`_plain_norms`: the squared moduli of a row
+    of at most 7 entries summed left to right, a longer row's by numpy's
+    pairwise reduce, so each row keeps ``np.linalg.norm``'s bits.
     Rows whose plain norm overflows, or is below 1e-140 where the squares
     that matter may underflow, are recomputed scaled by an exact power of
     two (Blue, ACM TOMS 1978); every other row keeps the plain norm's bits.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(arr, axis=1)
+        norms = _plain_norms(arr, 1)
     fix = np.flatnonzero((norms < 1e-140) | np.isinf(norms))
     fix = fix[arr[fix].any(axis=1)]  # a zero row's plain norm is exact
     if fix.size:
         scaled, exps = _pow2_scaled(arr[fix])
-        norms[fix] = _pow2_unscaled(np.linalg.norm(scaled, axis=1), exps)
+        norms[fix] = _pow2_unscaled(_plain_norms(scaled, 1), exps)
     return norms
 
 

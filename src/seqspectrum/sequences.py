@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .eigen import _power_verdict, spectrum_info
-from .linalg import CMatrix, CVector, _as_complex_array, _batched_spectral_norms, _pow2_scaled, _pow2_unscaled, _power_stack, _row_norms
+from .linalg import CMatrix, CVector, _as_complex_array, _batched_spectral_norms, _div_real, _plain_norms, _pow2_scaled, _pow2_unscaled, _power_stack, _row_norms
 from .trend import _log_log_slope, is_bounded
 
 DEFAULT_HORIZON = 16384
@@ -135,7 +135,15 @@ class BoundedSeq:
 
 def decay_envelope(kind: str, param, count: int) -> np.ndarray:
     """Scalar envelope values e_0 .. e_(count-1) for the named decay law;
-    a given parameter must be finite for every law, as reports echo it."""
+    a given parameter must be finite for every law, as reports echo it.
+
+    The geometric law p^n and the power law (n + 1)^-q are both
+    base ** exponent, decreasing in n.  They are computed only where
+    exponent * log2(base) >= -1080, and are 0 past that point: pow
+    rounds every value below 2^-1076 to 0, and the log misses the
+    cutoff by far less than the margin, so the bits are ``pow``'s.
+    Computing those zeros would take pow's slow path.
+    """
     if param is not None:
         param = float(param)
         if not math.isfinite(param):
@@ -146,15 +154,21 @@ def decay_envelope(kind: str, param, count: int) -> np.ndarray:
     if kind == "geometric":
         if not 0.0 < param < 1.0:
             raise PreconditionError(f"geometric ratio must be in (0,1), got {param}")
-        with np.errstate(under="ignore"):
-            return param**n
-    if kind == "power":
+        base, exponent = param, n
+    elif kind == "power":
         if not param > 0.0:
             raise PreconditionError(f"power exponent must be > 0, got {param}")
-        return (n + 1.0) ** (-param)
-    if kind == "log":
+        base, exponent = n + 1.0, -param
+    elif kind == "log":
         return 1.0 / np.log(n + 2.0)
-    raise PreconditionError(f"unknown decay kind {kind!r}")
+    else:
+        raise PreconditionError(f"unknown decay kind {kind!r}")
+    live = np.count_nonzero(exponent * np.log2(base) >= -1080.0)
+    base, exponent = np.broadcast_arrays(base, exponent)
+    out = np.zeros(count)
+    with np.errstate(under="ignore"):
+        out[:live] = base[:live] ** exponent[:live]
+    return out
 
 
 def _unit_vector(rng: np.random.Generator, dim: int, amp: float) -> np.ndarray:
@@ -163,14 +177,27 @@ def _unit_vector(rng: np.random.Generator, dim: int, amp: float) -> np.ndarray:
     return amp * v / np.linalg.norm(v)
 
 
-def _decaying_term(envelope: np.ndarray, direction: np.ndarray | None, seed: int, dim: int) -> np.ndarray:
-    """The vanishing term envelope(n) u as a (len(envelope), dim) array; u is
-    ``direction``, or a unit vector seeded by ``seed`` when that is None."""
+def _outer(col: np.ndarray, row: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """col[:, None] * row written into ``out`` one column at a time, and
+    returned.  The broadcast product makes one inner-loop call per row of
+    a long, narrow array; each column here is one call.  The bits are the
+    broadcast's when col has two or more entries; with one, numpy may
+    round a complex product differently."""
+    for j in range(row.shape[0]):
+        np.multiply(col, row[j], out=out[:, j])
+    return out
+
+
+def _decaying_term(envelope: np.ndarray, direction: np.ndarray | None, seed: int, out: np.ndarray) -> np.ndarray:
+    """The vanishing term envelope(n) u written into the (len(envelope), dim)
+    array ``out``, which is returned; u is ``direction``, or a unit vector
+    seeded by ``seed`` when that is None."""
+    dim = out.shape[1]
     if direction is None:
         direction = _unit_vector(np.random.default_rng(seed), dim, 1.0)
     elif direction.shape[0] != dim:
         raise PreconditionError(f"forcing direction dimension {direction.shape[0]} != system dimension {dim}")
-    return envelope[:, None] * direction
+    return _outer(envelope, direction, out)
 
 
 def modes_plus_decay(
@@ -194,12 +221,17 @@ def modes_plus_decay(
     else:
         raise PreconditionError("need at least one mode or an explicit dim")
     values = np.zeros((horizon, d), dtype=np.complex128)
+    term = np.empty_like(values)
     for theta, v in modes:
-        values += unimodular_powers(theta, horizon)[:, None] * v
+        values += _outer(unimodular_powers(theta, horizon), v, term)
     if decay is not None:
         envelope = decay_envelope(*decay, horizon)  # checks the parameter of every law
-        if decay[0] != "none":
-            values += _decaying_term(envelope, None, seed, d)
+        # the envelope's zeros are a suffix, and adding a zero term changes no
+        # entry: a sum that starts at +0 is never -0
+        live = np.count_nonzero(envelope)
+        if live:  # a none decay draws no direction
+            values[:live] += _decaying_term(envelope[:live], None, seed, term[:live])
+    del term  # freed before BoundedSeq copies the values
     descriptor = {
         "kind": "modes_plus_decay",
         "modes": [(t, tuple(v.tolist())) for t, v in modes],
@@ -477,8 +509,8 @@ def spectrum_scan(
     n_grid = min(x.horizon, k)
     (window,), (exp,) = _pow2_scaled(x.values.T[None])
     scaled_eps = _pow2_unscaled(np.float64(epsilon), -exp)  # inf past the float range: nothing is detected
-    grid_means = np.fft.fft(window[:, :n_grid], n=k, axis=1) / n_grid  # column m = mean at e^(2 pi i m / K)
-    grid_norms = np.linalg.norm(grid_means, axis=0)
+    grid_means = _div_real(np.fft.fft(window[:, :n_grid], n=k, axis=1), n_grid)  # column m = mean at e^(2 pi i m / K)
+    grid_norms = _plain_norms(grid_means, 0)
     idx = np.flatnonzero(grid_norms > scaled_eps)
     detected: list[DetectedPoint] = []
     if idx.size:
@@ -493,7 +525,7 @@ def spectrum_scan(
         if n_fine == k:  # n_grid is the horizon: the grid transform is the fine one
             fine_norms = grid_norms
         else:
-            fine_norms = np.linalg.norm(np.fft.fft(window, n=n_fine, axis=1) / x.horizon, axis=0)
+            fine_norms = _plain_norms(_div_real(np.fft.fft(window, n=n_fine, axis=1), x.horizon), 0)
         fine_step = 2.0 * math.pi / n_fine
         phis = fine_step * _cluster_argmax(idx, k, fine_norms)
         lo, hi = phis - fine_step, phis + fine_step
@@ -651,10 +683,11 @@ def extract_modes(x: BoundedSeq, thetas, n_used: int | None = None) -> ModeDecom
                 )
     modes = []
     residual = x.values[:n_used].copy()
+    term = np.empty_like(residual)
     means = _rotated_means(x.values, np.array(thetas, dtype=np.complex128), n_used)
     for theta, v in zip(thetas, means):
         modes.append(Mode(theta, CVector(v)))
-        residual -= unimodular_powers(theta, n_used)[:, None] * v
+        residual -= _outer(unimodular_powers(theta, n_used), v, term)
     res_stats = _stats_of_norms(_row_norms(residual), n_used // 2)
     return ModeDecomp(tuple(modes), res_stats)
 

@@ -14,7 +14,7 @@ from seqspectrum import linalg
 from seqspectrum.eigen import _circular_runs
 from seqspectrum.errors import ConvergenceError, SingularMatrixError
 from seqspectrum.linalg import PIVOT_RTOL, CMatrix, CVector, _hermitian_2x2, _pow2_scaled, _pow2_unscaled
-from seqspectrum.sequences import BoundedSeq
+from seqspectrum.sequences import BoundedSeq, _unit_vector, unimodular_powers
 from seqspectrum.serialize import matrix_to_json, sequence_to_json, vector_to_json
 
 
@@ -67,6 +67,52 @@ def loop_cluster_argmax(idx, k, fine_norms):
         js = np.arange(j_lo, j_hi + 1) % n_fine
         j_stars.append(js[np.argmax(fine_norms[js])])
     return np.array(j_stars, dtype=np.int64)
+
+
+def reference_row_norms(arr):
+    """Reference for ``linalg._row_norms``: ``np.linalg.norm`` of each row,
+    with the rows whose norm overflows or is below 1e-140 recomputed on
+    their power-of-two scaled copy, as the kernel did before it summed
+    short rows column by column."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(arr, axis=1)
+    fix = np.flatnonzero((norms < 1e-140) | np.isinf(norms))
+    fix = fix[arr[fix].any(axis=1)]
+    if fix.size:
+        scaled, exps = _pow2_scaled(arr[fix])
+        norms[fix] = _pow2_unscaled(np.linalg.norm(scaled, axis=1), exps)
+    return norms
+
+
+def reference_mode_values(modes, horizon, decay, seed, dim):
+    """Reference for the values ``sequences.modes_plus_decay`` builds: one
+    broadcast product per mode, and the decay law evaluated at every term
+    before its seeded direction scales it; ``modes`` holds (theta, v)
+    pairs with theta already of unit modulus."""
+    values = np.zeros((horizon, dim), dtype=np.complex128)
+    for theta, v in modes:
+        values += unimodular_powers(theta, horizon)[:, None] * np.asarray(v, dtype=np.complex128)
+    if decay is not None and decay[0] != "none":
+        kind, param = decay
+        n = np.arange(horizon, dtype=np.float64)
+        with np.errstate(under="ignore"):
+            if kind == "geometric":
+                envelope = param**n
+            elif kind == "power":
+                envelope = (n + 1.0) ** (-param)
+            else:
+                envelope = 1.0 / np.log(n + 2.0)
+        values += envelope[:, None] * _unit_vector(np.random.default_rng(seed), dim, 1.0)
+    return values
+
+
+def reference_residual(values, thetas, vs, n_used):
+    """Reference for the residual ``sequences.extract_modes`` reports:
+    values[:n_used] less one broadcast product per mode, in order."""
+    residual = values[:n_used].copy()
+    for theta, v in zip(thetas, vs):
+        residual -= unimodular_powers(theta, n_used)[:, None] * v
+    return residual
 
 
 def reference_spectral_norms(mats):

@@ -35,6 +35,29 @@ def test_cvector_norm_at_extreme_magnitudes():
     assert abs(CVector([1e200, 1e200]).norm() - want) <= np.spacing(want)
 
 
+def _norm_test_rows(rng, rows, d):
+    """Complex (rows, d) rows at scales 1e-320 .. 1e308, with zero rows and
+    rows whose plain norm overflows mixed in."""
+    scales = 10.0 ** rng.uniform(-320.0, 308.0, (rows, 1))
+    arr = (rng.uniform(-1.0, 1.0, (rows, d)) + 1j * rng.uniform(-1.0, 1.0, (rows, d))) * scales
+    arr[rng.random(rows) < 0.05] = 0.0
+    arr[rng.random(rows) < 0.05] = 1.5e308 * (1.0 - 1.0j)
+    return arr
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 33, 64])
+def test_plain_norms_keep_numpys_bits(d):
+    # bytes, not closeness: single rows catch a product rounded in place
+    rng = np.random.default_rng(d)
+    windows = [_norm_test_rows(rng, 1, d) for _ in range(64)] + [_norm_test_rows(rng, 16384, d)]
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for arr in windows:
+            assert linalg._plain_norms(arr, 1).tobytes() == np.linalg.norm(arr, axis=1).tobytes()
+            assert linalg._row_norms(arr).tobytes() == helpers.reference_row_norms(arr).tobytes()
+            cols = np.ascontiguousarray(arr.T)  # the scan's (d, K) transforms
+            assert linalg._plain_norms(cols, 0).tobytes() == np.linalg.norm(cols, axis=0).tobytes()
+
+
 def test_cmatrix_validation():
     with pytest.raises(PreconditionError):
         CMatrix(np.zeros((2, 3)))

@@ -769,6 +769,21 @@ def test_decay_envelope_kinds():
 
 
 @pytest.mark.parametrize(
+    "kind, param",
+    [("geometric", p) for p in (5e-324, 1e-300, 0.3, 0.5, 0.9, 1.0 - 2.0**-53)] + [("power", q) for q in (1.0, 50.0, 200.0)],
+)
+def test_decreasing_envelopes_keep_the_bits_of_pow(kind, param):
+    # the envelope stops computing where pow gives 0; the terms it skips must be pow's zeros
+    n = np.arange(20000, dtype=np.float64)
+    with np.errstate(under="ignore"):
+        full = param**n if kind == "geometric" else (n + 1.0) ** (-param)
+    zeros = np.flatnonzero(full == 0.0)
+    counts = [16, 16384, 20000] if not zeros.size else [max(zeros[0] - 1, 1), zeros[0], zeros[0] + 1, 16384]
+    for count in counts:
+        assert decay_envelope(kind, param, count).tobytes() == full[:count].tobytes()
+
+
+@pytest.mark.parametrize(
     "kind, param, message",
     [
         ("cubic", 0.5, "unknown decay kind 'cubic'"),
@@ -794,6 +809,27 @@ def test_decay_envelope_names_each_bad_law(kind, param, message):
 def test_modes_plus_decay_names_each_bad_shape(modes, dim, message):
     with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
         modes_plus_decay(modes, 16, dim=dim)
+
+
+def test_descriptor_windows_and_residuals_match_the_broadcast_builders():
+    rng = np.random.default_rng(2024)
+    decays = [None, ("none", None), ("geometric", 0.3), ("geometric", 0.9), ("power", 1.0), ("power", 200.0), ("log", None)]
+    for trial in range(400):
+        d = round(2.0 ** rng.uniform(0.0, 6.0))
+        horizon = round(2.0 ** rng.uniform(4.0, 14.0))
+        amps = 10.0 ** rng.uniform(-200.0, 200.0, int(rng.integers(0, 4)))
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        thetas = [require_unimodular(cmath.exp(1j * (phi + 2.0 * math.pi * j / 3.0))) for j in range(amps.size)]
+        modes = [(t, a * (rng.standard_normal(d) + 1j * rng.standard_normal(d))) for t, a in zip(thetas, amps)]
+        decay = decays[trial % len(decays)]
+        x = modes_plus_decay(modes, horizon, decay=decay, seed=trial, dim=d)
+        values = helpers.reference_mode_values(modes, horizon, decay, trial, d)
+        assert x.values.tobytes() == values.tobytes()
+        assert x.norms.tobytes() == helpers.reference_row_norms(values).tobytes()
+        decomp = extract_modes(x, thetas)
+        residual = helpers.reference_residual(values, thetas, [m.v.data for m in decomp.modes], horizon)
+        want = sequences._stats_of_norms(helpers.reference_row_norms(residual), horizon // 2)
+        assert repr(decomp.residual) == repr(want)
 
 
 def test_a_none_decay_draws_no_direction(monkeypatch):

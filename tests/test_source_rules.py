@@ -39,12 +39,10 @@ def test_library_uses_no_numpy_linalg_decompositions():
 
 #: Where plain ``np.linalg.norm`` may run, with the reason it is safe
 #: there; every other norm of caller data is ``linalg._row_norms``, which
-#: neither under- nor overflows.
+#: neither under- nor overflows, or ``linalg._plain_norms``, its bits.
 PLAIN_NORM_SITES = {
     "linalg.py": "the norm kernels, which scale by a power of two where the plain norm fails",
-    "sequences.py: spectrum_scan": "its window is scaled by a power of two first",
     "sequences.py: _unit_vector": "a Gaussian draw of its own, of norm near sqrt(2 d)",
-    "dynamics.py: simulate_delay": "only compared with OVERFLOW_LIMIT, which an overflow to inf exceeds too",
 }
 
 
