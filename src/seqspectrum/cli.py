@@ -4,8 +4,9 @@ Reports are written to ``--out`` (default standard output) as
 deterministic JSON — same inputs and seed, byte-identical bytes.  When
 a report goes to a file, a one-line human summary goes to standard
 output instead.  Errors leave a machine-readable object on standard
-error and map to exit statuses: 1 for usage/parse problems, 2 for
-numerical failures, 3 for precondition violations.
+error and map to exit statuses: 1 for usage/parse problems and
+unwritable output paths, 2 for numerical failures, 3 for precondition
+violations.
 
 Input paths accept ``-`` for standard input, and the simulators emit
 envelopes that the sequence-consuming commands accept directly, so
@@ -356,7 +357,9 @@ def main(argv=None) -> int:
             raise ParseError(f"--grid-size must be at most {MAX_HORIZON}")
         args.func(args)
         return 0
-    except SeqSpectrumError as exc:
+    except (SeqSpectrumError, OSError) as exc:
+        if isinstance(exc, OSError):  # load_json raises ParseError for input, so this is an -o or --out-dir write
+            exc = ParseError(f"cannot write: {exc}")
         payload = {"error": type(exc).__name__, "message": str(exc)}
         for name in ("blow_up_index", "payload"):
             extra = getattr(exc, name, None)

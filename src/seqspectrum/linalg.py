@@ -319,7 +319,7 @@ def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
     mats = np.asarray(mats, dtype=np.complex128)
     s, d, _ = mats.shape
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf
-        scale = np.linalg.norm(mats.reshape(s, d * d), axis=1)
+        scale = _plain_norms(mats.reshape(s, d * d), 1)
     out = np.zeros(s)
     exps = np.zeros(s, dtype=int)  # each norm is out * 2**exps
     odd = np.flatnonzero(~((scale > 0.0) & (scale < np.inf)))
@@ -331,7 +331,7 @@ def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
         # non-finite one, whose norm is inf and which is zeroed here
         bad = odd[~np.isfinite(mats[odd]).all(axis=(1, 2))]
         out[bad], mats[bad] = np.inf, 0.0
-        scale[odd] = np.linalg.norm(mats[odd].reshape(odd.size, d * d), axis=1)
+        scale[odd] = _plain_norms(mats[odd].reshape(odd.size, d * d), 1)
     idx = np.flatnonzero(scale > 0.0)  # matrices whose bracket is still open
     # conj(A)/|A| times A, then /|A|: the Gram stack with at most two
     # stack-sized arrays alive and no entry above |A|, so nothing overflows.
@@ -358,7 +358,7 @@ def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
         # one batched mat-vec on the whole input stack; closed rows hold zeros
         vecs[idx] = v
         image = _div_real(np.matmul(mats, vecs[:, :, None])[idx, :, 0], scale[idx, None])
-        lower = np.linalg.norm(image, axis=1) / np.linalg.norm(v, axis=1)
+        lower = _plain_norms(image, 1) / _plain_norms(v, 1)
         upper = np.exp(0.5 * log_top)
         done = upper - lower <= _NORM_RTOL * lower
         if k >= _RITZ_AFTER and not done.all():

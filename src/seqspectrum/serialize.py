@@ -11,12 +11,12 @@ or ValueError.
 Pairs have one encoder, :func:`cnum_array`, and one decoder,
 :func:`parse_cnum_array`.  The encoder gives the float64 pair array,
 which wire dicts hold as it is.  :func:`dumps_report` writes a report
-in one indented ``json.dumps`` pass whose hook, :func:`json_default`,
-converts one level at a time; each float64 array leaves that pass as a
-placeholder and comes back as one ``%r`` template of its shape, filled
-with all its values at once.  The decoder takes JSON ints, floats and
-bools, no list empty or ragged, every value finite, and keeps each
-float's bits.
+in one recursive pass, laying out the text ``json.dumps(indent=2,
+sort_keys=True)`` would; :func:`json_default` converts each package
+object one level at a time, and each float64 array is written as one
+``%r`` template of its shape, filled with all its values at once.  The
+decoder takes JSON ints, floats and bools, no list empty or ragged,
+every value finite, and keeps each float's bits.
 
 Every integer field (``d``, ``p``, ``seed``, ``horizon``) has one check,
 :func:`_parse_int`, which takes JSON integers only: ``true`` and
@@ -28,7 +28,6 @@ import dataclasses
 import io
 import json
 import numbers
-import re
 import sys
 
 import numpy as np
@@ -242,8 +241,9 @@ def parse_sequence(obj) -> BoundedSeq:
 
 
 def json_default(obj):
-    """One level of a package object as JSON data: json's ``default`` hook,
-    which json calls again on whatever the result still holds."""
+    """One level of a package object as JSON data, for a value that is
+    not JSON already: :func:`dumps_report` writes whatever the result
+    holds, and ``cli.main`` hands it to ``json.dumps`` as its hook."""
     if isinstance(obj, complex):
         return cnum(obj)
     if isinstance(obj, np.generic):
@@ -261,39 +261,52 @@ def json_default(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-_PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
+def _write(o, nl: str, out: list) -> None:
+    """Append to ``out`` the text of ``o`` as ``json.dumps(o, indent=2,
+    sort_keys=True, default=json_default)`` writes it, where ``nl`` is
+    the newline and indent of the line ``o`` starts on."""
+    if isinstance(o, str):
+        out.append(json.encoder.encode_basestring_ascii(o))
+    elif o is None or isinstance(o, int):  # bools are ints
+        out.append("null" if o is None else "true" if o is True else "false" if o is False else int.__repr__(o))
+    elif isinstance(o, float):
+        # json's words for inf and nan; no finite repr holds these letters
+        out.append(float.__repr__(o).replace("inf", "Infinity").replace("nan", "NaN"))
+    elif isinstance(o, (list, tuple, dict)):
+        brackets, heads = "[]", [""] * len(o)
+        if isinstance(o, dict):  # its values in key order, each headed by its key
+            keys = sorted(o)
+            heads = [json.encoder.encode_basestring_ascii(k) + ": " for k in keys]  # TypeError unless a string
+            brackets, o = "{}", [o[k] for k in keys]
+        inner = nl + "  "
+        for i, (head, item) in enumerate(zip(heads, o)):
+            out.append(("," if i else brackets[0]) + inner + head)
+            _write(item, inner, out)
+        out.append(nl + brackets[1] if o else brackets)
+    elif isinstance(o, np.ndarray) and o.dtype == np.float64 and o.ndim and o.size:
+        # a %r template of the array's shape, built from the innermost
+        # axis out by repeating the inner template, takes every value at once
+        nls = [nl + "  " * j for j in range(o.ndim + 1)]
+        text = "%r"
+        for j in reversed(range(o.ndim)):
+            text = "[" + nls[j + 1] + ("," + nls[j + 1]).join([text] * o.shape[j]) + nls[j] + "]"
+        text %= tuple(o.ravel().tolist())
+        out.append(text if np.isfinite(o).all() else text.replace("inf", "Infinity").replace("nan", "NaN"))
+    else:
+        _write(json_default(o), nl, out)
 
 
 def dumps_report(obj) -> str:
     """Deterministic JSON text: sorted keys, two-space indent, one
-    trailing newline.  Each float64 array is a placeholder string here,
-    then spliced back in one formatting pass: a ``%r`` template of the
-    array's shape, built from the innermost axis out by repeating the
-    inner template, takes every value at once.  ``%r`` of a float is the
-    repr json writes for a finite float; inf and nan are renamed after."""
-    blocks = []
-
-    def default(o):
-        if isinstance(o, np.ndarray) and o.dtype == np.float64 and o.ndim and o.size:
-            blocks.append(o)
-            return f"\0{len(blocks) - 1}"
-        return json_default(o)
-
-    def splice(m: re.Match) -> str:
-        a = blocks[int(m.group(1))]
-        line = m.string[m.string.rfind("\n", 0, m.start()) + 1 : m.start()]
-        nl = ["\n" + " " * (len(line) - len(line.lstrip(" ")) + 2 * j) for j in range(a.ndim + 1)]
-        text = "%r"
-        for j in reversed(range(a.ndim)):
-            text = "[" + nl[j + 1] + ("," + nl[j + 1]).join([text] * a.shape[j]) + nl[j] + "]"
-        text %= tuple(a.ravel().tolist())
-        # no finite repr holds these letters
-        return text if np.isfinite(a).all() else text.replace("inf", "Infinity").replace("nan", "NaN")
-
-    text = json.dumps(obj, sort_keys=True, indent=2, default=default)
-    if sorted(int(i) for i in _PLACEHOLDER.findall(text)) != list(range(len(blocks))):
-        raise ValueError("a report string collides with a float block placeholder")
-    return _PLACEHOLDER.sub(splice, text) + "\n"
+    trailing newline, laid out by one recursive pass of :func:`_write`.
+    Each float64 array is one ``%r`` template of its shape, filled with
+    all its values at once.  Dict keys must be strings: any other key is
+    a TypeError, where ``json.dumps`` would write it as text (no report
+    has one)."""
+    out: list = []
+    _write(obj, "\n", out)
+    out.append("\n")  # not joined text + "\n": that would copy the whole report once more
+    return "".join(out)
 
 
 def resolvent_scan_csv(samples) -> str:

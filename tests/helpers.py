@@ -292,7 +292,7 @@ def jsonable_oracle(obj):
         return obj
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     if isinstance(obj, np.complexfloating):
         return jsonable_oracle(complex(obj))

@@ -286,6 +286,25 @@ def test_cayley_command_near_the_float_limit(tmp_path, capsys):
     assert json.loads(out)["residual"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["cayley", "m.json", "-o", "."],  # a directory
+        ["cayley", "m.json", "-o", "missing/dir/out.json"],
+        ["corpus", "--out-dir", "m.json"],  # a file
+    ],
+)
+def test_an_unwritable_output_path_is_one_error_line(tmp_path, capsys, monkeypatch, args):
+    write_json(tmp_path / "m.json", matrix_to_json(CMatrix([[1.0, 2.0], [3.0, 4.0]])))
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = _error_line(err)
+    assert error["error"] == "ParseError"
+    assert error["message"].startswith("cannot write: ") and repr(args[-1]) in error["message"]
+
+
 def test_cauchy_recover_command(tmp_path, capsys):
     payload = {"coeffs": [[[1.0, 0.0]], [[0.0, 2.0]], [[3.0, 0.0]]]}
     path = write_json(tmp_path / "series.json", payload)

@@ -41,7 +41,6 @@ def test_library_uses_no_numpy_linalg_decompositions():
 #: there; every other norm of caller data is ``linalg._row_norms``, which
 #: neither under- nor overflows, or ``linalg._plain_norms``, its bits.
 PLAIN_NORM_SITES = {
-    "linalg.py": "the norm kernels, which scale by a power of two where the plain norm fails",
     "sequences.py: _unit_vector": "a Gaussian draw of its own, of norm near sqrt(2 d)",
 }
 
@@ -83,8 +82,13 @@ def test_one_helper_draws_every_seeded_direction():
 
 
 def test_json_encoder_runs_once_per_report():
-    # float blocks are spliced in as %r templates, never by an encoder pass of their own
-    assert _callers("dumps") == ["cli.py: main", "serialize.py: dumps_report"]
+    # serialize._write lays out every report itself; json.dumps writes only the CLI's one-line error
+    assert _callers("dumps") == ["cli.py: main"]
+    (serialize,) = [path for path in SOURCES if path.name == "serialize.py"]
+    tree = ast.parse(serialize.read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "re" not in imported
 
 
 def test_power_of_two_scaling_lives_in_linalg():
