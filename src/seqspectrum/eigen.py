@@ -252,12 +252,14 @@ def gelfand_radius_estimate(a: CMatrix, n_max: int) -> GelfandReport:
     the minimum over n in [n_max/2, n_max] approaches it monotonically
     from above, which is robust to transient growth of defective
     matrices.  An exactly-zero power short-circuits to estimate 0 with
-    the nilpotency flag set.
+    the nilpotency flag set.  The eigenvalues come first, so where the
+    root finder fails no power is formed, and its error is the one
+    raised even where the norm kernel would fail too.
     """
     if n_max < 16:
         raise PreconditionError("n_max must be >= 16")
-    logs = mat_power_seq(a, n_max)
     eig_radius = spectrum_info(a).spectral_radius
+    logs = mat_power_seq(a, n_max)
     n = np.arange(1, n_max + 1)
     nonzero = logs > -np.inf
     ratios = logs[nonzero] / n[nonzero]

@@ -231,7 +231,7 @@ def modes_plus_decay(
         live = np.count_nonzero(envelope)
         if live:  # a none decay draws no direction
             values[:live] += _decaying_term(envelope[:live], None, seed, term[:live])
-    del term  # freed before BoundedSeq copies the values
+    del term  # freed before the row norms are taken
     descriptor = {
         "kind": "modes_plus_decay",
         "modes": [(t, tuple(v.tolist())) for t, v in modes],
@@ -239,6 +239,22 @@ def modes_plus_decay(
         "horizon": horizon,
         "seed": seed,
     }
+    return _handed_over(values, descriptor)
+
+
+def _handed_over(values: np.ndarray, descriptor: dict) -> BoundedSeq:
+    """``BoundedSeq(values, descriptor)`` for a complex (N, d) array that a
+    builder here made and hands over: the array itself, made read-only,
+    not a copy.  A NaN or inf entry makes its row's norm NaN or inf, so
+    only a window with a norm that is not finite, or an empty or short
+    one, goes through the constructor's checks, copy and errors."""
+    if values.size and values.shape[0] >= MIN_HORIZON:
+        seq = BoundedSeq.__new__(BoundedSeq)
+        seq.values, seq.descriptor, seq.norms = values, descriptor, _row_norms(values)
+        seq.sup_norm = float(seq.norms.max())
+        if math.isfinite(seq.sup_norm):
+            values.flags.writeable = False
+            return seq
     return BoundedSeq(values, descriptor)
 
 
@@ -416,16 +432,17 @@ def _fine_size(horizon: int, grid_size: int) -> int:
     return max(grid_size, 2 << (horizon - 1).bit_length())
 
 
-def _cluster_argmax(idx: np.ndarray, k: int, fine_norms: np.ndarray) -> np.ndarray:
+def _cluster_argmax(idx: np.ndarray, k: int, n_fine: int, norms_at) -> np.ndarray:
     """The fine bin of each cluster of above-threshold grid points: the
-    first maximum of ``fine_norms`` over the bins floor((start - 1) r) ..
+    first maximum of the fine norms over the bins floor((start - 1) r) ..
     ceil((end + 1) r), r = n_fine / K, taken in that order modulo n_fine.
+    ``norms_at(bins)`` gives the norms at an array of bins, which may
+    repeat, so only the bins read are normed.
 
     Clusters are the runs of consecutive points of ``idx`` (ascending, on a
     circle of K points); a run ending at K - 1 continues at 0, and comes
     first, starting below 0.
     """
-    n_fine = fine_norms.shape[0]
     breaks = np.flatnonzero(np.diff(idx) > 1)
     starts = idx[np.concatenate(([0], breaks + 1))]
     ends = idx[np.concatenate((breaks, [-1]))]
@@ -437,7 +454,7 @@ def _cluster_argmax(idx: np.ndarray, k: int, fine_norms: np.ndarray) -> np.ndarr
     sizes = np.ceil((ends + 1) * ratio).astype(np.int64) - j_lo + 1
     firsts = np.cumsum(sizes) - sizes
     bins = (np.arange(firsts[-1] + sizes[-1]) + np.repeat(j_lo - firsts, sizes)) % n_fine
-    vals = fine_norms[bins]
+    vals = norms_at(bins)
     at_max = np.flatnonzero(vals == np.repeat(np.maximum.reduceat(vals, firsts), sizes))
     return bins[at_max[np.searchsorted(at_max, firsts)]]
 
@@ -473,14 +490,20 @@ def spectrum_scan(
     n_fine = max(K, 2 next_pow2(n)) points (:func:`_fine_size`), which
     brackets each peak by one fine bin each way.  When n_fine = K (every
     window of at most K / 2 entries) that transform is the grid's own, so
-    the scan takes one FFT; longer windows take a second.  Then come
+    the scan takes one FFT; a longer window takes one more per row, each
+    gathered at the clusters' bins, which alone are normed.  Then come
     Newton steps on
     g = Re<m, m'> = (1/2) d|m|^2/dphi, with g' = |m'|^2 + Re<m, m''>,
     safeguarded by that bracket (Press et al., Numerical Recipes, 3rd ed.,
     2007, sec. 9.4): the sign of g halves the bracket, and a step bisects
     it instead where g' >= 0 or the Newton point leaves it.  All clusters
-    step together until every move is at most 2^-40 / n, or for 16 steps:
-    3 or 4 evaluations at horizons 16-128 and 4 or 5 at 16384.  With
+    step together until every move is at most 2^-40 / n, or for 16 steps.
+    Past n = 4096 / |phi| no nonzero move of phi is that small, so there
+    only a move that rounds to 0 stops them; a last move of one ulp up and
+    down in turn makes the steps repeat with period 2, and they stop at
+    the repeat with the evaluation the 16th step would give.  On the
+    benchmark's inputs that is 3 or 4 evaluations at horizons 16-128 and
+    4 to 6 at 16384, or 7 or 8 where the steps cycle.  With
     z = conj(theta), m' = -i (1/n) sum k z^k x_k and
     m'' = -(1/n) sum k^2 z^k x_k are rotated means too, so x_k, k x_k and
     k^2 x_k are laid out side by side for the two-level sum over
@@ -523,11 +546,19 @@ def spectrum_scan(
         # and the bracket of one fine bin each way is unimodal.
         n_fine = _fine_size(x.horizon, k)
         if n_fine == k:  # n_grid is the horizon: the grid transform is the fine one
-            fine_norms = grid_norms
+            norms_at = grid_norms.__getitem__
         else:
-            fine_norms = _plain_norms(_div_real(np.fft.fft(window, n=n_fine, axis=1), x.horizon), 0)
+
+            def norms_at(bins):
+                # each row's transform, which has the bits of that row of the
+                # (d, n_fine) one, gathered at the bins before the next is taken
+                fine = np.empty((window.shape[0], bins.size), dtype=np.complex128)
+                for row, out in zip(window, fine):
+                    np.fft.fft(row, n=n_fine).take(bins, out=out)
+                return _plain_norms(_div_real(fine, x.horizon), 0)
+
         fine_step = 2.0 * math.pi / n_fine
-        phis = fine_step * _cluster_argmax(idx, k, fine_norms)
+        phis = fine_step * _cluster_argmax(idx, k, n_fine, norms_at)
         lo, hi = phis - fine_step, phis + fine_step
         # the (A, 3d, B) layout of x_k, k x_k and k^2 x_k, filled in place
         layout = _split_layout(window.T, x.horizon)
@@ -538,7 +569,14 @@ def spectrum_scan(
         ks = np.arange(a * b, dtype=np.float64).reshape(a, 1, b)
         np.multiply(cols[:, :d], ks, out=cols[:, d : 2 * d])
         np.multiply(cols[:, :d], ks * ks, out=cols[:, 2 * d :])
-        for _ in range(16):
+        back = [(None, None, None)] * 2  # (state, thetas, m) of the last two steps, older first
+        for i in range(16):
+            state = np.concatenate((phis, lo, hi)).tobytes()
+            if state == back[0][0]:
+                # the steps repeat with period 2 from here on: the 16th
+                # evaluation would be one of the last two
+                _, thetas, m = back[(15 - i) % 2]
+                break
             thetas = _unit_thetas(phis)
             sums = _split_means(cols, thetas, x.horizon)
             m, m1, m2 = sums[:, :d], -1j * sums[:, d : 2 * d], -sums[:, 2 * d :]
@@ -548,6 +586,7 @@ def spectrum_scan(
             with np.errstate(divide="ignore", invalid="ignore"):
                 newton = phis - g / dg
             step = np.where((dg < 0.0) & (lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi)) - phis
+            back = [back[1], (state, thetas, m)]
             if np.abs(step).max() <= 2.0**-40 / x.horizon:
                 break
             phis = phis + step

@@ -4,13 +4,14 @@ Tests are free to lean on numpy.linalg (eig/svd/inv) as an independent
 oracle; the library itself never does.
 """
 
+import cmath
 import dataclasses
 import json
 import math
 
 import numpy as np
 
-from seqspectrum import linalg
+from seqspectrum import linalg, sequences
 from seqspectrum.eigen import _circular_runs
 from seqspectrum.errors import ConvergenceError, SingularMatrixError
 from seqspectrum.linalg import PIVOT_RTOL, CMatrix, CVector, _hermitian_2x2, _pow2_scaled, _pow2_unscaled
@@ -67,6 +68,60 @@ def loop_cluster_argmax(idx, k, fine_norms):
         js = np.arange(j_lo, j_hi + 1) % n_fine
         j_stars.append(js[np.argmax(fine_norms[js])])
     return np.array(j_stars, dtype=np.int64)
+
+
+def reference_spectrum_scan(x, grid_size, epsilon):
+    """Reference for ``sequences.spectrum_scan``: (theta, peak_mean_norm)
+    of each detection, and the count of refinement evaluations, of the
+    scan before it stopped its Newton steps at a 2-cycle and normed only
+    the fine bins it reads.  Every bin of one (d, n_fine) transform is
+    normed, and the steps run until every move is at most 2^-40 / n, or
+    16 times."""
+    k = grid_size
+    n_grid = min(x.horizon, k)
+    (window,), (exp,) = _pow2_scaled(x.values.T[None])
+    scaled_eps = _pow2_unscaled(np.float64(epsilon), -exp)
+    grid_norms = linalg._plain_norms(linalg._div_real(np.fft.fft(window[:, :n_grid], n=k, axis=1), n_grid), 0)
+    idx = np.flatnonzero(grid_norms > scaled_eps)
+    if not idx.size:
+        return [], 0
+    n_fine = sequences._fine_size(x.horizon, k)
+    fine_norms = grid_norms
+    if n_fine != k:
+        fine_norms = linalg._plain_norms(linalg._div_real(np.fft.fft(window, n=n_fine, axis=1), x.horizon), 0)
+    fine_step = 2.0 * math.pi / n_fine
+    phis = fine_step * loop_cluster_argmax(idx, k, fine_norms)
+    lo, hi = phis - fine_step, phis + fine_step
+    layout = sequences._split_layout(window.T, x.horizon)
+    a, d, b = layout.shape
+    ks = np.arange(a * b, dtype=np.float64).reshape(a, 1, b)
+    cols = np.concatenate([layout, layout * ks, layout * (ks * ks)], axis=1)
+    for evals in range(1, 17):
+        thetas = sequences._unit_thetas(phis)
+        sums = sequences._split_means(cols, thetas, x.horizon)
+        m, m1, m2 = sums[:, :d], -1j * sums[:, d : 2 * d], -sums[:, 2 * d :]
+        g = (m.conj() * m1).real.sum(axis=1)
+        dg = (m1.conj() * m1).real.sum(axis=1) + (m.conj() * m2).real.sum(axis=1)
+        lo, hi = np.where(g > 0.0, phis, lo), np.where(g < 0.0, phis, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = phis - g / dg
+        step = np.where((dg < 0.0) & (lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi)) - phis
+        if np.abs(step).max() <= 2.0**-40 / x.horizon:
+            break
+        phis = phis + step
+    peaks = linalg._row_norms(_pow2_unscaled(m, exp))
+    candidates = [(t, p) for t, p in zip(thetas.tolist(), peaks.tolist()) if p > epsilon]
+    candidates.sort(key=lambda c: (-c[1], cmath.phase(c[0]) % (2.0 * math.pi)))
+    accepted = []
+    for theta, peak in candidates:
+        for kept, height in accepted:
+            delta = sequences.angular_distance(kept, theta)
+            if delta <= 2.0 * math.pi / k or peak <= 2.0 * math.pi * height / (x.horizon * delta):
+                break
+        else:
+            accepted.append((theta, peak))
+    accepted.sort(key=lambda c: cmath.phase(c[0]) % (2.0 * math.pi))
+    return accepted, evals
 
 
 def reference_row_norms(arr):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import helpers
+from seqspectrum import eigen
 from seqspectrum.eigen import (
     Polynomial,
     _circular_runs,
@@ -13,7 +14,7 @@ from seqspectrum.eigen import (
     power_bounded_probe,
     spectrum_info,
 )
-from seqspectrum.errors import PreconditionError
+from seqspectrum.errors import ConvergenceError, PreconditionError
 from seqspectrum.linalg import CMatrix, operator_norm
 
 
@@ -214,3 +215,15 @@ def test_gelfand_nonnormal():
     # eigenvalues +-1 but the matrix is far from normal
     report = gelfand_radius_estimate(CMatrix([[0.0, 2.0], [0.5, 0.0]]), 256)
     assert abs(report.estimate - 1.0) <= 0.05 * 2.0
+
+
+def test_gelfand_finds_the_eigenvalues_before_it_forms_powers(monkeypatch):
+    # radius 2 at d = 64 fails in the root finder, before any power is formed
+    rng = np.random.default_rng(64)
+    g = (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))) / np.sqrt(2.0)
+    g *= 2.0 / np.max(np.abs(np.linalg.eigvals(g)))
+    powers = []
+    monkeypatch.setattr(eigen, "mat_power_seq", lambda *args: powers.append(args))
+    with pytest.raises(ConvergenceError):
+        gelfand_radius_estimate(CMatrix(g), 64)
+    assert powers == []

@@ -92,10 +92,68 @@ def test_unimodular_powers_match_scalar_powers():
         assert unimodular_powers(theta, 3000).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("horizon, calls", [(16, 4), (16384, 5)])
-def test_scan_search_stops_at_its_resolution(monkeypatch, horizon, calls):
-    # Newton steps until every move is at most 2^-40 / n; the last
-    # evaluation, whose move is not taken, gives the reported peak
+#: (modes, horizon, decay, seed, dim) of two windows whose last Newton move
+#: is one ulp back and forth: built like the benchmark's corpus-mixed-1 and
+#: corpus-two-1 inputs at seed 7
+CYCLING_WINDOWS = {
+    "mixed": (
+        [
+            (complex(0.027789340079331887, 0.9996138017144197), [complex(0.7700435244224512, -0.26375888480172516)]),
+            (complex(-0.9344197402103175, 0.3561737625166722), [complex(-0.22973444235746837, -1.2973140150111462)]),
+        ],
+        16384,
+        ("power", 1.0),
+        1186112100,
+        1,
+    ),
+    "two": (
+        [
+            (
+                complex(0.3898374672007525, 0.9208836784124813),
+                [
+                    complex(-0.5396407311701603, 0.37856062729408285),
+                    complex(0.033539997693218325, 0.05257580291940479),
+                    complex(0.5985657543329993, -0.28256961440874323),
+                    complex(-0.6815218272727185, 0.8811894318888329),
+                ],
+            ),
+            (
+                complex(-0.17168229381280006, 0.9851523689212626),
+                [
+                    complex(0.6336420143267725, -0.1569285169866676),
+                    complex(-0.9969303422994568, 0.5676813695512684),
+                    complex(0.06194294746294736, -0.055293711656127065),
+                    complex(0.47938352722153915, 0.5546614648508446),
+                ],
+            ),
+        ],
+        16384,
+        ("none", None),
+        1094767428,
+        4,
+    ),
+}
+
+SINGLE_MODE = [(cmath.exp(0.7j), [1.0, 0.5j])]
+
+
+@pytest.mark.parametrize(
+    "window, calls, reference_calls",
+    [
+        pytest.param((SINGLE_MODE, 16), 4, 4, id="16-4"),
+        pytest.param((SINGLE_MODE, 16384), 5, 5, id="16384-5"),
+        pytest.param(CYCLING_WINDOWS["mixed"], 7, 16, id="16384-cycling-mixed"),
+        pytest.param(CYCLING_WINDOWS["two"], 8, 16, id="16384-cycling-two"),
+    ],
+)
+def test_scan_search_stops_at_its_resolution(monkeypatch, window, calls, reference_calls):
+    # Newton steps until every move is at most 2^-40 / n, which past
+    # n = 4096 / |phi| only a move rounding to 0 meets, or until the steps
+    # repeat with period 2, where the reference ran to its cap of 16; the
+    # last evaluation, whose move is not taken, gives the reported peak
+    x = modes_plus_decay(*window)
+    want, evals = helpers.reference_spectrum_scan(x, sequences.DEFAULT_GRID_SIZE, default_epsilon(x.sup_norm))
+    assert evals == reference_calls
     means = sequences._split_means
     seen = []
 
@@ -104,9 +162,40 @@ def test_scan_search_stops_at_its_resolution(monkeypatch, horizon, calls):
         return means(*args)
 
     monkeypatch.setattr(sequences, "_split_means", counted)
-    report = spectrum_scan(modes_plus_decay([(cmath.exp(0.7j), [1.0, 0.5j])], horizon))
-    assert len(report.detected) == 1
+    report = spectrum_scan(x)
+    assert _bits((p.theta, p.peak_mean_norm) for p in report.detected) == _bits(want)
+    assert len(report.detected) == len(window[0])
     assert len(seen) == calls
+
+
+def _bits(detections):
+    return [(complex(t).real.hex(), complex(t).imag.hex(), float(p).hex()) for t, p in detections]
+
+
+def test_scan_detections_keep_the_reference_bits():
+    # the 2-cycle stop and the gathered fine norms change no bit of a
+    # detection: 300 seeded windows and the two cycling ones, against the
+    # frozen scan that normed every fine bin and stepped up to 16 times
+    rng = np.random.default_rng(29)
+    decays = [None, ("none", None), ("geometric", 0.5), ("geometric", 0.9), ("power", 1.0), ("power", 2.5), ("log", None)]
+    windows = list(CYCLING_WINDOWS.values())
+    for trial in range(300):
+        d = int(rng.integers(1, 5))
+        horizon = 16384 if trial % 3 == 0 else round(2.0 ** rng.uniform(4.0, 14.0))
+        modes = [
+            (cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)), rng.uniform(0.5, 2.0) * (rng.standard_normal(d) + 1j * rng.standard_normal(d)))
+            for _ in range(int(rng.integers(1, 4)))
+        ]
+        windows.append((modes, horizon, decays[trial % len(decays)], trial, d))
+    cycled = 0
+    for i, window in enumerate(windows):
+        x = modes_plus_decay(*window)
+        grid_size = 64 if i % 5 == 4 else sequences.DEFAULT_GRID_SIZE
+        want, evals = helpers.reference_spectrum_scan(x, grid_size, default_epsilon(x.sup_norm))
+        got = spectrum_scan(x, grid_size).detected
+        assert _bits((p.theta, p.peak_mean_norm) for p in got) == _bits(want), i
+        cycled += evals == 16
+    assert cycled >= 10
 
 
 def test_tail_norm_trivial_cases():
@@ -449,8 +538,29 @@ def test_short_windows_take_one_transform(monkeypatch, horizon, grid_size):
     report = spectrum_scan(modes_plus_decay([(cmath.exp(0.7j), [1.0, 0.5j])], horizon), grid_size)
     assert len(report.detected) == 1
     one = 2 * 2 ** math.ceil(math.log2(horizon)) <= grid_size
-    assert calls == ([grid_size] if one else [grid_size, sequences._fine_size(horizon, grid_size)])
+    # a longer window's fine transform is taken one row at a time, here two
+    assert calls == ([grid_size] if one else [grid_size] + [sequences._fine_size(horizon, grid_size)] * 2)
     assert sequences._fine_size(horizon, grid_size) >= 2 * horizon  # one fine bin is at most pi / n
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 13, 64])
+def test_fine_rows_and_gathered_norms_keep_the_batched_bits(d):
+    # the scan transforms the window one row at a time and norms only the
+    # bins it gathers: each row's transform is that row of the (d, n_fine)
+    # one, and the quotient and the row-by-row sum of squares are the
+    # full array's at the gathered bins, repeats included
+    rng = np.random.default_rng(d)
+    for horizon in (100, 2049, 5000, 16384, 32768) if d <= 8 else (100, 5000):
+        n_fine = sequences._fine_size(horizon, sequences.DEFAULT_GRID_SIZE)
+        window = rng.standard_normal((d, horizon)) + 1j * rng.standard_normal((d, horizon))
+        batched = np.fft.fft(window, n=n_fine, axis=1)
+        for row, want in zip(window, batched):
+            assert np.fft.fft(row, n=n_fine).tobytes() == want.tobytes()
+        bins = np.sort(rng.integers(0, n_fine, 300))
+        bins = np.concatenate([bins, bins[:7], np.arange(3)])
+        got = linalg._plain_norms(linalg._div_real(np.ascontiguousarray(batched[:, bins]), horizon), 0)
+        want = linalg._plain_norms(linalg._div_real(batched, horizon), 0)[bins]
+        assert got.tobytes() == want.tobytes()
 
 
 def _grid_masks(rng, k):
@@ -481,7 +591,7 @@ def test_cluster_argmax_matches_the_per_cluster_loop(k, n_fine):
         assert idx.size  # the scan refines only when some grid point is above the threshold
         # a few levels make ties common, so the first maximum is tested too
         for fine_norms in (rng.uniform(size=n_fine), rng.integers(0, 4, n_fine).astype(np.float64)):
-            got = sequences._cluster_argmax(idx, k, fine_norms)
+            got = sequences._cluster_argmax(idx, k, n_fine, fine_norms.__getitem__)
             assert got.tolist() == helpers.loop_cluster_argmax(idx, k, fine_norms).tolist()
 
 
@@ -523,8 +633,8 @@ def test_row_layout_norms_pick_the_same_clusters_and_bins(d):
         last_bits |= (grid_rows != grid_cols).any()
         idx = np.flatnonzero(grid_rows > eps)
         assert idx.size and idx.tolist() == np.flatnonzero(grid_cols > eps).tolist()
-        got = sequences._cluster_argmax(idx, k, fine_rows)
-        assert got.tolist() == sequences._cluster_argmax(idx, k, fine_cols).tolist()
+        got = sequences._cluster_argmax(idx, k, n_fine, fine_rows.__getitem__)
+        assert got.tolist() == sequences._cluster_argmax(idx, k, n_fine, fine_cols.__getitem__).tolist()
     assert last_bits
 
 
@@ -830,6 +940,47 @@ def test_descriptor_windows_and_residuals_match_the_broadcast_builders():
         residual = helpers.reference_residual(values, thetas, [m.v.data for m in decomp.modes], horizon)
         want = sequences._stats_of_norms(helpers.reference_row_norms(residual), horizon // 2)
         assert repr(decomp.residual) == repr(want)
+
+
+def test_a_built_window_is_handed_over_uncopied(monkeypatch):
+    # modes_plus_decay hands its own array over: no copy and no entry-by-entry
+    # finiteness pass, and every attribute is the constructor's
+    passes = []
+    monkeypatch.setattr(sequences, "_as_complex_array", lambda v: passes.append(v) or linalg._as_complex_array(v))
+    x = modes_plus_decay(*CYCLING_WINDOWS["two"])
+    assert passes == [] and not x.values.flags.writeable
+    want = BoundedSeq(x.values, x.descriptor)
+    assert len(passes) == 1 and want.values is not x.values
+    assert sorted(vars(x)) == sorted(vars(want))
+    assert x.values.tobytes() == want.values.tobytes() and x.norms.tobytes() == want.norms.tobytes()
+    assert x.sup_norm == want.sup_norm and x.descriptor is want.descriptor
+    # an outside caller's array is still copied
+    values = np.ones((16, 2), dtype=np.complex128)
+    assert BoundedSeq(values).values is not values and values.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "modes, horizon, dim, message",
+    [
+        ([(1.0, [np.inf])], 16, None, "entries must be finite (no NaN/Inf)"),
+        ([(1j, [1.0, complex(0.0, np.nan)])], 16, None, "entries must be finite (no NaN/Inf)"),
+        ([(1.0, [np.inf])], 8, None, "entries must be finite (no NaN/Inf)"),  # before the horizon
+        ([(1.0, [1.0])], 8, None, "horizon must be >= 16, got 8"),
+        ([], 0, 2, "sequence values must form a nonempty (N, d) array"),
+        ([], 16, 0, "sequence values must form a nonempty (N, d) array"),
+    ],
+)
+def test_a_built_window_keeps_the_constructors_errors(modes, horizon, dim, message):
+    # inf times a zero part is NaN, which numpy warns of while building
+    with np.errstate(invalid="ignore"), pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        modes_plus_decay(modes, horizon, dim=dim)
+
+
+def test_a_built_window_whose_norm_overflows_is_kept():
+    # finite entries whose row norm leaves the float range pass, as they do
+    # through the constructor
+    x = modes_plus_decay([(1.0, [1.5e308, 1.5e308])], 16)
+    assert x.sup_norm == math.inf and np.isfinite(x.values).all()
 
 
 def test_a_none_decay_draws_no_direction(monkeypatch):
