@@ -198,13 +198,13 @@ def _cmd_resolvent_scan(args) -> None:
     if args.points < 1:
         raise ParseError(f"--points must be at least 1, got {args.points}")
     _check_count("--points", args.points, args.points * len(radii), a.dim * a.dim)
-    grid = []
     for r in radii:
         if r <= 0:
             raise ParseError(f"grid radius must be positive, got {r}")
-        angles = 2.0 * np.pi * np.arange(args.points) / args.points
-        grid.extend(complex(r * np.cos(t), r * np.sin(t)) for t in angles)
-    samples = resolvent_norm_scan(a, grid)
+    angles = 2.0 * np.pi * np.arange(args.points) / args.points
+    # (r cos t, r sin t) pairs viewed as complex, so each part keeps its bits
+    grid = np.asarray(radii)[:, None, None] * np.stack((np.cos(angles), np.sin(angles)), -1)
+    samples = resolvent_norm_scan(a, grid.view(np.complex128).ravel())
     flagged = sum(1 for s in samples if s.singular_flag)
     summary = f"{len(samples)} grid point(s), {flagged} singular flag(s)"
     if args.format == "csv":

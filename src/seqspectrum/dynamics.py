@@ -32,6 +32,7 @@ from .sequences import (
     extract_modes,
     _as_table,
     _decaying_term,
+    _handed_over,
     spectrum_scan,
     DEFAULT_GRID_SIZE,
     MIN_HORIZON,
@@ -177,7 +178,7 @@ def simulate_delay(system: DelaySystem, horizon: int) -> tuple[BoundedSeq, Traje
             if over.size:
                 step = start + int(over[0])
                 raise UnboundedTrajectoryError(f"trajectory norm exceeded {OVERFLOW_LIMIT:.1e} at step {step}", step)
-    seq = BoundedSeq(values)
+    seq = _handed_over(values, None)
     growth = classify_growth(seq.norms)
     return seq, TrajectoryReport(
         sup_norm=seq.sup_norm,

@@ -47,6 +47,11 @@ _RITZ_AFTER = 8
 _POWER_RESCALE_LO = 1e-100
 _POWER_RESCALE_HI = 1e100
 
+#: Entries in the largest block of powers formed before their ranges are
+#: checked: 8 powers at d = 64, where each power out of range costs the
+#: rest of its block formed again.
+_POWER_BLOCK_ENTRIES = 2**15
+
 
 def _as_complex_array(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
@@ -345,6 +350,9 @@ def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
     gram = _div_real(np.matmul(gram.swapaxes(1, 2), live), unit)
     if len(gram) > idx.size:
         gram = gram[idx]
+    # the open input matrices, compacted with the Gram stack once at most
+    # half the stack is open; before that the mat-vec runs on the whole stack
+    opened = live if 2 * idx.size <= s else None
     log_top = np.zeros(idx.size)  # ln tr(G^m) / m, an upper bound on ln of the top eigenvalue
     vecs = np.zeros((s, d), dtype=np.complex128)
     for k in range(_MAX_SQUARINGS + 1):
@@ -355,9 +363,10 @@ def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
         log_top += np.log(trace) / 2.0**k
         cols = np.argmax(np.diagonal(gram, axis1=1, axis2=2).real, axis=1)
         v = gram[np.arange(idx.size), :, cols]
-        # one batched mat-vec on the whole input stack; closed rows hold zeros
-        vecs[idx] = v
-        image = _div_real(np.matmul(mats, vecs[:, :, None])[idx, :, 0], scale[idx, None])
+        if opened is None:  # one batched mat-vec on the whole input stack; closed rows hold zeros
+            vecs[idx] = v
+        image = np.matmul(mats, vecs[:, :, None])[idx, :, 0] if opened is None else np.matmul(opened, v[:, :, None])[..., 0]
+        image = _div_real(image, scale[idx, None])
         lower = _plain_norms(image, 1) / _plain_norms(v, 1)
         upper = np.exp(0.5 * log_top)
         done = upper - lower <= _NORM_RTOL * lower
@@ -374,6 +383,8 @@ def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
             vecs[idx[done]] = 0.0
             keep = ~done
             idx, gram, log_top = idx[keep], gram[keep], log_top[keep]
+            if opened is not None or 2 * idx.size <= s:
+                opened = mats[idx] if opened is None else opened[keep]
     lower, upper = lower[~done], upper[~done]
     worst = int(np.argmax((upper - lower) / lower))
     i = int(idx[worst])
@@ -456,27 +467,46 @@ def _power_stack(arr: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray, n
     run up to the first zero power.  ``logs[n - 1]`` is ln ||P_n|| +
     e_n ln 2, finite where A^n overflows and -inf from the first zero
     power on; the stack's norms are one batched norm kernel call.
+
+    Powers are formed a block at a time and the ranges of a block are
+    checked in one reduce.  A block starts at one power and doubles while
+    every power stays in range, up to ``_POWER_BLOCK_ENTRIES`` entries;
+    after a rescale it is as long as the run that rescale ended.  From the
+    first power out of range, the rest of its block is formed again, so
+    every power, exponent and log is the one-at-a-time loop's bit for bit.
     """
     powers = np.empty((n_max,) + arr.shape, dtype=np.complex128)
     exps = np.zeros(n_max, dtype=np.int64)
     step = 0
     if np.abs(arr.view(np.float64)).max() > _POWER_RESCALE_HI:
         (arr,), (step,) = _pow2_scaled(arr[None])
-    p, e = powers[0], np.int64(0)  # no n_max overflows an int64 exponent
-    p[...] = arr
-    for n in range(n_max):
-        if n:
-            p = np.matmul(arr, p, out=powers[n])  # P_n in its row of the stack, rescaled there
-        e += step
-        amax = np.abs(p.view(np.float64)).max()
-        if amax == 0.0:
-            # a copy, so the rows past a nilpotent matrix's index are freed
-            powers, exps = powers[:n].copy(), exps[:n]
-            break
-        if not _POWER_RESCALE_LO <= amax <= _POWER_RESCALE_HI:
-            (p[...],), (k,) = _pow2_scaled(p[None])
-            e += k
-        exps[n] = e
+    powers[0] = arr
+    cap = max(1, _POWER_BLOCK_ENTRIES // arr.size)
+    n, e, block, run = 0, 0, 1, 0  # P_1 .. P_n are final; a run starts after each rescale
+    # past the first power out of range a block's powers may overflow; they are formed again
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        while n < n_max:
+            stop = min(n + block, n_max)
+            for m in range(max(n, 1), stop):
+                np.matmul(arr, powers[m - 1], out=powers[m])  # P_(m+1) in its row of the stack
+            amax = np.abs(powers[n:stop].view(np.float64)).max(axis=(1, 2))  # of real and imaginary parts
+            ok = (amax >= _POWER_RESCALE_LO) & (amax <= _POWER_RESCALE_HI)
+            i = int(ok.argmin())
+            j = stop if ok[i] else n + i  # the first power out of range
+            exps[n:j] = e + step * np.arange(1, j - n + 1) if step else e  # no n_max overflows an int64 exponent
+            e += step * (j - n)
+            if j == stop:
+                n, block = stop, min(2 * block, cap)
+            elif amax[j - n] == 0.0:
+                # a copy, so the rows past a nilpotent matrix's index are freed
+                powers, exps = powers[:j].copy(), exps[:j]
+                break
+            else:
+                (powers[j],), (k,) = _pow2_scaled(powers[j : j + 1])
+                e += step + k
+                exps[j] = e
+                # the next block ends where the next rescale falls if it comes as soon again
+                n, block, run = j + 1, min(j + 1 - run, cap), j + 1
     logs = np.full(n_max, -np.inf)
     logs[: len(powers)] = np.log(_batched_spectral_norms(powers)) + exps * np.log(2.0)
     return logs, powers, exps

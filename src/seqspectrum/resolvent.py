@@ -198,12 +198,12 @@ def resolvent_norm_scan(a: CMatrix, grid: Sequence[complex]) -> list[ResolventSa
     The resolvents at non-singular points are stacked and normed in one
     kernel call.
     """
-    lams = [complex(lam) for lam in grid]
+    lams = np.asarray(grid, dtype=np.complex128)
     stack, ok = _resolvents(a, lams)
     norms = np.zeros(len(lams))
     norms[ok] = _batched_spectral_norms(stack[ok])
     flags = ~ok | (norms > SINGULAR_NORM_CUTOFF)
-    return [ResolventSample(lam, float(n), bool(f)) for lam, n, f in zip(lams, norms, flags)]
+    return list(map(ResolventSample, lams.tolist(), norms.tolist(), flags.tolist()))
 
 
 @dataclass(frozen=True)

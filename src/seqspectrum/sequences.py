@@ -244,10 +244,11 @@ def modes_plus_decay(
 
 def _handed_over(values: np.ndarray, descriptor: dict) -> BoundedSeq:
     """``BoundedSeq(values, descriptor)`` for a complex (N, d) array that a
-    builder here made and hands over: the array itself, made read-only,
-    not a copy.  A NaN or inf entry makes its row's norm NaN or inf, so
-    only a window with a norm that is not finite, or an empty or short
-    one, goes through the constructor's checks, copy and errors."""
+    builder made and hands over (``modes_plus_decay``, ``simulate_delay``
+    and ``parse_sequence``): the array itself, made read-only, not a
+    copy.  A NaN or inf entry makes its row's norm NaN or inf, so only a
+    window with a norm that is not finite, or an empty or short one,
+    goes through the constructor's checks, copy and errors."""
     if values.size and values.shape[0] >= MIN_HORIZON:
         seq = BoundedSeq.__new__(BoundedSeq)
         seq.values, seq.descriptor, seq.norms = values, descriptor, _row_norms(values)

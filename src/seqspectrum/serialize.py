@@ -10,13 +10,16 @@ or ValueError.
 
 Pairs have one encoder, :func:`cnum_array`, and one decoder,
 :func:`parse_cnum_array`.  The encoder gives the float64 pair array,
-which wire dicts hold as it is.  :func:`dumps_report` writes a report
-in one recursive pass, laying out the text ``json.dumps(indent=2,
-sort_keys=True)`` would; :func:`json_default` converts each package
-object one level at a time, and each float64 array is written as one
-``%r`` template of its shape, filled with all its values at once.  The
-decoder takes JSON ints, floats and bools, no list empty or ragged,
-every value finite, and keeps each float's bits.
+which wire dicts hold as it is.  :func:`dumps_report` lays out the text
+``json.dumps(indent=2, sort_keys=True)`` would write as one template
+with a ``%s`` slot per scalar, filled by one ``%``.  One rule builds it:
+a list of 16 or more items that share a layout, a float64 array along
+each axis and a list of records of one dataclass alike, is its first
+item's template repeated, so its values are gathered a column at a
+time, never an item at a time.  :func:`json_default` converts each
+package object one level at a time.  The decoder takes JSON ints,
+floats and bools, no list empty or ragged, every value finite, and
+keeps each float's bits.
 
 Every integer field (``d``, ``p``, ``seed``, ``horizon``) has one check,
 :func:`_parse_int`, which takes JSON integers only: ``true`` and
@@ -25,9 +28,12 @@ Every integer field (``d``, ``p``, ``seed``, ``horizon``) has one check,
 
 import csv
 import dataclasses
+import functools
 import io
+import itertools
 import json
 import numbers
+import operator
 import sys
 
 import numpy as np
@@ -35,7 +41,7 @@ import numpy as np
 from .dynamics import DelaySystem, ForcingSpec
 from .errors import ParseError, PreconditionError
 from .linalg import CMatrix, CVector, MAX_DIM
-from .sequences import BoundedSeq, MAX_HORIZON, MIN_HORIZON, modes_plus_decay
+from .sequences import BoundedSeq, MAX_HORIZON, MIN_HORIZON, _handed_over, modes_plus_decay
 
 
 def cnum(z: complex) -> list[float]:
@@ -209,7 +215,7 @@ def parse_sequence(obj) -> BoundedSeq:
         rows = parse_cnum_array(obj.get("values"), f"{what} values", 2)
         if rows.shape[0] < MIN_HORIZON or rows.shape[1] != d:
             raise ParseError(f"{what}: 'values' must list at least {MIN_HORIZON} vectors of dimension d = {d}")
-        return BoundedSeq(rows)
+        return _handed_over(rows, None)  # finite, as parse_cnum_array checks
     if kind == "modes_plus_decay":
         modes_obj = obj.get("modes")
         if not isinstance(modes_obj, list):
@@ -261,52 +267,160 @@ def json_default(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _write(o, nl: str, out: list) -> None:
-    """Append to ``out`` the text of ``o`` as ``json.dumps(o, indent=2,
-    sort_keys=True, default=json_default)`` writes it, where ``nl`` is
-    the newline and indent of the line ``o`` starts on."""
-    if isinstance(o, str):
-        out.append(json.encoder.encode_basestring_ascii(o))
-    elif o is None or isinstance(o, int):  # bools are ints
-        out.append("null" if o is None else "true" if o is True else "false" if o is False else int.__repr__(o))
-    elif isinstance(o, float):
-        # json's words for inf and nan; no finite repr holds these letters
-        out.append(float.__repr__(o).replace("inf", "Infinity").replace("nan", "NaN"))
-    elif isinstance(o, (list, tuple, dict)):
-        brackets, heads = "[]", [""] * len(o)
-        if isinstance(o, dict):  # its values in key order, each headed by its key
-            keys = sorted(o)
-            heads = [json.encoder.encode_basestring_ascii(k) + ": " for k in keys]  # TypeError unless a string
-            brackets, o = "{}", [o[k] for k in keys]
-        inner = nl + "  "
-        for i, (head, item) in enumerate(zip(heads, o)):
-            out.append(("," if i else brackets[0]) + inner + head)
-            _write(item, inner, out)
-        out.append(nl + brackets[1] if o else brackets)
-    elif isinstance(o, np.ndarray) and o.dtype == np.float64 and o.ndim and o.size:
-        # a %r template of the array's shape, built from the innermost
-        # axis out by repeating the inner template, takes every value at once
-        nls = [nl + "  " * j for j in range(o.ndim + 1)]
-        text = "%r"
-        for j in reversed(range(o.ndim)):
-            text = "[" + nls[j + 1] + ("," + nls[j + 1]).join([text] * o.shape[j]) + nls[j] + "]"
-        text %= tuple(o.ravel().tolist())
-        out.append(text if np.isfinite(o).all() else text.replace("inf", "Infinity").replace("nan", "NaN"))
+def _slot(v):
+    """The slot value of one string, None, bool, int or float, or of a
+    numpy scalar of one, read as :func:`json_default` reads it: an int or
+    finite float as itself, as ``%s`` writes its repr, anything else as
+    its JSON text."""
+    if type(v) is int or type(v) is float and v - v == 0.0:
+        return v
+    v = v.item() if isinstance(v, np.generic) else v
+    if isinstance(v, str):
+        return json.encoder.encode_basestring_ascii(v)
+    if v is None or isinstance(v, int):  # bools are ints
+        return "null" if v is None else "true" if v is True else "false" if v is False else int.__repr__(v)
+    # json's words for inf and nan; no finite repr holds these letters
+    return float.__repr__(v).replace("inf", "Infinity").replace("nan", "NaN")
+
+
+_BOOL_TOKENS = np.array(["false", "true"], dtype=object)
+
+#: Items a list needs before they are laid out as one column: a column's
+#: numpy calls cost more than a shorter list's items laid out one by one.
+_COLUMN_MIN = 16
+
+_KINDS = {"scalar": (float, np.floating, str, int, type(None), np.bool_, np.integer), "pair": (complex, np.complexfloating),
+          "list": (list, tuple), "dict": dict, "block": np.ndarray}
+
+
+@functools.cache
+def _kind(t):
+    """How a value of type ``t`` is laid out: as one ``"scalar"`` slot, a
+    ``"pair"`` of float slots, a ``"list"``, a ``"dict"`` or a float
+    ``"block"`` (see ``_KINDS``); a record dataclass by its sorted field
+    names; anything else as what :func:`json_default` makes of it."""
+    kind = next((kind for kind, types in _KINDS.items() if issubclass(t, types)), "converted")
+    if kind == "converted" and dataclasses.is_dataclass(t) and not issubclass(t, (CVector, CMatrix)):
+        return tuple(sorted(f.name for f in dataclasses.fields(t)))
+    return kind
+
+
+@functools.lru_cache(maxsize=1024)
+def _heads(keys: tuple) -> list:
+    """The text before each value of a dict with these sorted keys, the
+    key json-escaped with every % doubled; a TypeError unless every key
+    is a string."""
+    return [json.encoder.encode_basestring_ascii(key).replace("%", "%%") + ": " for key in keys]
+
+
+def _repeated(pieces: list, n: int, nl: str) -> list:
+    """The pieces of a template of a list of n >= 1 items that share the
+    template ``pieces``; the repeats are one piece, not copied again."""
+    return ["[" + nl + "  ", ("," + nl + "  ").join(["".join(pieces)] * n), nl + "]"]
+
+
+def _floats(a: np.ndarray, nl: str) -> tuple[list, np.ndarray]:
+    """The template pieces of ``a[0]``, a float64 array or float, and the
+    (len(a), slots) array of the slot values of each ``a[i]``: the list
+    rule, axis by axis, each value's slot the float itself or json's word
+    for inf or nan."""
+    if a.ndim > 1:
+        pieces, block = _floats(a.reshape((-1,) + a.shape[2:]), nl + "  ")
+        return _repeated(pieces, a.shape[1], nl), block.reshape(len(a), -1)
+    bad = ~np.isfinite(a)
+    if bad.any():
+        a = a.astype(object)
+        a[bad] = list(map(_slot, a[bad].tolist()))
+    return ["%s"], a[:, None]
+
+
+def _layout(col: list, nl: str, pieces: list, values: list) -> bool:
+    """Append the template and slot values of a column, the values at one
+    place in each of ``len(col)`` records; False when two of them differ
+    in layout, and what was appended is then to be dropped.
+
+    ``pieces`` joins to the template: one value's text as
+    ``json.dumps(indent=2, sort_keys=True, default=json_default)`` writes
+    it on the line whose newline and indent are ``nl``, with a ``%s`` slot
+    for each scalar and every ``%`` of a key doubled.  ``values`` gets the
+    slot values: for one record the values themselves, for several one
+    (len(col), slots) array per run of slots, one row per record.  A
+    finite float fills its slot as itself (``str`` of a float is its
+    ``repr``); every other scalar, and json's word for inf or nan, as its
+    JSON text (:func:`_slot`), chosen per slot.
+
+    Same layout is same kind (``_kind``), and for lists the same length,
+    for dicts the same keys.  One list of at least ``_COLUMN_MIN`` items
+    lays out its items as one column where they share a layout, and so
+    repeats one template, or one column each where not; several lists,
+    dicts and records of one dataclass lay out one column per position,
+    key or field.  A column of one value always has a layout.
+    """
+    if len(col) == 1 and type(col[0]) in (float, int, str, bool, type(None), complex):  # one plain value
+        z = col[0]
+        pieces += _repeated(["%s"], 2, nl) if type(z) is complex else ["%s"]
+        values += map(_slot, (z.real, z.imag) if type(z) is complex else col)
+        return True
+    types = set(map(type, col))
+    kind, *others = set(map(_kind, types))  # no column is empty
+    if others:
+        return False
+    blocks = kind == "block" and col[0].dtype == np.float64 and col[0].size and len({(a.dtype, a.shape) for a in col}) == 1
+    if kind in ("pair", "scalar") or blocks:
+        if kind == "scalar" and not all(issubclass(t, (float, np.floating)) for t in types):
+            tokens = _BOOL_TOKENS[np.array(col, dtype=np.intp)] if types <= {bool, np.bool_} else list(map(_slot, col))
+            text, block = ["%s"], np.array(tokens, dtype=object)[:, None]
+        elif kind == "pair":
+            text, block = _floats(cnum_array(col), nl)
+        else:  # one float block is read in place, without a copy
+            text, block = _floats(np.asarray(col[0], np.float64)[None] if len(col) == 1 else np.array(col, np.float64), nl)
+        pieces += text
+        values += block.ravel().tolist() if len(col) == 1 else [block]
+        return True
+    if kind in ("block", "converted"):
+        return _layout(list(map(json_default, col)), nl, pieces, values)
+    inner = nl + "  "
+    if kind == "list":
+        n, *others = set(map(len, col))
+        if others:
+            return False
+        item_pieces, item_values = [], []
+        if len(col) == 1 and n >= _COLUMN_MIN and _layout(list(col[0]), inner, item_pieces, item_values):
+            pieces += _repeated(item_pieces, n, nl)
+            values += itertools.chain.from_iterable(b.ravel().tolist() for b in item_values)
+            return True
+        keys, heads, brackets = range(n), [""] * n, "[]"
     else:
-        _write(json_default(o), nl, out)
+        if kind == "dict" and len(col) > 1 and any(d.keys() != col[0].keys() for d in col):
+            return False
+        keys = tuple(sorted(col[0])) if kind == "dict" else kind
+        heads, brackets = _heads(keys), "{}"
+    get, getter = (getattr, operator.attrgetter) if isinstance(kind, tuple) else (operator.getitem, operator.itemgetter)
+    columns = [[get(col[0], key)] for key in keys] if len(col) == 1 else [list(map(getter(key), col)) for key in keys]
+    start = len(values)
+    for i, (head, column) in enumerate(zip(heads, columns)):
+        pieces.append(("," if i else brackets[0]) + inner + head)
+        if not _layout(column, inner, pieces, values):
+            return False
+    pieces.append(nl + brackets[1] if heads else brackets)
+    if len(col) > 1 and len(values) - start > 1:  # one row per record
+        values[start:] = [np.concatenate(values[start:], axis=1)]
+    return True
 
 
 def dumps_report(obj) -> str:
     """Deterministic JSON text: sorted keys, two-space indent, one
-    trailing newline, laid out by one recursive pass of :func:`_write`.
-    Each float64 array is one ``%r`` template of its shape, filled with
-    all its values at once.  Dict keys must be strings: any other key is
-    a TypeError, where ``json.dumps`` would write it as text (no report
-    has one)."""
-    out: list = []
-    _write(obj, "\n", out)
-    out.append("\n")  # not joined text + "\n": that would copy the whole report once more
-    return "".join(out)
+    trailing newline.  The whole report is one template, laid out by
+    :func:`_layout`, filled by one ``%``: a list whose items share a
+    layout, a record list or a float block alike, repeats its first
+    item's template, so no step of the writer is taken per item.  Dict
+    keys must be strings: any other key is a TypeError, where
+    ``json.dumps`` would write it as text (no report has one)."""
+    pieces, values = [], []
+    _layout([obj], "\n", pieces, values)
+    text, values = "".join(pieces + ["\n"]), tuple(values)
+    del pieces  # it holds the largest list's text; the fill needs only the template
+    return text % values
 
 
 def resolvent_scan_csv(samples) -> str:

@@ -262,6 +262,34 @@ def _reference_ritz_bounds(mats, scale, idx, gram):
     return lower, theta
 
 
+def reference_power_stack(arr, n_max):
+    """Reference for ``linalg._power_stack``: the loop before block range
+    checks, which formed one power at a time and checked its range before
+    forming the next."""
+    powers = np.empty((n_max,) + arr.shape, dtype=np.complex128)
+    exps = np.zeros(n_max, dtype=np.int64)
+    step = 0
+    if np.abs(arr.view(np.float64)).max() > linalg._POWER_RESCALE_HI:
+        (arr,), (step,) = _pow2_scaled(arr[None])
+    p, e = powers[0], np.int64(0)
+    p[...] = arr
+    for n in range(n_max):
+        if n:
+            p = np.matmul(arr, p, out=powers[n])
+        e += step
+        amax = np.abs(p.view(np.float64)).max()
+        if amax == 0.0:
+            powers, exps = powers[:n].copy(), exps[:n]
+            break
+        if not linalg._POWER_RESCALE_LO <= amax <= linalg._POWER_RESCALE_HI:
+            (p[...],), (k,) = _pow2_scaled(p[None])
+            e += k
+        exps[n] = e
+    logs = np.full(n_max, -np.inf)
+    logs[: len(powers)] = np.log(linalg._batched_spectral_norms(powers)) + exps * np.log(2.0)
+    return logs, powers, exps
+
+
 def random_unitary(rng, d):
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(z)

@@ -252,6 +252,23 @@ def test_resolvent_scan_csv(tmp_path, capsys):
         assert fields[3] == "0"
 
 
+def test_resolvent_scan_grid_is_the_per_point_grid_bit_for_bit(tmp_path, capsys, monkeypatch):
+    # the grid is r cos t and r sin t over the whole angle array at once,
+    # each part with the bits of one scalar call per point
+    path = write_json(tmp_path / "m.json", matrix_to_json(CMatrix(np.eye(1))))
+    grids = []
+    monkeypatch.setattr(cli, "resolvent_norm_scan", lambda a, grid: grids.append(grid) or [])
+    radii = (0.5, 1.5, 1e-3, 1e3)
+    counts = list(range(1, 130)) + [255, 256, 257, 1000, 1023, 1024, 4095, 4096]
+    for points in counts:
+        assert main(["resolvent-scan", path, "--radius", ",".join(map(repr, radii)), "--points", str(points)]) == 0
+    capsys.readouterr()
+    for points, grid in zip(counts, grids, strict=True):
+        angles = 2.0 * np.pi * np.arange(points) / points
+        want = [complex(r * np.cos(t), r * np.sin(t)) for r in radii for t in angles]
+        assert np.asarray(grid, dtype=np.complex128).tobytes() == np.array(want).tobytes(), points
+
+
 def test_pole_probe_command(tmp_path, capsys):
     path = write_json(tmp_path / "m.json", matrix_to_json(CMatrix(np.diag([1.0, -1.0]))))
     rc = main(["pole-probe", path, "--theta", "1"])

@@ -554,6 +554,38 @@ def test_power_stack_unscaled_is_the_plain_loop_bit_for_bit(d, factor):
     assert (exps[in_range] != 0).sum() >= 100  # the rescaled powers are checked
 
 
+def _power_cases():
+    """(A, n_max values) pairs for the block range checks of ``_power_stack``."""
+    rng = np.random.default_rng(29)
+    for d in (1, 2, 3, 4, 8, 16, 64):
+        g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2 * d)
+        nilpotent = np.triu(g, 1)
+        # growing, decaying and unimodular spectra; entries past the rescale
+        # window (1e120 is scaled before the loop); spectral radii 1e-30 and
+        # 1e30, which cross the window every few powers; nilpotent and zero
+        cases = [g, 1e120 * g, 1e-30 * g, nilpotent]
+        if d < 64:  # each power stack at d = 64 takes a norm kernel call of about 30 ms
+            cases += [2.0 * g, 0.5 * g, 1e-120 * g, 1e30 * g, 1e90 * nilpotent, np.zeros((d, d), dtype=np.complex128)]
+        for a in cases:
+            yield a, (1, 7, 64) if d == 64 else (1, 2, 3, 7, 64, 512)
+    for j in range(1, 40):
+        # c^n I first leaves [1e-100, 1e100] at n = j + 1 and crosses it again
+        # every j or j + 1 powers after, so the first power out of range falls
+        # at every offset in a block, its first power included
+        c = 10.0 ** (100.0 / (j + 0.5))
+        yield c * np.eye(2, dtype=np.complex128), (64,)
+        yield np.eye(2, dtype=np.complex128) / c, (64,)
+
+
+def test_power_stack_checks_ranges_a_block_at_a_time_bit_for_bit():
+    # logs, powers and exps are the one-power-at-a-time loop's, bit for bit
+    for a, n_maxes in _power_cases():
+        for n_max in n_maxes:
+            got, want = linalg._power_stack(a, n_max), helpers.reference_power_stack(a, n_max)
+            for x, y in zip(got, want):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), (len(a), n_max)
+
+
 def test_unitarity_defect():
     rng = np.random.default_rng(11)
     u = helpers.random_unitary(rng, 5)

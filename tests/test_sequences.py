@@ -14,7 +14,7 @@ import helpers
 from seqspectrum import eigen, linalg, resolvent, sequences
 from seqspectrum.corpus import generate_corpus
 from seqspectrum.dynamics import DelaySystem, ForcingSpec, delay_limit_probe, simulate_delay
-from seqspectrum.errors import PreconditionError
+from seqspectrum.errors import ParseError, PreconditionError, UnboundedTrajectoryError
 from seqspectrum.sequences import (
     _rotated_means,
     BoundedSeq,
@@ -35,6 +35,7 @@ from seqspectrum.sequences import (
     vanishing_check,
 )
 from seqspectrum.linalg import CMatrix, CVector
+from seqspectrum.serialize import parse_sequence, sequence_to_json
 
 
 def test_bounded_seq_validation():
@@ -943,17 +944,26 @@ def test_descriptor_windows_and_residuals_match_the_broadcast_builders():
 
 
 def test_a_built_window_is_handed_over_uncopied(monkeypatch):
-    # modes_plus_decay hands its own array over: no copy and no entry-by-entry
-    # finiteness pass, and every attribute is the constructor's
+    # modes_plus_decay, simulate_delay and parse_sequence hand their own
+    # arrays over: no copy and no entry-by-entry finiteness pass, and every
+    # attribute is the constructor's
     passes = []
     monkeypatch.setattr(sequences, "_as_complex_array", lambda v: passes.append(v) or linalg._as_complex_array(v))
-    x = modes_plus_decay(*CYCLING_WINDOWS["two"])
-    assert passes == [] and not x.values.flags.writeable
-    want = BoundedSeq(x.values, x.descriptor)
-    assert len(passes) == 1 and want.values is not x.values
-    assert sorted(vars(x)) == sorted(vars(want))
-    assert x.values.tobytes() == want.values.tobytes() and x.norms.tobytes() == want.norms.tobytes()
-    assert x.sup_norm == want.sup_norm and x.descriptor is want.descriptor
+    wire = sequence_to_json(BoundedSeq(np.arange(64).reshape(32, 2) * (1 - 0.5j)))
+    system = DelaySystem(CMatrix([[0.5, 1j], [0.0, -0.9]]), 2, [[1.0, 1j], [0.5, -1.0]], ForcingSpec("zero"))
+    for build in (
+        lambda: modes_plus_decay(*CYCLING_WINDOWS["two"]),
+        lambda: simulate_delay(system, 64)[0],
+        lambda: parse_sequence(wire),
+    ):
+        passes.clear()
+        x = build()
+        assert passes == [] and not x.values.flags.writeable
+        want = BoundedSeq(x.values, x.descriptor)
+        assert len(passes) == 1 and want.values is not x.values
+        assert sorted(vars(x)) == sorted(vars(want))
+        assert x.values.tobytes() == want.values.tobytes() and x.norms.tobytes() == want.norms.tobytes()
+        assert x.sup_norm == want.sup_norm and x.descriptor is want.descriptor
     # an outside caller's array is still copied
     values = np.ones((16, 2), dtype=np.complex128)
     assert BoundedSeq(values).values is not values and values.flags.writeable
@@ -974,6 +984,32 @@ def test_a_built_window_keeps_the_constructors_errors(modes, horizon, dim, messa
     # inf times a zero part is NaN, which numpy warns of while building
     with np.errstate(invalid="ignore"), pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
         modes_plus_decay(modes, horizon, dim=dim)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda: parse_sequence({"kind": "materialized", "d": 1, "values": [[[1.0, 0.0]]] * 15 + [[[math.inf, 0.0]]]}),
+            ParseError,
+            "sequence values must be a nonempty list of equal-length lists of pairs of finite real numbers",
+        ),
+        (
+            lambda: parse_sequence({"kind": "materialized", "d": 1, "values": [[[1.0, 0.0]]] * 15}),
+            ParseError,
+            "sequence: 'values' must list at least 16 vectors of dimension d = 1",
+        ),
+        (
+            lambda: simulate_delay(DelaySystem(CMatrix([[1e200]]), 1, [[1.0]], ForcingSpec("zero")), 16),
+            UnboundedTrajectoryError,
+            "trajectory norm exceeded 1.0e+100 at step 1",
+        ),
+    ],
+    ids=["non-finite", "short", "overflowing"],
+)
+def test_the_other_builders_keep_their_errors(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_a_built_window_whose_norm_overflows_is_kept():

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +15,10 @@ from hypothesis.extra import numpy as hnp
 
 import helpers
 from seqspectrum.dynamics import DelaySystem, ForcingSpec, simulate_delay
+from seqspectrum import serialize
 from seqspectrum.errors import ParseError
 from seqspectrum.linalg import CMatrix, CVector
-from seqspectrum.resolvent import ResolventSample, resolvent_neumann
+from seqspectrum.resolvent import ResolventSample, resolvent_neumann, resolvent_norm_scan
 from seqspectrum.sequences import MAX_HORIZON, BoundedSeq, angular_distance, modes_plus_decay
 from seqspectrum.serialize import (
     cnum,
@@ -538,8 +540,31 @@ numpy_scalars = st.sampled_from(
 package_objects = st.sampled_from(
     [CVector([1.0, -0.0j]), CMatrix([[0.5, 1j], [-2.0, 1e-5]]), BoundedSeq(np.arange(32).reshape(16, 2) * (1 - 0.5j))]
 )
+# Record lists: records of one kind whose fields each draw from one
+# strategy, so most share a layout and take one template, while a field
+# that draws a float in one record and a pair in the next falls back.
+record_fields = st.sampled_from(
+    [
+        st.floats(), st.sampled_from(AWKWARD_FLOATS), st.integers(), st.booleans(), st.none(), st.text(max_size=3),
+        st.complex_numbers(), numpy_scalars, st.floats() | st.integers() | st.none(), st.floats() | st.complex_numbers(),
+        hnp.arrays(np.float64, (2, 1), elements=st.sampled_from(AWKWARD_FLOATS) | st.floats()),
+        st.lists(st.floats(), min_size=2, max_size=2), st.lists(st.floats(), max_size=2), st.just([]), st.just({}),
+    ]
+)
+
+
+def _record_lists(fields):
+    a, b = fields
+    return st.one_of(
+        st.lists(st.builds(_Node, a, b), min_size=1, max_size=20),
+        st.lists(st.fixed_dictionaries({"%s": a, "k": b}), min_size=1, max_size=20),
+        st.lists(st.tuples(a, b), min_size=1, max_size=20),
+    )
+
+
+record_lists = st.tuples(record_fields, record_fields).flatmap(_record_lists)
 report_leaves = (
-    float_arrays | complex_arrays | numpy_scalars | package_objects
+    float_arrays | complex_arrays | numpy_scalars | package_objects | record_lists
     | st.floats() | st.integers() | st.complex_numbers() | st.booleans() | st.none() | st.text(max_size=3)
 )
 report_objects = st.recursive(
@@ -582,3 +607,78 @@ def test_dumps_report_takes_only_string_keys(obj):
     # json.dumps would write these keys as text; no report has them
     with pytest.raises(TypeError, match="string"):
         dumps_report(obj)
+
+
+# Lists whose items share a layout, written as one template repeated once
+# they hold 16 items, and lists whose layout changes partway, written item
+# by item.
+SHARED_LAYOUTS = {
+    "non-finite floats": [_Node(math.inf, -0.0), _Node(-math.inf, math.nan), _Node(0.0, 1e-5)],
+    "non-finite pair parts": [complex(math.inf, -0.0), complex(-0.0, math.nan), complex(-math.inf, 1.0)],
+    "pairs in records": [_Node(complex(-0.0, math.inf), np.complex64(1)), _Node(1j, np.complex64(2 - 1j))],
+    "bools against ints": [_Node(True, 1), _Node(False, 0), _Node(np.bool_(True), np.int64(1))],
+    "none and numpy scalars": [
+        {"a": None, "b": np.float32(0.1)},
+        {"a": np.int64(-7), "b": np.float64("nan")},
+        {"a": np.bool_(False), "b": 2.5},
+    ],
+    "nested float arrays": [
+        _Node(np.array([[1.0, -0.0], [np.inf, np.nan]]), np.zeros(3)),
+        _Node(np.ones((2, 2)), np.array([1e16, 5e-324, -np.inf])),
+    ],
+    "empty lists and dicts": [_Node([], {}), _Node((), {}), _Node([], {})],
+    "strings": [("inf", "nan"), ("%s %d %%", '"quoted"'), ("é☃\U0001f600", "Infinity\n")],
+    "keys with percent signs": [{"%s": 1.0, "%%": "%"}, {"%s": -0.0, "%%": "%d"}],
+    "resolvent samples": [ResolventSample(complex(1.5, -0.0), math.inf, True), ResolventSample(-1.5j, 0.25, False)],
+    "gelfand samples": [(1, 0.5), (2, -0.0), (3, math.nan)],
+}
+CHANGING_LAYOUTS = {
+    "a record type": [_Node(1.0, 2.0), {"left": 1.0, "right": 2.0}],
+    "a key": [{"a": 1.0}, {"b": 1.0}],
+    "a length": [(1.0, 2.0), (1.0, 2.0, 3.0)],
+    "a nesting": [_Node(1.0, [2.0]), _Node(1.0, 2.0)],
+    "a float to a pair": [_Node(1.0, 2.0), _Node(1j, 2.0)],
+    "an array shape": [_Node(np.zeros(2), 0), _Node(np.zeros(3), 0)],
+    "an array to a list": [_Node(np.zeros(2), 0), _Node([0.0, 0.0], 0)],
+}
+
+
+@pytest.mark.parametrize(
+    "items, shared",
+    [(v, True) for v in SHARED_LAYOUTS.values()] + [(v, False) for v in CHANGING_LAYOUTS.values()],
+    ids=list(SHARED_LAYOUTS) + list(CHANGING_LAYOUTS),
+)
+def test_record_lists_match_the_indented_encoder(items, shared):
+    # the items as one column: laid out when they share a layout, refused when not
+    assert serialize._layout(items, "\n  ", [], []) == shared
+    for obj in (items, {"nested": [items, tuple(items)]}, items * 8, {"nested": [items * 8, tuple(items * 8)]}):
+        assert dumps_report(obj) == json.dumps(helpers.jsonable_oracle(obj), sort_keys=True, indent=2) + "\n"
+
+
+def test_resolvent_samples_take_the_template_path(monkeypatch):
+    # no sample is converted one at a time: json_default is not called per sample
+    calls, json_default = [], serialize.json_default
+    monkeypatch.setattr(serialize, "json_default", lambda o: calls.append(o) or json_default(o))
+    a = CMatrix([[0.5, 1j], [0.0, -0.25]])
+    counts = []
+    for points in (64, 512):
+        samples = resolvent_norm_scan(a, 1.5 * np.exp(2j * np.pi * np.arange(points) / points))
+        calls.clear()
+        text = dumps_report({"samples": samples})
+        counts.append(len(calls))
+        assert text == json.dumps(helpers.jsonable_oracle({"samples": samples}), sort_keys=True, indent=2) + "\n"
+    assert counts[0] == counts[1]
+
+
+def test_a_record_list_report_holds_under_three_times_its_text():
+    # the template's pieces, the slot values and the text; the writer that
+    # went item by item held about 5.9 times the text at its peak
+    a = CMatrix([[0.5, 1j], [0.0, -0.25]])
+    report = {"samples": resolvent_norm_scan(a, 1.5 * np.exp(2j * np.pi * np.arange(4096) / 4096))}
+    tracemalloc.start()
+    try:
+        text = dumps_report(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text)

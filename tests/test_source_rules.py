@@ -82,7 +82,7 @@ def test_one_helper_draws_every_seeded_direction():
 
 
 def test_json_encoder_runs_once_per_report():
-    # serialize._write lays out every report itself; json.dumps writes only the CLI's one-line error
+    # serialize._layout lays out every report itself; json.dumps writes only the CLI's one-line error
     assert _callers("dumps") == ["cli.py: main"]
     (serialize,) = [path for path in SOURCES if path.name == "serialize.py"]
     tree = ast.parse(serialize.read_text(encoding="utf-8"))
