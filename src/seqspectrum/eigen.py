@@ -6,10 +6,10 @@ for the dimensions this package handles.  Accuracy degrades for
 dimensions above ~20 and for tightly clustered roots; multiple roots
 resolve only to roughly the machine-epsilon root of their multiplicity.
 
-The spectral radius is estimated twice: from the eigenvalues, and from
-the norm sequence ln ||A^n|| whose subadditivity makes the limit equal
-the infimum of a_n / n, so the minimum over a trailing window converges
-from above.
+The spectral radius is also estimated from the norm sequence
+ln ||A^n|| alone (Gelfand's formula), whose subadditivity makes the
+limit equal the infimum of a_n / n, so the minimum over a trailing
+window converges from above.
 """
 
 from dataclasses import dataclass
@@ -236,12 +236,10 @@ def _power_verdict(logs: np.ndarray, bound: float) -> PowerBoundVerdict:
 
 @dataclass(frozen=True)
 class GelfandReport:
-    """Spectral radius from the norm sequence against the eigenvalue radius."""
+    """Spectral radius from the norm sequence alone (Gelfand's formula)."""
 
     samples: tuple[tuple[int, float], ...]  # (n, a_n / n), zero-norm entries omitted
     estimate: float
-    eig_radius: float
-    discrepancy: float
     nilpotent: bool
 
 
@@ -252,19 +250,17 @@ def gelfand_radius_estimate(a: CMatrix, n_max: int) -> GelfandReport:
     the minimum over n in [n_max/2, n_max] approaches it monotonically
     from above, which is robust to transient growth of defective
     matrices.  An exactly-zero power short-circuits to estimate 0 with
-    the nilpotency flag set.  The eigenvalues come first, so where the
-    root finder fails no power is formed, and its error is the one
-    raised even where the norm kernel would fail too.
+    the nilpotency flag set.  Only the powers are formed: no eigenvalue
+    is computed.
     """
     if n_max < 16:
         raise PreconditionError("n_max must be >= 16")
-    eig_radius = spectrum_info(a).spectral_radius
     logs = mat_power_seq(a, n_max)
     n = np.arange(1, n_max + 1)
     nonzero = logs > -np.inf
     ratios = logs[nonzero] / n[nonzero]
     samples = tuple(zip(n[nonzero].tolist(), ratios.tolist()))
     if not nonzero.all():
-        return GelfandReport(samples, 0.0, eig_radius, eig_radius, True)
+        return GelfandReport(samples, 0.0, True)
     estimate = float(np.exp(ratios[max(1, n_max // 2) - 1 :].min()))
-    return GelfandReport(samples, estimate, eig_radius, abs(estimate - eig_radius), False)
+    return GelfandReport(samples, estimate, False)

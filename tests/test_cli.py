@@ -620,7 +620,7 @@ def test_norm_kernel_failure_reports_payload(tmp_path, capsys, monkeypatch):
 def test_root_finder_failure_reports_complex_payload(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(eigen, "_ROOT_MAX_SWEEPS", 1)  # one sweep
     path = write_json(tmp_path / "m.json", matrix_to_json(CMatrix([[1.0, 2.0], [3.0, 4.0]])))
-    rc = main(["gelfand", path, "--n-max", "16"])
+    rc = main(["ktz", path, "--theta", "1", "--n-max", "16"])
     assert rc == 2
     err = _error_line(capsys.readouterr().err)
     assert err["error"] == "ConvergenceError"
@@ -635,7 +635,9 @@ def test_root_finder_overflow_writes_one_strict_error_line(tmp_path):
     g *= 2.0 / np.max(np.abs(np.linalg.eigvals(g)))
     path = write_json(tmp_path / "m.json", matrix_to_json(CMatrix(g)))
     proc = subprocess.run(
-        [sys.executable, "-m", "seqspectrum.cli", "gelfand", path, "--n-max", "16"], capture_output=True, text=True
+        [sys.executable, "-m", "seqspectrum.cli", "ktz", path, "--theta", "1", "--n-max", "16"],
+        capture_output=True,
+        text=True,
     )
     assert proc.returncode == 2
     err = _error_line(proc.stderr)
@@ -721,7 +723,9 @@ def test_installed_entry_point_help():
     assert "spectrum-scan" in proc.stdout
 
 
-@pytest.mark.parametrize("command", [["cayley"], ["gelfand", "--n-max", "16"], ["ktz", "--theta", "1,0", "--n-max", "16"]])
+@pytest.mark.parametrize(
+    "command", [["cayley"], ["ktz", "--theta", "1", "--n-max", "16"], ["ktz", "--theta", "1,0", "--n-max", "16"]]
+)
 def test_char_poly_overflow_writes_one_strict_error_line(tmp_path, capsys, command):
     # det(tI - A) = t^2 - 2e200 t + 1e400: the step-2 coefficient leaves the float range
     path = write_json(tmp_path / "m.json", {"d": 2, "entries": [[1e200, 0], [0, 0], [0, 0], [1e200, 0]]})

@@ -187,10 +187,10 @@ PINNED = {
     "cli-simulate": "dcbe2ff0fedf00e72fcdf6a4c662621736a8a37e3928dcb06be4579b2d6fe896",
     "corpus-modes": "927bf2de18b04681495ddc1ad1e58925bf6ac4ea1f8f9ad4c8f23b92757d25f2",
     "corpus-vanishing": "4eb04be0597da5e4a9bd018f223aae90b271e2e9cfab162b622e89991d32c36c",
-    "gelfand-diagonal": "47a553121c1726ed960361c9e237459d0a82d3b7ca5e02e7d123cfb6b0db5336",
-    "gelfand-jordan": "cbca9abc93e3d1052b984ca6247bd2a69f81f47fca0a185c8aa5b707b6adc168",
-    "gelfand-nilpotent": "2da75310a676b38f09676310c9dd1e41d361b4bdf8977f9fe4b69faf735d3646",
-    "gelfand-random-16": "7ab6864c8c26c8e423766cd3a518749a2815bb030f0e6c38c09d3f4d80243ba2",
+    "gelfand-diagonal": "dbf56016dd18d96d654f9de08d53140f5d8febd343cf4a0d10cc9e4fc764b6d4",
+    "gelfand-jordan": "f42936afbf0357c66ba5b84321904525a7cb016cab2da0a46aaf97f1823bc3a9",
+    "gelfand-nilpotent": "6bd18ae17c68c056e41e20fbc5ba7b64517e24fd4e60ee263109f950036fdc91",
+    "gelfand-random-16": "e0911071fa1705cf1b799ec40e091aba1d9908f0b93c9833bfbe24ce5d320abc",
     "ktz-met": "2de9427bf889a68ff7af52c55888f43936b37c69985433bac153943a28bd189b",
     "ktz-nilpotent": "25591f6e2ab9a034fd80544a7ec99aa4d5ce98c46b2dd1f0353ea71fb645caf6",
     "ktz-not-met": "9034e77015dedeb68d49e6f0bcbb8074a8fa18ba5011bd64631092e050dba562",
