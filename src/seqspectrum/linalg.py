@@ -5,11 +5,15 @@ operator norm is the spectral 2-norm throughout the package, computed by
 one kernel that squares the Gram matrix until a two-sided bound closes,
 so every norm it returns is certified and every run is reproducible.
 The kernel takes a stack of any size, empty included, and entries of
-any finite magnitude, subnormal ones too.  Every Euclidean norm of
-caller data goes through ``_row_norms``, or through ``_plain_norms``
-where a plain norm's under- or overflow changes no result.  These, the
-matrix powers and the spectrum scan keep magnitudes in range by one
-rule: ``_pow2_scaled`` scales by an exact power of two,
+any finite magnitude, subnormal ones too, and walks it a chunk of at
+most ``_NORM_CHUNK_ENTRIES`` entries at a time.  Matrix powers come from
+one loop, ``_power_stack``, which hands them to its caller in chunks of
+the same size and keeps none, so a power sequence of any length is
+formed, normed and reduced in the memory of a few chunks.  Every
+Euclidean norm of caller data goes through ``_row_norms``, or through
+``_plain_norms`` where a plain norm's under- or overflow changes no
+result.  These, the matrix powers and the spectrum scan keep magnitudes
+in range by one rule: ``_pow2_scaled`` scales by an exact power of two,
 ``_pow2_unscaled`` undoes it.
 Every linear solve goes through one elimination kernel, ``_solve_array``:
 a (s, d, d) stack in, with a right-hand side broadcasting to (s, d, k),
@@ -21,6 +25,7 @@ All values are immutable after construction and every operation is a
 pure function of its inputs.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +47,11 @@ _MAX_SQUARINGS = 64
 #: Ritz step.  On a small stack the step costs about a dozen squarings in
 #: numpy calls, so it waits for the brackets that squaring closes fast.
 _RITZ_AFTER = 8
+
+#: Entries in the largest chunk the norm kernel takes at once, and in
+#: each chunk of powers :func:`_power_stack` hands over: 16 matrices at
+#: d = 64, 256 at d = 16.
+_NORM_CHUNK_ENTRIES = 2**16
 
 #: Rescaling window for running matrix powers.
 _POWER_RESCALE_LO = 1e-100
@@ -242,8 +252,14 @@ def operator_norm(a: CMatrix | np.ndarray) -> float:
     return float(_batched_spectral_norms(arr[None])[0])
 
 
-def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
+def _batched_spectral_norms(mats: np.ndarray, opened: list | None = None, start: int = 0) -> np.ndarray:
     """Largest singular value of each matrix in a (s, d, d) stack, certified.
+
+    The stack is normed a chunk of at most ``_NORM_CHUNK_ENTRIES`` entries
+    at a time, so the kernel's own arrays are a few chunks whatever the
+    stack's size.  Every step below is taken on each matrix alone, so
+    every matrix's bracket, and so every returned bit, is that of a
+    whole-stack run.
 
     Each matrix is scaled by its Frobenius norm, so its Gram matrix G has
     trace 1.  Squaring the Gram stack k times, renormalising by the trace
@@ -304,8 +320,8 @@ def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
 
     A zero matrix is closed at 0 as it stands.  Any other matrix whose
     Frobenius norm is 0 or inf (entries below about 1e-162 or above about
-    1e154) is first scaled by :func:`_pow2_scaled`, in a copy of the
-    stack, and its norm scaled back by :func:`_pow2_unscaled`; a matrix
+    1e154) is first scaled by :func:`_pow2_scaled`, in a copy of its
+    chunk, and its norm scaled back by :func:`_pow2_unscaled`; a matrix
     with a NaN or inf entry is closed at inf, and every other matrix keeps
     the bits of an unscaled run.  See Golub & Van Loan, sections 7.3 and 8.2.
 
@@ -317,11 +333,46 @@ def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
     the Frobenius norm of its matrix.
 
     Raises ConvergenceError, with the widest open bracket in its payload,
-    when a bracket is still open after ``_MAX_SQUARINGS`` squarings.  The
-    payload gives the caller's index into ``mats`` and the bracket in the
-    units of that input matrix.
+    when a bracket is still open after ``_MAX_SQUARINGS`` squarings; every
+    chunk is normed first, so the open count is that of the whole stack.
+    The payload gives the caller's index into ``mats`` and the bracket in
+    the units of that input matrix.  A caller that norms one stack in
+    several calls passes a list as ``opened`` and the offset of ``mats``
+    in that stack as ``start``: each call then appends its open brackets
+    to the list, returns NaN for their norms, and leaves the raise to
+    :func:`_raise_open` once the stack is done.
     """
     mats = np.asarray(mats, dtype=np.complex128)
+    s, d, _ = mats.shape
+    rows = max(1, _NORM_CHUNK_ENTRIES // (d * d))
+    records = [] if opened is None else opened
+    norms = np.empty(s)
+    for i in range(0, s, rows):
+        norms[i : i + rows] = _chunk_norms(mats[i : i + rows], start + i, records)
+    if opened is None:
+        _raise_open(records, s)
+    return norms
+
+
+def _raise_open(opened: list, s: int) -> None:
+    """Raise the ConvergenceError of a stack of ``s`` matrices normed in
+    chunks, if any chunk left a bracket open: the open count of every
+    chunk, and the widest of their brackets, the first on a tie."""
+    if opened:
+        count, width, index, lower, upper = zip(*opened)
+        worst = int(np.argmax(width))
+        raise ConvergenceError(
+            f"spectral norm bracket open after {_MAX_SQUARINGS} squarings for {sum(count)} of {s} matrices",
+            {"index": index[worst], "lower": lower[worst], "upper": upper[worst]},
+        )
+
+
+def _chunk_norms(mats: np.ndarray, start: int, records: list) -> np.ndarray:
+    """The norms of one chunk of :func:`_batched_spectral_norms`, the
+    chunk at offset ``start`` of its stack.  Brackets still open after
+    ``_MAX_SQUARINGS`` squarings get NaN, and the chunk appends
+    ``(open count, relative width, index, lower, upper)`` of its widest
+    one to ``records``."""
     s, d, _ = mats.shape
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf
         scale = _plain_norms(mats.reshape(s, d * d), 1)
@@ -386,14 +437,13 @@ def _batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
             if opened is not None or 2 * idx.size <= s:
                 opened = mats[idx] if opened is None else opened[keep]
     lower, upper = lower[~done], upper[~done]
-    worst = int(np.argmax((upper - lower) / lower))
+    widths = (upper - lower) / lower
+    worst = int(np.argmax(widths))
     i = int(idx[worst])
     lo, hi = _pow2_unscaled(scale[i] * np.array([lower[worst], upper[worst]]), exps[i])
-    raise ConvergenceError(
-        f"spectral norm bracket open after {_MAX_SQUARINGS} squarings for "
-        f"{idx.size} of {s} matrices",
-        {"index": i, "lower": float(lo), "upper": float(hi)},
-    )
+    records.append((idx.size, widths[worst], start + i, float(lo), float(hi)))
+    out[idx] = np.nan
+    return _pow2_unscaled(out, exps)
 
 
 def _ritz_bounds(
@@ -453,71 +503,92 @@ def _hermitian_2x2(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> tuple[np.ndar
     return 0.5 * (a + c) - radius, _pow2_scaled(vec)[0]
 
 
-def _power_stack(arr: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(logs, powers, exps)`` of A^n, n = 1..n_max: the one loop that
-    forms matrix powers, called once by each of ``mat_power_seq``,
-    ``power_bounded_probe``, ``gelfand_radius_estimate``, ``ktz_check``
-    and ``resolvent_neumann``.
+def _power_stack(arr: np.ndarray, n_max: int, logs: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """A^n for n = 1..n_max, handed over a chunk ``(start, powers, exps)``
+    at a time, ``powers[i]`` and the int64 ``exps[i]`` for n = start + i + 1:
+    the one loop that forms matrix powers, run once by each of
+    ``mat_power_seq``, ``ktz_check`` and ``resolvent_neumann``.  A chunk
+    holds at most ``_NORM_CHUNK_ENTRIES`` entries and is a new array, so
+    no more than the chunk the caller holds and the one being formed are
+    alive at once.
 
     Maintains P_n = A^n 2^-e_n, scaled by :func:`_pow2_scaled` whenever
     its largest real or imaginary part leaves [1e-100, 1e100], as A is
     once before the loop when its own exceeds 1e100.  Every scaling is
     exact, so ``_pow2_unscaled(powers, exps)`` is A^n bit for bit wherever
-    A^n and its products stay normal.  ``powers`` and the int64 ``exps``
-    run up to the first zero power.  ``logs[n - 1]`` is ln ||P_n|| +
-    e_n ln 2, finite where A^n overflows and -inf from the first zero
-    power on; the stack's norms are one batched norm kernel call.
+    A^n and its products stay normal.  The chunks run up to the first zero
+    power.  Before a chunk is handed over, its row of ``logs``, an
+    (n_max,) float array, gets ln ||P_n|| + e_n ln 2 from one norm kernel
+    call, finite where A^n overflows; once the last chunk is handed over,
+    ``logs`` is -inf from the first zero power on, and a norm bracket
+    left open in any chunk raises ConvergenceError for the whole stack,
+    its index n - 1.
 
     Powers are formed a block at a time and the ranges of a block are
     checked in one reduce.  A block starts at one power and doubles while
-    every power stays in range, up to ``_POWER_BLOCK_ENTRIES`` entries;
-    after a rescale it is as long as the run that rescale ended.  From the
-    first power out of range, the rest of its block is formed again, so
-    every power, exponent and log is the one-at-a-time loop's bit for bit.
+    every power stays in range, up to ``_POWER_BLOCK_ENTRIES`` entries and
+    the end of its chunk; after a rescale it is as long as the run that
+    rescale ended.  From the first power out of range, the rest of its
+    block is formed again, so every power, exponent and log is the
+    one-at-a-time loop's bit for bit.
     """
-    powers = np.empty((n_max,) + arr.shape, dtype=np.complex128)
-    exps = np.zeros(n_max, dtype=np.int64)
     step = 0
     if np.abs(arr.view(np.float64)).max() > _POWER_RESCALE_HI:
         (arr,), (step,) = _pow2_scaled(arr[None])
-    powers[0] = arr
+    rows = max(1, _NORM_CHUNK_ENTRIES // arr.size)
     cap = max(1, _POWER_BLOCK_ENTRIES // arr.size)
-    n, e, block, run = 0, 0, 1, 0  # P_1 .. P_n are final; a run starts after each rescale
-    # past the first power out of range a block's powers may overflow; they are formed again
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        while n < n_max:
-            stop = min(n + block, n_max)
-            for m in range(max(n, 1), stop):
-                np.matmul(arr, powers[m - 1], out=powers[m])  # P_(m+1) in its row of the stack
-            amax = np.abs(powers[n:stop].view(np.float64)).max(axis=(1, 2))  # of real and imaginary parts
-            ok = (amax >= _POWER_RESCALE_LO) & (amax <= _POWER_RESCALE_HI)
-            i = int(ok.argmin())
-            j = stop if ok[i] else n + i  # the first power out of range
-            exps[n:j] = e + step * np.arange(1, j - n + 1) if step else e  # no n_max overflows an int64 exponent
-            e += step * (j - n)
-            if j == stop:
-                n, block = stop, min(2 * block, cap)
-            elif amax[j - n] == 0.0:
-                # a copy, so the rows past a nilpotent matrix's index are freed
-                powers, exps = powers[:j].copy(), exps[:j]
-                break
+    opened, last = [], None
+    start, e, block, run, zero = 0, 0, 1, 0, False  # a run starts after each rescale
+    while start < n_max and not zero:
+        powers = np.empty((min(rows, n_max - start),) + arr.shape, dtype=np.complex128)
+        exps = np.zeros(len(powers), dtype=np.int64)
+        n = 0  # powers[:n] are final
+        # past the first power out of range a block's powers may overflow; they are formed again
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            if last is None:
+                powers[0] = arr
             else:
-                (powers[j],), (k,) = _pow2_scaled(powers[j : j + 1])
-                e += step + k
-                exps[j] = e
-                # the next block ends where the next rescale falls if it comes as soon again
-                n, block, run = j + 1, min(j + 1 - run, cap), j + 1
-    logs = np.full(n_max, -np.inf)
-    logs[: len(powers)] = np.log(_batched_spectral_norms(powers)) + exps * np.log(2.0)
-    return logs, powers, exps
+                np.matmul(arr, last, out=powers[0])
+            while n < len(powers):
+                stop = min(n + block, len(powers))
+                for m in range(max(n, 1), stop):
+                    np.matmul(arr, powers[m - 1], out=powers[m])  # P_(start+m+1) in its row of the chunk
+                amax = np.abs(powers[n:stop].view(np.float64)).max(axis=(1, 2))  # of real and imaginary parts
+                ok = (amax >= _POWER_RESCALE_LO) & (amax <= _POWER_RESCALE_HI)
+                i = int(ok.argmin())
+                j = stop if ok[i] else n + i  # the first power out of range
+                exps[n:j] = e + step * np.arange(1, j - n + 1) if step else e  # no n_max overflows an int64 exponent
+                e += step * (j - n)
+                if j == stop:
+                    n, block = stop, min(2 * block, cap)
+                elif amax[j - n] == 0.0:
+                    powers, exps, zero = powers[:j], exps[:j], True
+                    break
+                else:
+                    (powers[j],), (k,) = _pow2_scaled(powers[j : j + 1])
+                    e += step + k
+                    exps[j] = e
+                    # the next block ends where the next rescale falls if it comes as soon again
+                    n, block, run = j + 1, min(start + j + 1 - run, cap), start + j + 1
+        if len(powers):
+            logs[start : start + len(powers)] = np.log(_batched_spectral_norms(powers, opened, start)) + exps * np.log(2.0)
+            yield start, powers, exps
+            last = powers[-1].copy()
+            start += len(powers)
+    logs[start:] = -np.inf
+    _raise_open(opened, start)
 
 
 def mat_power_seq(a: CMatrix, n_max: int) -> np.ndarray:
     """ln ||A^n|| for n = 1..n_max as a float64 array; -inf where A^n = 0.
-    The powers are rescaled as they grow or decay (:func:`_power_stack`)."""
+    The powers are rescaled as they grow or decay and normed a chunk at a
+    time (:func:`_power_stack`); none is kept."""
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
-    return _power_stack(a.data, n_max)[0]
+    logs = np.empty(n_max)
+    for _ in _power_stack(a.data, n_max, logs):
+        pass
+    return logs
 
 
 def hermitian_defect(u: CMatrix) -> float:

@@ -83,17 +83,26 @@ def resolvent_neumann(a: CMatrix, lam: complex, k_max: int) -> NeumannResult:
     Valid only for |lambda| above the spectral radius; misuse is detected
     by a term norm above 1e150 or by the term norms failing to decay over
     the final ten terms, both read off the log norms of one
-    :func:`_power_stack` call, and raised as a divergence error rather
-    than silently returned.
+    :func:`_power_stack` walk, and raised as a divergence error rather
+    than silently returned.  The terms are summed in order a chunk of
+    powers at a time, each chunk after the sum so far, which numpy adds
+    one term at a time at d >= 2: the bits of one ``sum(axis=0)`` over
+    all terms.  At d = 1 numpy sums pairwise, and those bits are kept
+    while the powers fit one chunk, k_max <= 65,536.
     """
     if k_max < 1:
         raise PreconditionError("k_max must be >= 1")
     lam = complex(lam)
     if lam == 0:
         raise PreconditionError("lambda must be nonzero")
+    logs = np.empty(k_max)
+    total = np.eye(a.dim, dtype=np.complex128) / lam  # the n = 0 term
+    last = total[None][:0]  # the n = k_max term; none past a zero power
     # an A / lambda or a power past the float range gives inf or NaN logs, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        logs, powers, exps = _power_stack(a.data / lam, k_max)
+        for start, powers, exps in _power_stack(a.data / lam, k_max, logs):
+            terms = np.concatenate([total[None], _pow2_unscaled(powers, exps) / lam])
+            total, last = terms.sum(axis=0), terms[k_max - start :]
     logs = np.concatenate([[0.0], logs])  # ln ||(A / lambda)^n||, n = 0..k_max; the n-th term is that over |lambda|
     if not np.max(logs) - math.log(abs(lam)) <= math.log(_SERIES_LIMIT):
         raise DivergenceError(
@@ -107,10 +116,8 @@ def resolvent_neumann(a: CMatrix, lam: complex, k_max: int) -> NeumannResult:
             "term norms are non-decreasing over the final 10 terms; "
             "|lambda| does not exceed the spectral radius"
         )
-    # the terms past the first zero power are zero and left out
-    terms = np.concatenate([np.eye(a.dim)[None], _pow2_unscaled(powers, exps)]) / lam
-    last_norm = np.max(_batched_spectral_norms(terms[k_max:]), initial=0.0)
-    return NeumannResult(CMatrix(terms.sum(axis=0)), float(last_norm), k_max + 1)
+    last_norm = np.max(_batched_spectral_norms(last), initial=0.0)
+    return NeumannResult(CMatrix(total), float(last_norm), k_max + 1)
 
 
 def _unit_roots_table(nodes: int) -> np.ndarray:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .eigen import _power_verdict, spectrum_info
-from .linalg import CMatrix, CVector, _as_complex_array, _batched_spectral_norms, _div_real, _plain_norms, _pow2_scaled, _pow2_unscaled, _power_stack, _row_norms
+from .eigen import _exp, _power_verdict, spectrum_info
+from .linalg import CMatrix, CVector, _as_complex_array, _batched_spectral_norms, _div_real, _plain_norms, _pow2_scaled, _pow2_unscaled, _power_stack, _raise_open, _row_norms
 from .trend import _log_log_slope, is_bounded
 
 DEFAULT_HORIZON = 16384
@@ -760,12 +760,36 @@ class KtzVerdict:
 def ktz_check(t: CMatrix, theta: complex, n_max: int = 512, bound: float = 1e6, limit_tol: float = 1e-8) -> KtzVerdict:
     """Check that T^n (T - theta I) -> 0 for power-bounded T whose
     unit-circle spectrum is contained in {theta}: every peripheral
-    eigenvalue within 1e-6 rad of theta.  One :func:`_power_stack` call
-    gives both the power-boundedness verdict and the powers T^n."""
+    eigenvalue within 1e-6 rad of theta.  One :func:`_power_stack` walk
+    gives both the power-boundedness verdict and the powers T^n.  Each
+    chunk of powers leaves only the Frobenius and spectral norms of
+    T^n (T - theta I) over the last half, n >= n_max // 2, taken while
+    every power so far is within ``bound`` and every product finite."""
     if n_max < MIN_HORIZON:
         raise PreconditionError(f"n_max must be >= {MIN_HORIZON}")
     theta = require_unimodular(theta)
-    logs, powers, exps = _power_stack(t.data, n_max)
+    d, window = t.dim, n_max // 2
+    shift = t.data - theta * np.eye(d)
+    # norms[n] = ||T^n (T - theta I)||_F for n >= window, 0 past a zero power
+    logs, norms = np.empty(n_max), np.zeros(n_max)
+    sup, op_sup, overflow, normed, opened = -np.inf, 0.0, None, 0, []
+    for start, powers, exps in _power_stack(t.data, n_max, logs):
+        sup = max(sup, logs[start : start + len(powers)].max())
+        if overflow is not None or not _exp(sup) <= bound:
+            continue
+        # T^n (T - theta I) = 2^e_n P_n (T - theta I) for n = start + 1, ...; inf past the float range
+        m = n_max - 1 - start
+        values = _pow2_unscaled(np.matmul(powers[:m], shift), exps[:m])
+        finite = np.isfinite(values).all(axis=(1, 2))
+        if not finite.all():
+            overflow = start + 1 + int(np.argmin(finite))
+            continue
+        first = max(window, start + 1)  # the tail's first n
+        tail = values[first - start - 1 :]
+        if len(tail):
+            norms[first : first + len(tail)] = _row_norms(tail.reshape(len(tail), d * d))
+            op_sup = max(op_sup, np.max(_batched_spectral_norms(tail, opened, normed)))
+            normed += len(tail)
     probe = _power_verdict(logs, bound)
     power_bounded = probe.bounded and is_bounded(probe.growth_class)
     info = spectrum_info(t)
@@ -783,20 +807,11 @@ def ktz_check(t: CMatrix, theta: complex, n_max: int = 512, bound: float = 1e6, 
     op_tail = None
     attained = None
     if probe.bounded:
-        # T^n (T - theta I) = 2^e_n P_n (T - theta I), P_0 = I; inf past the float range, 0 past a zero power
-        d = t.dim
-        shift = t.data - theta * np.eye(d)
-        values = np.zeros((n_max, d, d), dtype=np.complex128)
-        values[0] = shift
-        m = min(n_max - 1, len(powers))
-        np.matmul(powers[:m], shift, out=values[1 : m + 1])
-        values[1 : m + 1] = _pow2_unscaled(values[1 : m + 1], exps[:m])
-        finite = np.isfinite(values).all(axis=(1, 2))
-        if not finite.all():
-            raise PreconditionError(f"T^n (T - theta I) leaves the float range at n = {np.argmin(finite)}")
-        window = n_max // 2
-        tail = _stats_of_norms(_row_norms(values.reshape(n_max, d * d)), window)
-        op_tail = float(np.max(_batched_spectral_norms(values[window : m + 1]), initial=0.0))
+        if overflow is not None:
+            raise PreconditionError(f"T^n (T - theta I) leaves the float range at n = {overflow}")
+        tail = _stats_of_norms(norms, window)
+        _raise_open(opened, normed)
+        op_tail = float(op_sup)
         attained = op_tail <= limit_tol
     return KtzVerdict(
         theta=theta,

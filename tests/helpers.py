@@ -262,10 +262,24 @@ def _reference_ritz_bounds(mats, scale, idx, gram):
     return lower, theta
 
 
+def joined_power_stack(arr, n_max):
+    """``(logs, powers, exps)`` of ``linalg._power_stack``'s chunks joined,
+    after checking that each chunk starts where the one before it ended
+    and holds at most ``_NORM_CHUNK_ENTRIES`` entries."""
+    logs, chunks = np.empty(n_max), []
+    for start, powers, exps in linalg._power_stack(arr, n_max, logs):
+        assert start == sum(len(p) for p, _ in chunks) and 0 < powers.size <= max(arr.size, linalg._NORM_CHUNK_ENTRIES)
+        chunks.append((powers, exps))
+    empty = (np.empty((0,) + arr.shape, dtype=np.complex128), np.zeros(0, dtype=np.int64))
+    powers, exps = (np.concatenate(parts) for parts in zip(empty, *chunks))
+    return logs, powers, exps
+
+
 def reference_power_stack(arr, n_max):
     """Reference for ``linalg._power_stack``: the loop before block range
     checks, which formed one power at a time and checked its range before
-    forming the next."""
+    forming the next, and kept the whole stack, normed in one
+    :func:`reference_spectral_norms` call."""
     powers = np.empty((n_max,) + arr.shape, dtype=np.complex128)
     exps = np.zeros(n_max, dtype=np.int64)
     step = 0
@@ -286,7 +300,7 @@ def reference_power_stack(arr, n_max):
             e += k
         exps[n] = e
     logs = np.full(n_max, -np.inf)
-    logs[: len(powers)] = np.log(linalg._batched_spectral_norms(powers)) + exps * np.log(2.0)
+    logs[: len(powers)] = np.log(reference_spectral_norms(powers)) + exps * np.log(2.0)
     return logs, powers, exps
 
 

@@ -444,6 +444,34 @@ def test_forced_open_kernel_is_the_reference_bit_for_bit(monkeypatch, cap, case)
     assert got == _kernel_run(helpers.reference_spectral_norms, stack, monkeypatch)
 
 
+@pytest.mark.parametrize("rows", [1, 2, 5])
+@pytest.mark.parametrize("case", ["mixed", "ginibre-8", "powers-6x3", "extreme-4"])
+def test_norm_kernel_in_chunks_is_the_reference_bit_for_bit(monkeypatch, rows, case):
+    # each matrix's bracket depends on that matrix alone, so chunks of any
+    # size keep every bit and every squaring of one whole-stack run
+    stack = _reference_stack(case)
+    monkeypatch.setattr(linalg, "_NORM_CHUNK_ENTRIES", rows * stack[0].size)
+    assert _kernel_run(linalg._batched_spectral_norms, stack, monkeypatch) == _kernel_run(
+        helpers.reference_spectral_norms, stack, monkeypatch
+    )
+
+
+def test_open_bracket_past_the_first_chunk_keeps_its_meaning(monkeypatch):
+    # at d = 64 a chunk holds 16 matrices; the open triple ties sit in the
+    # second and third, one of them scaled by 2^-k in a copy of its chunk,
+    # and the error counts both and names the widest by the caller's index
+    monkeypatch.setattr(linalg, "_MAX_SQUARINGS", 10)
+    rng = np.random.default_rng(64)
+    assert linalg._NORM_CHUNK_ENTRIES // 64**2 == 16
+    stack = rng.standard_normal((40, 64, 64)) + 1j * rng.standard_normal((40, 64, 64))
+    stack[20], stack[37] = _tied_stack(rng, 64, [3], [0.0, 0.0])
+    stack[37] *= 1e-200
+    got = _kernel_run(linalg._batched_spectral_norms, stack, monkeypatch)
+    assert got == _kernel_run(helpers.reference_spectral_norms, stack, monkeypatch)
+    (message, payload), _ = got
+    assert "for 2 of 40 matrices" in message and ("'index': 20," in payload or "'index': 37," in payload)
+
+
 def test_div_real_is_numpys_quotient_up_to_the_sign_of_zero():
     # parts from 2^-1074 to 2^1000 and zeros of both signs, over ordinary
     # divisors, large and small ones, and one whose reciprocal overflows
@@ -487,6 +515,19 @@ def test_a_zero_matrix_does_not_copy_the_stack():
     zeroed = plain.copy()
     zeroed[-1] = 0.0
     assert _kernel_peak(zeroed) <= _kernel_peak(plain) + plain[0].nbytes
+
+
+@pytest.mark.parametrize("odd", ["nan", "tiny"])
+def test_an_odd_matrix_copies_only_its_chunk(odd):
+    # a NaN matrix is zeroed, and one scaled by 1e-200 rescaled, in a copy
+    # of its own chunk; the whole (512, 64, 64) stack is 32 chunks
+    rng = np.random.default_rng(4)
+    stack = rng.standard_normal((512, 64, 64)) + 1j * rng.standard_normal((512, 64, 64))
+    if odd == "nan":
+        stack[-1] = np.nan
+    else:
+        stack[-1] *= 1e-200
+    assert _kernel_peak(stack) <= 4 * 16 * linalg._NORM_CHUNK_ENTRIES
 
 
 def test_mat_power_seq_diagonal_decay():
@@ -540,7 +581,7 @@ def test_power_stack_unscaled_is_the_plain_loop_bit_for_bit(d, factor):
     rng = np.random.default_rng(d)
     a = factor * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     n_max = 400
-    _, powers, exps = linalg._power_stack(a, n_max)
+    _, powers, exps = helpers.joined_power_stack(a, n_max)
     assert exps.dtype == np.int64
     got = linalg._pow2_unscaled(powers, exps)
     p, in_range = a, []
@@ -581,9 +622,42 @@ def test_power_stack_checks_ranges_a_block_at_a_time_bit_for_bit():
     # logs, powers and exps are the one-power-at-a-time loop's, bit for bit
     for a, n_maxes in _power_cases():
         for n_max in n_maxes:
-            got, want = linalg._power_stack(a, n_max), helpers.reference_power_stack(a, n_max)
+            got, want = helpers.joined_power_stack(a, n_max), helpers.reference_power_stack(a, n_max)
             for x, y in zip(got, want):
                 assert x.shape == y.shape and x.tobytes() == y.tobytes(), (len(a), n_max)
+
+
+def test_power_stack_in_small_chunks_is_the_reference_bit_for_bit(monkeypatch):
+    # chunk ends fall inside blocks, on rescales and on the nilpotent stop;
+    # the chunks joined are the one-power-at-a-time loop's, bit for bit
+    for a, n_maxes in _power_cases():
+        for n_max in n_maxes:
+            if n_max != 64 or len(a) == 64:  # d = 64 already runs in chunks of 16
+                continue
+            want = helpers.reference_power_stack(a, n_max)
+            for rows in (3, 5):
+                monkeypatch.setattr(linalg, "_NORM_CHUNK_ENTRIES", rows * a.size)
+                got = helpers.joined_power_stack(a, n_max)
+                for x, y in zip(got, want):
+                    assert x.shape == y.shape and x.tobytes() == y.tobytes(), (len(a), n_max, rows)
+
+
+def test_power_stack_open_bracket_is_the_whole_stacks(monkeypatch):
+    # every power of a normal matrix with three unimodular eigenvalues has
+    # a triple tie; with the squarings capped each stays open, and the
+    # error of the streamed powers is the whole stack's, its index n - 1
+    monkeypatch.setattr(linalg, "_MAX_SQUARINGS", 10)
+    monkeypatch.setattr(linalg, "_NORM_CHUNK_ENTRIES", 5 * 36)
+    rng = np.random.default_rng(3)
+    eigs = np.concatenate([np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 3)), [0.5, 0.3, 0.2]])
+    q = helpers.random_unitary(rng, 6)
+    a = q @ np.diag(eigs) @ q.conj().T
+    with pytest.raises(ConvergenceError) as got:
+        helpers.joined_power_stack(a, 12)
+    with pytest.raises(ConvergenceError) as want:
+        helpers.reference_power_stack(a, 12)
+    assert str(got.value) == str(want.value) and "for 12 of 12 matrices" in str(got.value)
+    assert got.value.payload == want.value.payload
 
 
 def test_unitarity_defect():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
-from seqspectrum import resolvent
+from seqspectrum import linalg, resolvent
 from seqspectrum.errors import DivergenceError, PreconditionError, SingularMatrixError
 from seqspectrum.linalg import CMatrix, CVector, operator_norm
 from seqspectrum.resolvent import (
@@ -129,6 +129,30 @@ def test_neumann_matches_numpy_inverse(d):
         want = np.linalg.inv(lam * np.eye(d) - a)
         got = resolvent_neumann(CMatrix(a), lam, 200).matrix.data
         assert np.linalg.norm(got - want, 2) <= 1e-14 * np.linalg.norm(want, 2)
+
+
+@pytest.mark.parametrize(
+    "d, k_max, rows",
+    [(1, 200, None)] + [(d, k_max, rows) for d, k_max in [(2, 60), (3, 200), (8, 41), (16, 300)] for rows in (None, 1, 7)],
+)
+def test_neumann_sum_in_chunks_is_the_stacked_sum_bit_for_bit(monkeypatch, d, k_max, rows):
+    # the terms are summed a chunk at a time after the sum so far, one
+    # sum(axis=0) of the stacked terms at d >= 2; at d = 1 numpy sums
+    # pairwise, so there the sum is checked within one chunk
+    if rows:
+        monkeypatch.setattr(linalg, "_NORM_CHUNK_ENTRIES", rows * d * d)
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    a *= 0.9 / np.abs(np.linalg.eigvals(a)).max()
+    if d == 3:
+        a = np.triu(a, 1)  # nilpotent: the terms stop at A^2
+    lam = 1.1 * cmath.exp(0.7j)
+    _, powers, exps = helpers.reference_power_stack(a / lam, k_max)
+    terms = np.concatenate([np.eye(d)[None], linalg._pow2_unscaled(powers, exps)]) / lam
+    res = resolvent_neumann(CMatrix(a), lam, k_max)
+    assert res.matrix.data.tobytes() == terms.sum(axis=0).tobytes()
+    want = helpers.reference_spectral_norms(terms[k_max:])
+    assert res.last_term_norm == (want[0] if len(want) else 0.0)
 
 
 def test_cauchy_recovers_coefficients_with_an_odd_node_count():

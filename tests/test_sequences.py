@@ -1070,9 +1070,9 @@ def test_each_power_consumer_forms_its_powers_once(monkeypatch, consumer):
     calls = []
     power_stack = linalg._power_stack
 
-    def counting(arr, n_max):
+    def counting(arr, n_max, logs):
         calls.append(n_max)
-        return power_stack(arr, n_max)
+        return power_stack(arr, n_max, logs)
 
     for module in (linalg, eigen, sequences, resolvent):
         if hasattr(module, "_power_stack"):
@@ -1114,7 +1114,7 @@ def _stable_normal(seed, d):
 )
 def test_ktz_rescaled_powers_match_a_long_double_oracle(t):
     n_max = 512
-    assert (linalg._power_stack(t.astype(np.complex128), n_max)[2] != 0).any()  # the stack rescales
+    assert (helpers.joined_power_stack(t.astype(np.complex128), n_max)[2] != 0).any()  # the stack rescales
     verdict = ktz_check(CMatrix(t), 1.0, n_max)
     tail_sup, op_tail = _ktz_tail_oracle(t, 1.0, n_max)
     assert verdict.tail.tail_sup == pytest.approx(tail_sup, rel=1e-12, abs=0.0)
@@ -1125,6 +1125,77 @@ def test_ktz_powers_past_the_float_range_are_a_precondition_error():
     # an infinite bound admits every power; T^n (T - I) = 2^n first overflows at n = 1024
     with pytest.raises(PreconditionError, match=r"leaves the float range at n = 1024$"):
         ktz_check(CMatrix([[2.0]]), 1.0, n_max=2048, bound=math.inf)
+
+
+def _reference_ktz_tail(t, theta, n_max):
+    """``(tail, operator_tail_sup)`` of ``ktz_check`` from the whole stack
+    of T^n (T - theta I), n < n_max: the powers of
+    ``helpers.reference_power_stack``, each row normed in one
+    ``reference_row_norms`` call and the last half in one
+    ``reference_spectral_norms`` call."""
+    d = len(t)
+    _, powers, exps = helpers.reference_power_stack(t, n_max)
+    shift = t - theta * np.eye(d)
+    values = np.zeros((n_max, d, d), dtype=np.complex128)
+    values[0] = shift
+    m = min(n_max - 1, len(powers))
+    values[1 : m + 1] = linalg._pow2_unscaled(np.matmul(powers[:m], shift), exps[:m])
+    window = n_max // 2
+    tail = sequences._stats_of_norms(helpers.reference_row_norms(values.reshape(n_max, d * d)), window)
+    return tail, float(np.max(helpers.reference_spectral_norms(values[window : m + 1]), initial=0.0))
+
+
+@pytest.mark.parametrize("rows", [None, 7, 100])
+@pytest.mark.parametrize(
+    "t, n_max",
+    [(np.diag([0.5, 0.25]), 512), (_stable_normal(16, 16), 512), (np.array([[1.0, 1.0], [0.0, 1.0]]), 400),
+     (np.triu(_stable_normal(5, 4), 1), 64), (np.diag([1j, 0.3]), 64)],
+    ids=["diag", "d16", "jordan", "nilpotent", "rotation"],
+)
+def test_ktz_chunks_are_the_whole_stack_bit_for_bit(monkeypatch, t, n_max, rows):
+    # the row norms, tail statistics and operator tail of each chunk of
+    # powers are those of the whole stack of T^n (T - I), bit for bit
+    if rows:
+        monkeypatch.setattr(linalg, "_NORM_CHUNK_ENTRIES", rows * t.size)
+    verdict = ktz_check(CMatrix(t), 1.0, n_max)
+    tail, op_tail = _reference_ktz_tail(t.astype(np.complex128), 1.0, n_max)
+    assert repr(verdict.tail) == repr(tail) and verdict.operator_tail_sup.hex() == op_tail.hex()
+
+
+def test_ktz_float_range_check_keeps_its_n_and_its_place(monkeypatch):
+    # in chunks of 100 powers the overflow at n = 1024 is found as before;
+    # the check waits for spectrum_info and holds only for bounded powers
+    monkeypatch.setattr(linalg, "_NORM_CHUNK_ENTRIES", 100)
+    with pytest.raises(PreconditionError, match=r"leaves the float range at n = 1024$"):
+        ktz_check(CMatrix([[2.0]]), 1.0, n_max=2048, bound=math.inf)
+    verdict = ktz_check(CMatrix([[2.0]]), 1.0, n_max=2048)
+    assert not verdict.power_bounded and verdict.tail is None and verdict.operator_tail_sup is None
+
+    def failing(t):
+        raise ParseError("spectrum_info runs first")
+
+    monkeypatch.setattr(sequences, "spectrum_info", failing)
+    with pytest.raises(ParseError, match="spectrum_info runs first"):
+        ktz_check(CMatrix([[2.0]]), 1.0, n_max=2048, bound=math.inf)
+
+
+@pytest.mark.parametrize("call", ["gelfand", "ktz"])
+def test_power_sequences_run_in_bounded_memory(call):
+    # powers are formed, normed and reduced a chunk at a time: a whole
+    # stack would be 64 MiB (gelfand, d = 64) and 16 MiB (ktz, d = 16)
+    rng = np.random.default_rng(64)
+    g = 0.9 * (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))) / np.sqrt(128)
+    run = {
+        "gelfand": lambda: eigen.gelfand_radius_estimate(CMatrix(g), 1024),
+        "ktz": lambda: ktz_check(CMatrix(_stable_normal(16, 16)), 1.0, 4096),
+    }[call]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_ktz_extra_peripheral_point():
