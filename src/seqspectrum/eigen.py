@@ -1,10 +1,14 @@
 """Characteristic polynomial, eigenvalues, and spectral radius estimators.
 
-Eigenvalues are obtained from the characteristic polynomial (trace
-recursion) followed by simultaneous root iteration, which is adequate
-for the dimensions this package handles.  Accuracy degrades for
-dimensions above ~20 and for tightly clustered roots; multiple roots
-resolve only to roughly the machine-epsilon root of their multiplicity.
+Eigenvalues come from one kernel, ``_eigenvalues``: a Householder
+reduction to upper Hessenberg form, split into unreduced blocks at
+negligible subdiagonal entries, and Aberth-Ehrlich sweeps on each
+block's determinant, evaluated by Hyman's method.  Each root stops on
+a bound on its backward error, so every eigenvalue is one of a matrix
+within a few d eps ||A||_F of A at any dimension up to ``MAX_DIM`` and
+any magnitude; multiple roots resolve only to roughly the
+machine-epsilon root of their multiplicity.  Polynomial roots are the
+eigenvalues of the companion matrix, from the same kernel.
 
 The spectral radius is also estimated from the norm sequence
 ln ||A^n|| alone (Gelfand's formula), whose subadditivity makes the
@@ -17,12 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
-from .linalg import CMatrix, _as_complex_array, mat_power_seq, operator_norm
+from .linalg import CMatrix, _as_complex_array, _pow2_scaled, _pow2_unscaled, mat_power_seq, operator_norm
 from .trend import classify_from_logs
 
-_ROOT_TOL = 1e-14
-_ROOT_MAX_SWEEPS = 500
-_ROOT_RESIDUAL_RTOL = 1e-7
+#: Aberth sweeps after which a block whose roots have not all stopped fails.
+_MAX_SWEEPS = 64
+
+#: Hyman's x is rescaled each time its growth bound has grown by 2 to this power.
+_RESCALE_LOG2 = 400
 
 DEFAULT_PERIPHERAL_TOL = 1e-8
 
@@ -74,59 +80,168 @@ def char_poly(a: CMatrix) -> Polynomial:
 
 
 def poly_roots(p: Polynomial) -> list[complex]:
-    """All roots with multiplicity by simultaneous (Durand-Kerner) iteration.
-
-    Starts on a circle of radius 1 + max |coeff| at roots of unity rotated
-    by 0.4 rad to break symmetry.  Stops when every update falls below
-    1e-14 * (1 + |root|); if 500 sweeps do not get there, the iterate is
-    accepted anyway when every residual |p(z)| is negligible against the
-    coefficient scale (multiple roots stall at their attainable accuracy
-    without ever meeting the update rule), otherwise a failure carrying
-    the per-root residuals is raised.  A sweep that leaves the float range
-    fails at once with its index and the last finite iterate.
-    """
+    """All roots with multiplicity: the eigenvalues of the companion
+    matrix, whose first row is -c_(n-1) .. -c_0 of the monic polynomial
+    and whose subdiagonal is ones (Edelman & Murakami, Math. Comp. 1995),
+    sorted by real then imaginary part."""
     degree = p.degree
     if degree < 1:
         raise PreconditionError("degree must be >= 1")
     lead = p.coeffs[-1]
     if lead == 0:
         raise PreconditionError("leading coefficient must be nonzero")
-    monic = p.coeffs / lead
-    monic[-1] = 1.0  # lead / lead may round off 1 for complex lead
-    if degree == 1:
-        return [complex(-monic[0])]
-    q = Polynomial(monic)
+    companion = np.eye(degree, k=-1, dtype=np.complex128)
+    companion[0] = -p.coeffs[-2::-1] / lead
+    return _sorted(_eigenvalues(companion))
 
-    radius = 1.0 + float(np.max(np.abs(monic[:-1])))
-    angles = 2.0 * np.pi * np.arange(degree) / degree + 0.4
-    z = radius * np.exp(1j * angles)
-    converged = False
-    for sweep in range(_ROOT_MAX_SWEEPS):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, 1.0)
-            small = np.abs(diff) < 1e-30
-            if small.any():
-                diff[small] = 1e-30  # collision guard; next sweep separates them
-            update = q(z) / diff.prod(axis=1)
-            z_next = z - update
-        if not np.isfinite(z_next).all():  # a non-finite iterate never recovers
-            payload = {"sweep": sweep, "roots": z.tolist()}
-            raise ConvergenceError(f"root iteration left the float range at sweep {sweep}", payload)
-        z = z_next
-        if np.all(np.abs(update) < _ROOT_TOL * (1.0 + np.abs(z))):
-            converged = True
-            break
 
-    if not converged:
-        residuals = np.abs(q(z))
-        scale = _ROOT_RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(monic)))) * (1.0 + np.abs(z)) ** degree
-        if not np.all(residuals <= scale):
-            raise ConvergenceError(
-                "root iteration did not converge",
-                payload={"roots": z.tolist(), "residuals": residuals.tolist()},
-            )
-    return sorted((complex(r) for r in z), key=lambda r: (r.real, r.imag))
+def _sorted(eigs: np.ndarray) -> list[complex]:
+    return sorted((complex(z) for z in eigs), key=lambda z: (z.real, z.imag))
+
+
+def _eigenvalues(a: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a square complex array, with multiplicity.
+
+    A is scaled by an exact power of two and reduced to upper Hessenberg
+    form H.  H splits into unreduced blocks at every subdiagonal entry of
+    at most tol = 2 d eps ||H||_F; a block of one row is its diagonal
+    entry, and each larger block is solved by :func:`_aberth`.  Every
+    returned eigenvalue is one of a matrix within about tol of the scaled
+    A, so to first order an eigenvalue of condition number k is off by
+    at most k tol.  An eigenvalue past the float range fails.
+    """
+    scaled, exps = _pow2_scaled(a[None])
+    h = _hessenberg(scaled[0])
+    d = h.shape[0]
+    tol = 2.0 * d * np.finfo(float).eps * np.sqrt(np.vdot(h, h).real)
+    cuts = [0, *(np.flatnonzero(np.abs(np.diagonal(h, -1)) <= tol) + 1).tolist(), d]
+    eigs = np.diagonal(h).copy()
+    for lo, hi in zip(cuts, cuts[1:]):
+        if hi - lo > 1:
+            eigs[lo:hi] = _aberth(h[lo:hi, lo:hi], tol, exps)
+    eigs = _pow2_unscaled(eigs, exps[0])
+    # |eigs| <= ||H||_F <= 64 sqrt(2) before the scaling back, so only a factor 2^e > 1 can overflow
+    if exps[0] > 0:
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.abs(eigs)).all():
+                raise ConvergenceError("an eigenvalue leaves the float range")
+    return eigs
+
+
+def _hessenberg(h: np.ndarray) -> np.ndarray:
+    """Reduce h in place to upper Hessenberg form by Householder
+    reflections and return it; a column already zero below its
+    subdiagonal is left as it is."""
+    d = h.shape[0]
+    for k in range(d - 2):
+        x = h[k + 1 :, k]
+        tail = np.vdot(x[1:], x[1:]).real
+        if tail == 0.0:
+            continue
+        head = abs(x[0])
+        norm = np.sqrt(head * head + tail)
+        phase = x[0] / head if head else 1.0
+        # I - v v* / (norm (norm + head)) maps x to -phase norm e_1
+        v = x.copy()
+        v[0] += phase * norm
+        w = v.conj() / (norm * (norm + head))
+        x[:] = 0.0
+        x[0] = -phase * norm
+        h[k + 1 :, k + 1 :] -= np.outer(v, w @ h[k + 1 :, k + 1 :])
+        h[:, k + 1 :] -= np.outer(h[:, k + 1 :] @ v, w)
+    return h
+
+
+def _aberth(b: np.ndarray, tol: float, exps: np.ndarray) -> np.ndarray:
+    """The eigenvalues of an unreduced upper Hessenberg block by
+    Aberth-Ehrlich sweeps (Bini, Gemignani & Tisseur, SIAM J. Matrix
+    Anal. Appl. 27, 2005) on det(B - zI), evaluated by :func:`_hyman`.
+
+    The n roots start on a circle about the mean eigenvalue
+    c = trace(B) / n whose radius is the root mean square distance of the
+    diagonal from c plus the mean subdiagonal modulus, and every iterate
+    is kept in the disk |z| <= ||B||_F, which holds every eigenvalue.  A
+    root stops once a bound on its backward error,
+    min(|beta| / ||x||, n |beta / beta'|), is at most ``tol``, after one
+    more polishing step: z is an eigenvalue of B - beta e_1 x* / ||x||^2,
+    and a disk of radius n |p / p'| about z holds a root of the degree-n
+    polynomial p.  The second bound is the one a root reaches when a
+    small subdiagonal entry inflates x.  A block not done in
+    ``_MAX_SWEEPS`` sweeps fails with its last iterate, scaled back by
+    2^exps, unless that leaves the float range.
+    """
+    n = b.shape[0]
+    rows = [b[i, i:] for i in range(n)]
+    sub = np.diagonal(b, -1)
+    inv = (-1.0 / sub).tolist()
+    gaps = np.abs(sub)
+    radius = np.sqrt(np.vdot(b, b).real)  # b is zero below its subdiagonal
+    # Hyman's x grows by at most (||b_i||_1 + |z| + 1) / |b_(i,i-1)| at row i
+    # (b_i the whole row), at most ((sqrt(n) + 1) ||B||_F + 1) / |b_(i,i-1)|:
+    # rescale wherever the running bound passes another 2^_RESCALE_LOG2
+    rescale = frozenset()
+    if (n - 1) * np.log2(((np.sqrt(n) + 1.0) * radius + 1.0) / gaps.min()) > _RESCALE_LOG2:
+        growth = np.log2((np.abs(b).sum(axis=1)[1:] + radius + 1.0) / gaps)
+        passes = np.cumsum(np.maximum(growth[::-1], 0.0)) // _RESCALE_LOG2
+        rescale = frozenset((n - 1 - np.flatnonzero(np.diff(passes, prepend=0.0))).tolist())
+    centre = np.trace(b) / n
+    off = np.diagonal(b) - centre
+    spread = np.sqrt(np.vdot(off, off).real / n) + gaps.sum() / (n - 1)
+    z = centre + spread * np.exp(1j * (2.0 * np.pi / n * np.arange(n) + 0.4))
+    act, own = np.arange(n), np.arange(n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        z *= np.minimum(1.0, radius / np.abs(z))
+        for _ in range(_MAX_SWEEPS):
+            za = z[act]
+            beta, dbeta, xnorm = _hyman(rows, inv, za, rescale)
+            ratio = dbeta / beta
+            diff = za[:, None] - z
+            diff[own[: len(act)], act] = np.inf
+            step = 1.0 / (ratio - np.add.reduce(1.0 / diff, axis=1))
+            za -= np.where(np.isfinite(step), step, 0.0)
+            if (np.abs(za) > radius).any():  # every eigenvalue lies in |z| <= ||B||_F
+                za *= np.minimum(1.0, radius / np.abs(za))
+            z[act] = za
+            act = act[np.abs(beta) > tol * np.maximum(xnorm, np.abs(dbeta) / n)]
+            if not len(act):
+                return z
+    payload = {"sweep": _MAX_SWEEPS}
+    roots = _pow2_unscaled(z, exps[0])
+    if np.isfinite(roots).all():  # a root past the float range would not be strict JSON
+        payload["roots"] = roots.tolist()
+    raise ConvergenceError(f"eigenvalue iteration did not converge in {_MAX_SWEEPS} sweeps", payload)
+
+
+def _hyman(rows: list, inv: list, z: np.ndarray, rescale: frozenset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(beta, beta', ||x||) at each z for Hyman's method (Wilkinson, The
+    Algebraic Eigenvalue Problem, 7.11): x with x_(n-1) = 1 solves rows
+    1 .. n-1 of (B - zI) x = beta e_1 from the bottom up, so det(B - zI)
+    is beta times a constant and beta / beta' is the Newton quotient.
+    x and x' are the two rows of one (len(z), 2, n) array, scaled by a
+    power of two after each row in ``rescale``, which changes neither
+    quotient; ``rows[i]`` is b[i, i:] and ``inv[i]`` is -1 / b[i+1, i]."""
+    n, m = len(rows), len(z)
+    x = np.zeros((m, 2, n), dtype=np.complex128)
+    flat = x.reshape(2 * m, n)
+    # the bottom row, with x_(n-1) = 1 and x'_(n-1) = 0
+    flat[0::2, -1] = 1.0
+    flat[0::2, -2] = (rows[-1][0] - z) * inv[-1]
+    flat[1::2, -2] = -inv[-1]
+    zz = np.repeat(z, 2)
+    for i in range(n - 2, 0, -1):
+        if i + 1 in rescale:
+            flat[:] = _pow2_scaled(x)[0].reshape(2 * m, n)
+        s = flat[:, i:] @ rows[i]
+        s -= zz * flat[:, i]
+        s[1::2] -= flat[0::2, i]
+        flat[:, i - 1] = s * inv[i - 1]
+    if 1 in rescale:
+        flat[:] = _pow2_scaled(x)[0].reshape(2 * m, n)
+    s = flat @ rows[0]
+    s -= zz * flat[:, 0]
+    s[1::2] -= flat[0::2, 0]
+    parts = x[:, 0].view(np.float64)
+    return s[0::2], s[1::2], np.sqrt(np.einsum("ij,ij->i", parts, parts))
 
 
 @dataclass(frozen=True)
@@ -169,7 +284,7 @@ def spectrum_info(a: CMatrix, peripheral_tol: float = DEFAULT_PERIPHERAL_TOL) ->
     """Eigenvalues, spectral radius, and deduplicated unit-circle subset."""
     if not 0.0 < peripheral_tol <= 0.1:
         raise PreconditionError("peripheral_tol must lie in (0, 0.1]")
-    eigenvalues = poly_roots(char_poly(a))
+    eigenvalues = _sorted(_eigenvalues(a.data))
     radius = max(abs(ev) for ev in eigenvalues)
     near_circle = [ev for ev in eigenvalues if abs(abs(ev) - 1.0) <= peripheral_tol]
     peripheral = _cluster_peripheral(near_circle, peripheral_tol)

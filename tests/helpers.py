@@ -357,6 +357,23 @@ def multiset_distance(a, b):
     return worst
 
 
+def check_eigenvalues(a, eigs, normal=False):
+    """Oracle for the eigenvalue kernel: d finite eigenvalues, each with
+    sigma_min(A - lambda I) at most 4 d eps ||A||_F, a backward error
+    within twice the kernel's stop rule, the rest left to numpy's own SVD
+    rounding; for a normal A also within 1e-12 (1 + ||A||_2) of
+    ``numpy.linalg.eigvals`` as a multiset."""
+    a = np.asarray(a, dtype=np.complex128)
+    eigs = np.asarray(eigs, dtype=np.complex128)
+    d = a.shape[0]
+    assert eigs.shape == (d,) and np.isfinite(eigs).all()
+    shifted = a[None] - eigs[:, None, None] * np.eye(d)
+    smallest = np.linalg.svd(shifted, compute_uv=False)[:, -1]
+    assert smallest.max() <= 4.0 * d * np.finfo(float).eps * np.linalg.norm(a)
+    if normal:
+        assert multiset_distance(eigs, np.linalg.eigvals(a)) <= 1e-12 * (1.0 + np.linalg.norm(a, 2))
+
+
 def naive_rotated_mean(values, theta, n_used):
     """Direct-summation oracle for rotated_mean."""
     vals = np.asarray(values, dtype=complex)[:n_used]

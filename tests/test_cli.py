@@ -618,7 +618,7 @@ def test_norm_kernel_failure_reports_payload(tmp_path, capsys, monkeypatch):
 
 
 def test_root_finder_failure_reports_complex_payload(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(eigen, "_ROOT_MAX_SWEEPS", 1)  # one sweep
+    monkeypatch.setattr(eigen, "_MAX_SWEEPS", 1)  # one Aberth sweep
     path = write_json(tmp_path / "m.json", matrix_to_json(CMatrix([[1.0, 2.0], [3.0, 4.0]])))
     rc = main(["ktz", path, "--theta", "1", "--n-max", "16"])
     assert rc == 2
@@ -628,17 +628,34 @@ def test_root_finder_failure_reports_complex_payload(tmp_path, capsys, monkeypat
     assert all(len(z) == 2 for z in err["payload"]["roots"])
 
 
-def test_root_finder_overflow_writes_one_strict_error_line(tmp_path):
-    # radius 2 at d = 64: the start circle's 64th powers leave the float range
+def test_root_finder_failure_near_the_float_limit_writes_strict_json(tmp_path, capsys, monkeypatch):
+    # the last iterate, scaled back, leaves the float range: the payload drops it
+    monkeypatch.setattr(eigen, "_MAX_SWEEPS", 1)
+    path = write_json(tmp_path / "m.json", {"d": 2, "entries": [[1.5e308, 0], [1.5e308, 0], [1.5e308, 0], [-1.5e308, 0]]})
+    assert main(["ktz", path, "--theta", "1", "--n-max", "16"]) == 2
+    err = _error_line(capsys.readouterr().err)
+    assert err["error"] == "ConvergenceError"
+    assert err["payload"] == {"sweep": 1}
+
+
+def _ginibre_radius_2(d):
     rng = np.random.default_rng(64)
-    g = (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))) / np.sqrt(2.0)
-    g *= 2.0 / np.max(np.abs(np.linalg.eigvals(g)))
+    g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+    return g * (2.0 / np.max(np.abs(np.linalg.eigvals(g))))
+
+
+def test_root_finder_overflow_writes_one_strict_error_line(tmp_path):
+    # radius 2 at d = 64, once past the float range of the root iteration,
+    # now succeeds with backward-stable eigenvalues; a forced sweep cap
+    # still ends in one strict error line
+    g = _ginibre_radius_2(64)
     path = write_json(tmp_path / "m.json", matrix_to_json(CMatrix(g)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "seqspectrum.cli", "ktz", path, "--theta", "1", "--n-max", "16"],
-        capture_output=True,
-        text=True,
-    )
+    argv = ["ktz", path, "--theta", "1", "--n-max", "16"]
+    proc = subprocess.run([sys.executable, "-m", "seqspectrum.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    helpers.check_eigenvalues(g, eigen.spectrum_info(CMatrix(g)).eigenvalues)
+    capped = "import sys; from seqspectrum import cli, eigen; eigen._MAX_SWEEPS = 1; sys.exit(cli.main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", capped, *argv], capture_output=True, text=True)
     assert proc.returncode == 2
     err = _error_line(proc.stderr)
     assert err["error"] == "ConvergenceError"
@@ -727,12 +744,21 @@ def test_installed_entry_point_help():
     "command", [["cayley"], ["ktz", "--theta", "1", "--n-max", "16"], ["ktz", "--theta", "1,0", "--n-max", "16"]]
 )
 def test_char_poly_overflow_writes_one_strict_error_line(tmp_path, capsys, command):
-    # det(tI - A) = t^2 - 2e200 t + 1e400: the step-2 coefficient leaves the float range
-    path = write_json(tmp_path / "m.json", {"d": 2, "entries": [[1e200, 0], [0, 0], [0, 0], [1e200, 0]]})
-    assert main([command[0], path, *command[1:]]) == 2
-    err = _error_line(capsys.readouterr().err)
-    assert err["error"] == "ConvergenceError"
-    assert err["payload"] == {"step": 2}
+    # det(tI - A) = t^2 - 2e200 t + 1e400: the step-2 coefficient leaves the
+    # float range, so cayley fails; ktz finds the eigenvalues without it
+    entries = [[1e200, 0], [0, 0], [0, 0], [1e200, 0]]
+    path = write_json(tmp_path / "m.json", {"d": 2, "entries": entries})
+    rc = main([command[0], path, *command[1:]])
+    out, err = capsys.readouterr()
+    if command[0] == "cayley":
+        assert rc == 2
+        err = _error_line(err)
+        assert err["error"] == "ConvergenceError"
+        assert err["payload"] == {"step": 2}
+    else:
+        assert rc == 0 and err == ""
+        assert helpers.strict_json(out)["peripheral"] == []
+        assert eigen.spectrum_info(CMatrix(np.diag([1e200, 1e200]))).eigenvalues == (1e200, 1e200)
 
 
 @pytest.mark.parametrize(

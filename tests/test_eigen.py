@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from seqspectrum import eigen
@@ -14,7 +18,7 @@ from seqspectrum.eigen import (
     power_bounded_probe,
     spectrum_info,
 )
-from seqspectrum.errors import PreconditionError
+from seqspectrum.errors import ConvergenceError, PreconditionError
 from seqspectrum.linalg import CMatrix, operator_norm
 
 
@@ -84,6 +88,110 @@ def test_spectrum_info_similarity_invariance():
     ea = spectrum_info(CMatrix(a)).eigenvalues
     eb = spectrum_info(CMatrix(b)).eigenvalues
     assert helpers.multiset_distance(ea, eb) <= 1e-6
+
+
+ORACLE_DIMS = (1, 2, 4, 8, 16, 32, 64)
+
+
+def _jordan(d, lam):
+    return lam * np.eye(d) + np.eye(d, k=1)
+
+
+def _oracle_case(name):
+    """(A, normal) for one named case of the eigen oracle sweep, seeded by
+    its name; the Haar-conjugated spectra are built as the operator
+    benchmark builds them: 1 (and a second unit point) plus interior
+    points of modulus 0.2-0.8."""
+    rng = np.random.default_rng([ord(c) for c in name])
+    kind, _, rest = name.partition("-")
+    if kind in ("gaussian", "ginibre"):
+        d, r = (int(v) for v in rest.split("-r"))
+        g = rng.standard_normal((d, d)) / np.sqrt(d)
+        if kind == "ginibre":
+            g = (g + 1j * rng.standard_normal((d, d)) / np.sqrt(d)) / np.sqrt(2.0)
+        return r * g, False
+    if kind in ("one", "two"):
+        d = int(rest)
+        units = [1.0] if kind == "one" else [1.0, np.exp(1j * rng.uniform(0.5, 2.0 * np.pi - 0.5))]
+        interior = rng.uniform(0.2, 0.8, d - len(units)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, d - len(units)))
+        q = helpers.random_unitary(rng, d)
+        return q @ np.diag(np.concatenate([units, interior])) @ q.conj().T, True
+    fixed = {
+        "jordan16": (_jordan(16, 0.9), False),
+        "jordan64": (_jordan(64, 1.0), False),
+        "fold63": (np.diag([1.0] + [0.5] * 63), True),
+        "diag2e4": (2e4 * np.eye(64), True),
+        "zero": (np.zeros((8, 8)), True),
+        # (z - 1)^3 (z + 2) = z^4 - z^3 - 3z^2 + 5z - 2
+        "companion": (np.array([[1.0, 3.0, -5.0, 2.0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]), False),
+    }
+    a, normal = fixed[kind]
+    if rest == "conj":
+        q = helpers.random_unitary(rng, a.shape[0])
+        a = q @ a @ q.conj().T
+    return a, normal
+
+
+ORACLE_CASES = [
+    *(f"{kind}-{d}-r{r}" for kind in ("gaussian", "ginibre") for d in ORACLE_DIMS for r in (1, 2)),
+    *(f"one-{d}" for d in ORACLE_DIMS),
+    *(f"two-{d}" for d in ORACLE_DIMS if d > 1),
+    "jordan16",
+    "jordan16-conj",
+    "jordan64",
+    "jordan64-conj",
+    "fold63-conj",
+    "diag2e4",
+    "zero",
+    "companion",
+]
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_spectrum_info_meets_the_backward_error_oracle(name):
+    a, normal = _oracle_case(name)
+    helpers.check_eigenvalues(a, spectrum_info(CMatrix(a)).eigenvalues, normal)
+
+
+def _times_pow2(z, k):
+    """z * 2^k for a complex array, part by part."""
+    return np.ldexp(np.ascontiguousarray(z, dtype=np.complex128).view(np.float64), k).view(np.complex128)
+
+
+def _extreme_matrix(kind, d, k, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    if kind == "subnormal":
+        return _times_pow2(a, -1060)
+    if kind == "zero-rows":
+        a[rng.random(d) < 0.5] = 0.0
+    elif kind == "rank-one":
+        a = np.outer(rng.standard_normal(d), rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    return _times_pow2(a, k)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["gaussian", "subnormal", "zero-rows", "rank-one"]),
+    st.integers(1, 8),
+    st.integers(-1000, 1000),
+    st.integers(0, 2**32 - 1),
+)
+def test_spectrum_info_on_extreme_inputs_is_finite_or_a_documented_error(kind, d, k, seed):
+    a = _extreme_matrix(kind, d, k, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            eigs = np.asarray(spectrum_info(CMatrix(a)).eigenvalues)
+        except (ConvergenceError, PreconditionError):
+            return
+    assert eigs.shape == (d,) and np.isfinite(eigs).all()
+    # every eigenvalue lies in |z| <= ||A||_2 <= ||A||_F, up to the rounding
+    # of a subnormal result (at most 2^-1074 a part), compared in a frame
+    # scaled by an exact power of two
+    e = int(np.frexp(np.max(np.abs(a.view(np.float64))))[1])
+    bound = (1.0 + 1e-12) * np.linalg.norm(_times_pow2(a, -e)) + 2.0 ** (-1073 - e)
+    assert np.all(np.abs(_times_pow2(eigs, -e)) <= bound)
 
 
 def test_peripheral_selection():
@@ -217,14 +325,14 @@ def test_gelfand_nonnormal():
 
 
 def test_gelfand_reads_only_the_norm_sequence(monkeypatch):
-    # inputs on which the root finder fails or misses rho; since
+    # large, defective and clustered spectra; since
     # ||A^n||^(1/n) >= rho for every n, the estimate stays above rho up
     # to log/exp rounding (diag(1e200) reads 9.999999999999084e199)
     def no_eigenvalues(*args):
         raise AssertionError("gelfand computed eigenvalues")
 
     monkeypatch.setattr(eigen, "char_poly", no_eigenvalues)
-    monkeypatch.setattr(eigen, "poly_roots", no_eigenvalues)
+    monkeypatch.setattr(eigen, "_eigenvalues", no_eigenvalues)
     rng = np.random.default_rng(64)
     g = (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))) / np.sqrt(2.0)
     g *= 2.0 / np.max(np.abs(np.linalg.eigvals(g)))

@@ -180,7 +180,7 @@ REPORTS = {
 PINNED = {
     "cli-cauchy-recover": "b859ed4941e15eb9ed9e1c366a6aa9494cd63ae8361d5bbc9738e7a11cc8b31a",
     "cli-cayley": "3ab089caddb8036415641f2ca45a00f3e443f9fd3843832166076fe531c3db7c",
-    "cli-delay-probe": "7c3ce6024cac9edcd5b54a68c69776d8425c3684ccd740c93a217e747ed6c2e1",
+    "cli-delay-probe": "412ea003080878f3c74b7360ab219116823832bc89ade80e6b0df47d655c1f58",
     "cli-corpus": "466b8f5e857236860c0f33060090e4fa48ab27ce28d0f2defb0cdddfb583e211",
     "cli-modes-materialized": "5c15add289ee9acfa3c4671985697c88a17b10fc30b80286e1b6182328615ae7",
     "cli-scan-materialized": "d67de97a9c3ad34c079561e65e2204d64cdd07f0f179aa3924d559ff6470826a",
@@ -191,9 +191,9 @@ PINNED = {
     "gelfand-jordan": "f42936afbf0357c66ba5b84321904525a7cb016cab2da0a46aaf97f1823bc3a9",
     "gelfand-nilpotent": "6bd18ae17c68c056e41e20fbc5ba7b64517e24fd4e60ee263109f950036fdc91",
     "gelfand-random-16": "e0911071fa1705cf1b799ec40e091aba1d9908f0b93c9833bfbe24ce5d320abc",
-    "ktz-met": "2de9427bf889a68ff7af52c55888f43936b37c69985433bac153943a28bd189b",
+    "ktz-met": "17ef73ab5f0eec30a36d22663e1170c73510f5e9119a5642c8921ab096fc8c1d",
     "ktz-nilpotent": "25591f6e2ab9a034fd80544a7ec99aa4d5ce98c46b2dd1f0353ea71fb645caf6",
-    "ktz-not-met": "9034e77015dedeb68d49e6f0bcbb8074a8fa18ba5011bd64631092e050dba562",
+    "ktz-not-met": "48dc8bedb201d3afe62ea04ca3b468ec8c80cfc366c7f695c800ade2e8af0a83",
     "pole-order": "61b7e00f2b194ca717d70307f09d7fef8e40a73d44920acad5d8befba455fbb7",
     "power-bounded": "c7ab51d072861a42d975585a63824c5db133de737c219866aa92c4826336b8e4",
     "power-decaying": "353132577513a57b7bad38b70947d92a8808578b8277dc044764efd70c58f388",

@@ -260,3 +260,21 @@ def test_library_defines_no_alternate_constructors():
         and any(ast.unparse(d) == "classmethod" for d in node.decorator_list)
     ]
     assert offenders == []
+
+
+def test_one_eigenvalue_kernel_serves_spectrum_info_and_poly_roots():
+    # eigen._eigenvalues (Householder-Hessenberg plus Aberth-Ehrlich steps on
+    # Hyman's determinant) is the one eigenvalue path: poly_roots hands it the
+    # companion matrix, and no root-iteration constant is left
+    assert _callers("_eigenvalues") == ["eigen.py: poly_roots", "eigen.py: spectrum_info"]
+    constants = [
+        f"{path.name}: {node.id}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and node.id.startswith("_ROOT_")
+    ]
+    assert constants == []
+    # each caller imports spectrum_info by name, so one binding per module can wrap it
+    eigen = importlib.import_module("seqspectrum.eigen")
+    for module in ("sequences", "resolvent", "dynamics"):
+        assert importlib.import_module(f"seqspectrum.{module}").spectrum_info is eigen.spectrum_info
