@@ -15,12 +15,17 @@ Euclidean norm of caller data goes through ``_row_norms``, or through
 result.  These, the matrix powers and the spectrum scan keep magnitudes
 in range by one rule: ``_pow2_scaled`` scales by an exact power of two,
 ``_pow2_unscaled`` undoes it.
+A caller that reads only the extremes of a norm stack, the largest
+norm less an offset and the norms above a threshold, passes the kernel a
+query, and the brackets that can be neither stop early, proven by a
+margin on their ends, and come back NaN; every norm read keeps its bits.
 Every linear solve goes through one elimination kernel, ``_solve_array``:
-a (s, d, d) stack in, with a right-hand side broadcasting to (s, d, k),
-and ``(x, ok)`` out, ``ok`` masking the zero matrices, those with a
-pivot at most ``PIVOT_RTOL`` times their largest entry and those whose
-solution overflows.  Each matrix gets bit for bit the arithmetic of a
-one-matrix elimination.
+a (s, d, d) stack in, with a right-hand side broadcasting to (s, d, k)
+or, for the inverse, none, and ``(x, ok)`` out, ``ok`` masking the zero
+matrices, those with a pivot at most ``PIVOT_RTOL`` times their largest
+entry and those whose solution overflows.  An inverse is eliminated in
+the caller's stack, never touching the identity's zeros.  Each matrix
+gets bit for bit the arithmetic of a one-matrix elimination.
 All values are immutable after construction and every operation is a
 pure function of its inputs.
 """
@@ -47,6 +52,10 @@ _MAX_SQUARINGS = 64
 #: Ritz step.  On a small stack the step costs about a dozen squarings in
 #: numpy calls, so it waits for the brackets that squaring closes fast.
 _RITZ_AFTER = 8
+
+#: Relative widening of a bracket's ends before the norm kernel's query
+#: compares them; it covers their rounding, about 3e-13 at d = 64.
+_QUERY_RTOL = 1e-12
 
 #: Entries in the largest chunk the norm kernel takes at once, and in
 #: each chunk of powers :func:`_power_stack` hands over: 16 matrices at
@@ -117,33 +126,59 @@ class CMatrix:
         return f"CMatrix(dim={self.dim})"
 
 
-def _solve_array(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _solve_array(a: np.ndarray, rhs: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Row-pivoted elimination of a (s, d, d) stack; returns ``(x, ok)``.
+
+    ``x`` solves a x = rhs for a right-hand side broadcasting to (s, d, k):
+    a copy of the stack and the right-hand side are eliminated as one
+    (s, d, d + k) array [M | B].  With ``rhs`` None, ``x`` is the inverse,
+    and ``a``, a writable complex128 stack the caller hands over, is
+    eliminated in place: below its diagonal, where elimination leaves
+    entries no later step reads, it keeps B = L^-1, the identity
+    eliminated along with M, with its columns in pivot order.  There B is
+    unit lower triangular: a row swap at column c moves only its first c
+    columns, and a rank-1 update changes only its first c + 1, the last
+    to the identity's 0 less the factor times its 1, so the identity's
+    other zeros and ones are never touched.  Once its columns are
+    permuted back, B holds every bit of the [M | I] elimination.
 
     Each column is one vectorized step over the stack: the first largest
     pivot candidate, row swaps where it is off the diagonal, the rank-1
-    update.  Every matrix runs with its floating-point warnings silenced,
-    so a solution that overflows is masked too; a masked ``x`` is
-    meaningless.
+    update; back substitution follows, so each matrix gets bit for bit the
+    arithmetic of a one-matrix elimination.  The pivot threshold is taken
+    over M alone.  Every matrix runs with its floating-point warnings
+    silenced, so a solution that overflows is masked too; a masked ``x``
+    is meaningless.
     """
-    m = a.astype(np.complex128)
-    s, d, _ = m.shape
-    x = np.broadcast_to(rhs, (s, d, rhs.shape[-1])).astype(np.complex128, order="C")
-    threshold = PIVOT_RTOL * np.abs(m).max(axis=(1, 2))
+    s, d, _ = a.shape
+    threshold = PIVOT_RTOL * np.abs(a).max(axis=(1, 2))
+    if rhs is None:
+        w, perm = a, np.tile(np.arange(d), (s, 1))
+    else:
+        w = np.concatenate([a, np.broadcast_to(rhs, (s, d, rhs.shape[-1]))], axis=2, dtype=np.complex128)
     ok = np.ones(s, dtype=bool)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for col in range(d):
-            p = np.argmax(np.abs(m[:, col:, col]), axis=1) + col
-            ok &= ~(np.abs(m[np.arange(s), p, col]) <= threshold)
+            first = 0 if rhs is None else col  # left of col: L^-1, or entries of M no later step reads
+            p = np.argmax(np.abs(w[:, col:, col]), axis=1) + col
+            ok &= ~(np.abs(w[np.arange(s), p, col]) <= threshold)
             swap = np.flatnonzero(p != col)
-            for arr in (m, x):
-                arr[swap, col], arr[swap, p[swap]] = arr[swap, p[swap]], arr[swap, col]
-            factors = m[:, col + 1 :, col] / m[:, col, col, None]
-            m[:, col + 1 :, col:] -= factors[:, :, None] * m[:, None, col, col:]
-            x[:, col + 1 :] -= factors[:, :, None] * x[:, None, col]
+            w[swap, col, first:], w[swap, p[swap], first:] = w[swap, p[swap], first:], w[swap, col, first:]
+            factors = w[:, col + 1 :, col] / w[:, col, col, None]
+            w[:, col + 1 :, first:] -= factors[:, :, None] * w[:, None, col, first:]
+            if rhs is None:
+                perm[swap, col], perm[swap, p[swap]] = perm[swap, p[swap]], perm[swap, col]
+                w[:, col + 1 :, col] = 0.0 - factors  # the identity's 0 less the factor times its 1, bit for bit
+        if rhs is None:  # L^-1 and its unit diagonal, each column back in its place in the identity
+            x = np.zeros_like(w)
+            rows, cols = np.tril_indices(d, -1)
+            x[np.arange(s)[:, None], rows, perm[:, cols]] = w[:, rows, cols]
+            x[np.arange(s)[:, None], np.arange(d), perm] = 1.0
+        else:
+            x = w[:, :, d:]
         for col in range(d - 1, -1, -1):
-            dot = np.matmul(m[:, col, None, col + 1 :], x[:, col + 1 :])[:, 0]
-            x[:, col] = (x[:, col] - dot) / m[:, col, col, None]
+            dot = np.matmul(w[:, col, None, col + 1 : d], x[:, col + 1 :])[:, 0]
+            x[:, col] = (x[:, col] - dot) / w[:, col, col, None]
     return x, ok & np.isfinite(x).all(axis=(1, 2))
 
 
@@ -252,7 +287,9 @@ def operator_norm(a: CMatrix | np.ndarray) -> float:
     return float(_batched_spectral_norms(arr[None])[0])
 
 
-def _batched_spectral_norms(mats: np.ndarray, opened: list | None = None, start: int = 0) -> np.ndarray:
+def _batched_spectral_norms(
+    mats: np.ndarray, opened: list | None = None, start: int = 0, query: tuple | None = None
+) -> np.ndarray:
     """Largest singular value of each matrix in a (s, d, d) stack, certified.
 
     The stack is normed a chunk of at most ``_NORM_CHUNK_ENTRIES`` entries
@@ -341,14 +378,56 @@ def _batched_spectral_norms(mats: np.ndarray, opened: list | None = None, start:
     in that stack as ``start``: each call then appends its open brackets
     to the list, returns NaN for their norms, and leaves the raise to
     :func:`_raise_open` once the stack is done.
+
+    Query.  A caller that reads only the extremes of a stack passes
+    ``query = (offsets, threshold)``, offsets finite and broadcasting to
+    (s,): it reads the first index of the largest ``norm - offset``, as
+    it computes that difference, and which norms exceed ``offsets +
+    threshold``, as it computes that sum.  Every other norm may come back
+    NaN: at each squaring an open bracket is dropped, and returns NaN,
+    when its widened upper end less offset is below ``best``, the largest
+    widened lower end less offset seen so far in the stack (a closed
+    bracket counts at its norm, and ``best`` carries over from chunk to
+    chunk), and its widened upper end is at most ``offsets + threshold``.
+    Every kept norm keeps its bits, the first largest is kept, and so is
+    every norm above the threshold.  A dropped bracket never raises; a
+    kept one still open after ``_MAX_SQUARINGS`` squarings raises as
+    above.
+
+    Margin of the query, under the assumption of the margin above that
+    the computed trace-1 powers are exactly Hermitian positive
+    semidefinite, with u = eps / 2 and r = ``_QUERY_RTOL`` = 1e-12.
+    (i) A norm v returned at closing is a computed Rayleigh quotient
+    ||Ax|| / ||x||, the Ritz one included: its mat-vecs round by at most
+    about 4 d u |A| |x|, and || |A| |x| || <= ||A||_F ||x|| <= sqrt(d)
+    ||A|| ||x||, so v, and any lower end, is at most the true norm times
+    1 + (4 d sqrt(d) + 2 d + 8) u, 2.5e-13 at d = 64.  (ii) An upper end
+    is exp of half a sum of at most 65 terms ln(tr) / 2^k (with the Ritz
+    term ln(1 - theta_2') / 2^k), each trace a sum of nonnegative terms
+    within 2 d u, and each term and partial sum at most ln d in modulus,
+    so the sum is within (4 d + 67 ln d) u of its exact value, which
+    bounds the true norm, and the end within 4e-14.  So v is at most any
+    upper end times 1 + 3e-13, and, as closing takes u - l <=
+    ``_NORM_RTOL`` l, at least any lower end over 1 + 3e-13: both inside
+    the widened ends l (1 - r) and u (1 + r), taken times the Frobenius
+    norm and scaled back by :func:`_pow2_unscaled` as v is.  (iii) Those
+    products, the scaling by 2^e, and the caller's ``v - offset`` and
+    ``offset + threshold`` all round to nearest, which is monotone.  So
+    the first argmax a, whose v_a - o_a is at least that of the bracket
+    that set ``best``, has widened upper end less offset at least
+    ``best``, and a norm above ``offsets + threshold`` has its widened
+    upper end above it too: neither is dropped.
     """
     mats = np.asarray(mats, dtype=np.complex128)
     s, d, _ = mats.shape
     rows = max(1, _NORM_CHUNK_ENTRIES // (d * d))
     records = [] if opened is None else opened
+    offsets, threshold = (None, None) if query is None else (np.broadcast_to(query[0], (s,)), query[1])
+    best = -np.inf  # the largest lower end of norm - offset so far
     norms = np.empty(s)
     for i in range(0, s, rows):
-        norms[i : i + rows] = _chunk_norms(mats[i : i + rows], start + i, records)
+        chunk = None if query is None else offsets[i : i + rows]
+        norms[i : i + rows], best = _chunk_norms(mats[i : i + rows], start + i, records, chunk, threshold, best)
     if opened is None:
         _raise_open(records, s)
     return norms
@@ -367,12 +446,17 @@ def _raise_open(opened: list, s: int) -> None:
         )
 
 
-def _chunk_norms(mats: np.ndarray, start: int, records: list) -> np.ndarray:
+def _chunk_norms(
+    mats: np.ndarray, start: int, records: list, offsets: np.ndarray | None, threshold: float | None, best: float
+) -> tuple[np.ndarray, float]:
     """The norms of one chunk of :func:`_batched_spectral_norms`, the
-    chunk at offset ``start`` of its stack.  Brackets still open after
-    ``_MAX_SQUARINGS`` squarings get NaN, and the chunk appends
-    ``(open count, relative width, index, lower, upper)`` of its widest
-    one to ``records``."""
+    chunk at offset ``start`` of its stack, and the query's ``best``.
+    Brackets still open after ``_MAX_SQUARINGS`` squarings get NaN, and
+    the chunk appends ``(open count, relative width, index, lower, upper)``
+    of its widest one to ``records``.  With ``offsets``, the chunk's slice
+    of the query's, brackets are dropped as the query says, ``best``
+    coming in as the largest lower end of norm - offset over the chunks
+    before and going out raised by this chunk's."""
     s, d, _ = mats.shape
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf
         scale = _plain_norms(mats.reshape(s, d * d), 1)
@@ -389,6 +473,9 @@ def _chunk_norms(mats: np.ndarray, start: int, records: list) -> np.ndarray:
         out[bad], mats[bad] = np.inf, 0.0
         scale[odd] = _plain_norms(mats[odd].reshape(odd.size, d * d), 1)
     idx = np.flatnonzero(scale > 0.0)  # matrices whose bracket is still open
+    if offsets is not None:  # the zero and non-finite matrices, closed as they stand
+        closed = np.flatnonzero(scale == 0.0)
+        best = np.max(_pow2_unscaled(out[closed], exps[closed]) - offsets[closed], initial=best)
     # conj(A)/|A| times A, then /|A|: the Gram stack with at most two
     # stack-sized arrays alive and no entry above |A|, so nothing overflows.
     # While most matrices are open it is formed on the whole stack (a
@@ -428,8 +515,15 @@ def _chunk_norms(mats: np.ndarray, start: int, records: list) -> np.ndarray:
             upper = np.where(done, upper, np.exp(0.5 * (log_top + np.log1p(-theta) / 2.0**k)))
             done = upper - lower <= _NORM_RTOL * lower
         out[idx[done]] = scale[idx[done]] * lower[done]
+        if offsets is not None:  # the query: what each bracket can still return, in the input's units
+            lo = _pow2_unscaled(scale[idx] * lower * np.where(done, 1.0, 1.0 - _QUERY_RTOL), exps[idx])
+            hi = _pow2_unscaled(scale[idx] * upper * (1.0 + _QUERY_RTOL), exps[idx])
+            best = np.max(lo - offsets[idx], initial=best)
+            drop = ~done & (hi - offsets[idx] < best) & ~(hi > offsets[idx] + threshold)
+            out[idx[drop]] = np.nan
+            done |= drop
         if done.all():
-            return _pow2_unscaled(out, exps)
+            return _pow2_unscaled(out, exps), best
         if done.any():  # compacting copies the open stack, so only where a bracket closed
             vecs[idx[done]] = 0.0
             keep = ~done
@@ -443,7 +537,7 @@ def _chunk_norms(mats: np.ndarray, start: int, records: list) -> np.ndarray:
     lo, hi = _pow2_unscaled(scale[i] * np.array([lower[worst], upper[worst]]), exps[i])
     records.append((idx.size, widths[worst], start + i, float(lo), float(hi)))
     out[idx] = np.nan
-    return _pow2_unscaled(out, exps)
+    return _pow2_unscaled(out, exps), best
 
 
 def _ritz_bounds(
@@ -600,7 +694,18 @@ def hermitian_defect(u: CMatrix) -> float:
 
 def require_unitary(u: CMatrix) -> None:
     """Raise PreconditionError unless U is unitary to 1e-10 in the defect
-    ||U^H U - I||."""
-    defect = hermitian_defect(u)
-    if defect > 1e-10:
-        raise PreconditionError(f"matrix is not unitary: ||U^H U - I|| = {defect:.3e} > 1.0e-10")
+    ||U^H U - I||.
+
+    The Frobenius norm of U^H U - I bounds its spectral norm, so the
+    certified spectral norm is computed only when the Frobenius norm does
+    not settle the check.  It settles it at 1e-10 (1 - 2^-40): its
+    rounding is at most about d^2 u relative, 4.5e-13 at d = 64, and the
+    spectral norm's about 2.5e-13 (see :func:`_batched_spectral_norms`),
+    together under 2^-40 = 9.1e-13."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = u.data.conj().T @ u.data - np.eye(u.dim)
+        if _plain_norms(defect.reshape(1, -1), 1)[0] <= 1e-10 * (1.0 - 2.0**-40):
+            return
+        norm = operator_norm(defect)
+    if norm > 1e-10:
+        raise PreconditionError(f"matrix is not unitary: ||U^H U - I|| = {norm:.3e} > 1.0e-10")

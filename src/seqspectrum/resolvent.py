@@ -47,11 +47,14 @@ _SERIES_LIMIT = 1e150
 
 
 def _resolvents(a: CMatrix, lams: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda I - A)^-1 for every lambda in one stacked solve against the
-    identity, with the solve kernel's mask of the lambdas it could solve."""
+    """(lambda I - A)^-1 for every lambda in one stacked inversion, with
+    the solve kernel's mask of the lambdas it could solve; raises
+    PreconditionError at the first lambda that is not finite."""
     lams = np.asarray(lams, dtype=np.complex128)
-    eye = np.eye(a.dim)
-    return _solve_array(lams[:, None, None] * eye - a.data, eye)
+    finite = np.isfinite(lams)
+    if not finite.all():
+        raise PreconditionError(f"lambda = {complex(lams[np.argmin(finite)])!r} is not finite")
+    return _solve_array(lams[:, None, None] * np.eye(a.dim) - a.data, None)
 
 
 def _nonspectral_resolvents(a: CMatrix, lams: Sequence[complex]) -> np.ndarray:
@@ -231,8 +234,12 @@ def isometry_bound_check(u: CMatrix, samples: Sequence[complex]) -> IsometryBoun
     """Verify the reciprocal-distance-to-circle bound at every sample point,
     up to the slack ``_ISOMETRY_SLACK``.
 
-    Samples must keep a distance of at least 1e-6 from the unit circle in
-    modulus; the matrix must be unitary to 1e-10.
+    Samples must be finite and keep a distance of at least 1e-6 from the
+    unit circle in modulus; the matrix must be unitary to 1e-10.  The
+    report reads only the worst slack and the violations, so the norm
+    kernel's query closes only the brackets that can be either, with the
+    bounds as offsets and ``_ISOMETRY_SLACK`` as threshold; every value
+    reported keeps the bits of a run that closes them all.
     """
     require_unitary(u)
     lams = np.asarray([complex(lam) for lam in samples], dtype=np.complex128)
@@ -242,11 +249,11 @@ def isometry_bound_check(u: CMatrix, samples: Sequence[complex]) -> IsometryBoun
         raise PreconditionError(f"sample {complex(lams[near[0]])!r} is within 1e-6 of the unit circle")
     if not lams.size:
         return IsometryBoundReport(0, 0, math.inf, complex(0.0))
-    norms = _batched_spectral_norms(_nonspectral_resolvents(u, lams))
     bounds = 1.0 / gaps
+    norms = _batched_spectral_norms(_nonspectral_resolvents(u, lams), query=(bounds, _ISOMETRY_SLACK))
     slacks = bounds - norms
     violations = int(np.count_nonzero(norms > bounds + _ISOMETRY_SLACK))
-    worst_i = int(np.argmin(slacks))
+    worst_i = int(np.nanargmin(slacks))
     return IsometryBoundReport(lams.size, violations, float(slacks[worst_i]), complex(lams[worst_i]))
 
 
@@ -272,12 +279,12 @@ def pole_order_probe(u: CMatrix, theta: complex, radii: Sequence[float]) -> Pole
         raise PreconditionError("need at least 4 radii")
     if any(b >= a_ for a_, b in zip(radii, radii[1:])):
         raise PreconditionError("radii must be strictly decreasing")
-    if radii[0] > 0.1 or radii[-1] < 1e-8:
+    if not all(1e-8 <= r <= 0.1 for r in radii):  # a NaN radius included
         raise PreconditionError("radii must lie within [1e-8, 0.1]")
     theta = complex(theta)
     eigs = spectrum_info(u).eigenvalues
     dists = [abs(ev - theta) for ev in eigs]
-    if min(dists) > 1e-6:
+    if not min(dists) <= 1e-6:  # a NaN theta included
         raise PreconditionError(f"theta = {theta!r} is not an eigenvalue (distance {min(dists):.3e})")
     others = [dist for dist in dists if dist > 1e-6]
     min_sep = min(others) if others else math.inf

@@ -764,7 +764,10 @@ def ktz_check(t: CMatrix, theta: complex, n_max: int = 512, bound: float = 1e6, 
     gives both the power-boundedness verdict and the powers T^n.  Each
     chunk of powers leaves only the Frobenius and spectral norms of
     T^n (T - theta I) over the last half, n >= n_max // 2, taken while
-    every power so far is within ``bound`` and every product finite."""
+    every power so far is within ``bound`` and every product finite.
+    Only the largest spectral norm is read, so the norm kernel's query
+    (offsets 0) closes only the brackets that can be a chunk's largest;
+    ``operator_tail_sup`` keeps the bits of a run that closes them all."""
     if n_max < MIN_HORIZON:
         raise PreconditionError(f"n_max must be >= {MIN_HORIZON}")
     theta = require_unimodular(theta)
@@ -788,7 +791,7 @@ def ktz_check(t: CMatrix, theta: complex, n_max: int = 512, bound: float = 1e6, 
         tail = values[first - start - 1 :]
         if len(tail):
             norms[first : first + len(tail)] = _row_norms(tail.reshape(len(tail), d * d))
-            op_sup = max(op_sup, np.max(_batched_spectral_norms(tail, opened, normed)))
+            op_sup = max(op_sup, np.fmax.reduce(_batched_spectral_norms(tail, opened, normed, (0.0, np.inf))))
             normed += len(tail)
     probe = _power_verdict(logs, bound)
     power_bounded = probe.bounded and is_bounded(probe.growth_class)

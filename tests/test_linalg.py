@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import helpers
-from seqspectrum import linalg
+from seqspectrum import linalg, resolvent
 from seqspectrum.errors import ConvergenceError, PreconditionError, SingularMatrixError
 from seqspectrum.linalg import (
     MAX_DIM,
@@ -95,23 +96,31 @@ def _bits(arr):
     return np.ascontiguousarray(arr).view(np.uint64)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16, 32, 64])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16, 32, 33, 64])
 def test_stacked_solve_is_bitwise_the_loop(d):
     rng = np.random.default_rng(100 + d)
     gaussian = rng.standard_normal((12, d, d)) + 1j * rng.standard_normal((12, d, d))
     # entries of equal modulus: columns tie for the pivot, some matrices are singular
     signs = rng.choice(np.array([1, -1, 1j, -1j]), (12, d, d))
-    for stack in (gaussian, signs):
-        for rhs in (np.eye(d), rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))):
-            x, ok = linalg._solve_array(stack, rhs)
+    # real entries, so zero imaginary parts whose signs the elimination keeps
+    real = rng.standard_normal((12, d, d)).astype(complex)
+    # a zero matrix, one with two equal rows and one whose inverse overflows
+    odd = gaussian.copy()
+    odd[0], odd[1, -1], odd[2] = 0.0, odd[1, 0], 1e-310 * odd[2]
+    for stack in (gaussian, signs, real, odd):
+        # None asks for the inverse, eliminated in a stack handed over
+        for rhs in (None, np.eye(d), rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))):
+            x, ok = linalg._solve_array(stack.copy(), rhs)
             for i, a in enumerate(stack):
                 try:
-                    want = helpers.loop_solve(a, rhs)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        want = helpers.loop_solve(a, np.eye(d) if rhs is None else rhs)
                 except SingularMatrixError:
                     assert not ok[i]
                     continue
-                assert ok[i]
-                assert np.array_equal(_bits(x[i]), _bits(want))
+                assert ok[i] == np.isfinite(want).all()
+                if ok[i]:
+                    assert np.array_equal(_bits(x[i]), _bits(want))
 
 
 @pytest.mark.parametrize("d", [1, 2, 4, 8, 16, 32, 64])
@@ -472,6 +481,87 @@ def test_open_bracket_past_the_first_chunk_keeps_its_meaning(monkeypatch):
     assert "for 2 of 40 matrices" in message and ("'index': 20," in payload or "'index': 37," in payload)
 
 
+def _query_case(case):
+    """``(stack, offsets, threshold)`` of a norm stack read only at its
+    extremes, as ``isometry_bound_check`` and ``ktz_check`` read theirs."""
+    rng = np.random.default_rng(sum(map(ord, case)))
+    if case.startswith("isometry"):  # resolvents of a unitary, or of 1.001 times one, which violates the bound
+        d = int(case.split("-")[1])
+        u = helpers.random_unitary(rng, d) * (1.001 if case.endswith("violated") else 1.0)
+        moduli = np.concatenate([rng.uniform(0.2, 0.999, 30), rng.uniform(1.001, 3.0, 30)])
+        lams = moduli * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 60))
+        stack, ok = resolvent._resolvents(CMatrix(u), lams)
+        assert ok.all()
+        return stack, 1.0 / np.abs(np.abs(lams) - 1.0), resolvent._ISOMETRY_SLACK
+    if case.startswith("ktz"):  # T^n (T - theta I) over the second half of n <= 64
+        peripheral = int(case.split("-")[1])
+        t = _peripheral_normal(rng, 8, peripheral)
+        shift = t - np.linalg.eigvals(t)[np.argmax(np.abs(np.linalg.eigvals(t)))] * np.eye(8)
+        powers = [t]
+        for _ in range(63):
+            powers.append(t @ powers[-1])
+        return np.array(powers[32:]) @ shift, np.zeros(32), np.inf
+    base = rng.standard_normal((12, 5, 5)) + 1j * rng.standard_normal((12, 5, 5))
+    offsets = rng.uniform(0.0, 2.0, 12)
+    if case == "equal slacks":  # the two worst slacks agree to the last bit: the first is read
+        base[7] = base[3]
+        offsets += 100.0
+        offsets[[3, 7]] = 0.0
+        return base, offsets, 1e-9
+    if case == "close excesses":  # norm - offset within 1e-13 of each other
+        norms = linalg._batched_spectral_norms(base)
+        offsets = norms - 1.0 + 1e-14 * rng.integers(-5, 6, 12)
+        return base, offsets, np.inf
+    if case == "non-finite":  # a NaN and an inf matrix, normed at inf
+        base[4], base[9] = np.nan, np.diag([np.inf, 1.0, 1.0, 1.0, 1.0])
+        return base, offsets, 10.0
+    assert case == "odd scales"  # Frobenius norms past the float range, scaled by 2^-e
+    base[[2, 5]] *= 1e-200
+    base[[6, 10]] *= 1e200
+    offsets[[6, 10]] *= 1e200
+    return base, offsets, 1e200
+
+
+@pytest.mark.parametrize("rows", [None, 1, 5])
+@pytest.mark.parametrize(
+    "case",
+    ["isometry-4", "isometry-16", "isometry-64", "isometry-8-violated", "ktz-1", "ktz-2",
+     "equal slacks", "close excesses", "non-finite", "odd scales"],
+)
+def test_norm_query_keeps_every_norm_its_reader_reads(monkeypatch, rows, case):
+    # a query drops what can be neither the first largest norm - offset nor
+    # above offset + threshold; whatever it keeps has the full run's bits
+    stack, offsets, threshold = _query_case(case)
+    if rows is not None:  # chunks of ``rows`` matrices, across which the best lower end carries
+        monkeypatch.setattr(linalg, "_NORM_CHUNK_ENTRIES", rows * stack[0].size)
+    full = linalg._batched_spectral_norms(stack)
+    np.testing.assert_array_equal(full.view(np.int64), helpers.reference_spectral_norms(stack).view(np.int64))
+    got = linalg._batched_spectral_norms(stack, query=(offsets, threshold))
+    kept = ~np.isnan(got)
+    np.testing.assert_array_equal(got[kept].view(np.int64), full[kept].view(np.int64))
+    first = int(np.argmax(full - offsets))
+    assert kept[first] and int(np.nanargmax(got - offsets)) == first
+    assert kept[full > offsets + threshold].all()
+    if case.startswith("isometry") or case == "ktz-1":  # brackets that close at once are kept
+        assert not kept.all()
+
+
+def test_norm_query_raises_only_for_a_kept_open_bracket(monkeypatch):
+    # with the squarings capped a triple tie stays open: kept as the
+    # largest it raises with the caller's index, dropped it raises nothing
+    monkeypatch.setattr(linalg, "_MAX_SQUARINGS", 10)
+    rng = np.random.default_rng(10)
+    tie = _tied_stack(rng, 6, [3], [0.0])[0]
+    small = 0.01 * (rng.standard_normal((6, 6, 6)) + 1j * rng.standard_normal((6, 6, 6)))
+    stack = np.concatenate([small[:4], tie[None], small[4:]])
+    with pytest.raises(ConvergenceError) as info:
+        linalg._batched_spectral_norms(stack, query=(0.0, np.inf))
+    assert info.value.payload["index"] == 4 and "for 1 of 7 matrices" in str(info.value)
+    stack[4] = 1e-3 * tie
+    got = linalg._batched_spectral_norms(stack, query=(0.0, np.inf))
+    assert np.isnan(got[4]) and not np.isnan(got).all()
+
+
 def test_div_real_is_numpys_quotient_up_to_the_sign_of_zero():
     # parts from 2^-1074 to 2^1000 and zeros of both signs, over ordinary
     # divisors, large and small ones, and one whose reciprocal overflows
@@ -667,10 +757,19 @@ def test_unitarity_defect():
     assert hermitian_defect(CMatrix(2.0 * np.eye(2))) == pytest.approx(3.0)
 
 
-def test_require_unitary():
+def test_require_unitary(monkeypatch):
+    # the Frobenius norm of U^H U - I settles most checks; the certified
+    # spectral norm runs only where it does not
+    normed = []
+    monkeypatch.setattr(linalg, "operator_norm", lambda a: normed.append(a) or operator_norm(a))
     rng = np.random.default_rng(12)
     require_unitary(CMatrix(helpers.random_unitary(rng, 4)))
-    with pytest.raises(PreconditionError):
+    require_unitary(CMatrix(helpers.random_unitary(rng, 64)))
+    assert normed == []
+    # U^H U - I = 0.9e-10 I: Frobenius norm 1.8e-10, spectral norm 0.9e-10
+    require_unitary(CMatrix((1.0 + 0.45e-10) * np.eye(4)))
+    assert len(normed) == 1
+    with pytest.raises(PreconditionError, match=re.escape("||U^H U - I|| = 3.000e+00 > 1.0e-10")):
         require_unitary(CMatrix(2.0 * np.eye(2)))
     # U^H U - I = [[inf]]: a defect past the float range is no pass
     with pytest.raises(PreconditionError):

@@ -349,3 +349,38 @@ def test_pole_order_preconditions():
     with pytest.raises(PreconditionError):
         # second eigenvalue sits inside twice the largest probe radius
         pole_order_probe(crowded, 1.0, [1e-2, 1e-3, 1e-4, 1e-5])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda u: isometry_bound_check(u, [math.nan]),
+        lambda u: isometry_bound_check(u, [2.0, math.inf]),
+        lambda u: pole_order_probe(u, 1.0, [1e-2, math.nan, 1e-4, 1e-5]),
+        lambda u: pole_order_probe(u, complex(math.nan, 0.0), [1e-2, 1e-3, 1e-4, 1e-5]),
+        lambda u: resolvent_norm_scan(u, [0.5, complex(0.0, math.nan)]),
+        lambda u: resolvent_direct(u, complex(math.inf, 1.0)),
+    ],
+    ids=["isometry-nan", "isometry-inf", "pole-nan-radius", "pole-nan-theta", "scan-nan", "direct-inf"],
+)
+def test_non_finite_points_are_a_precondition_error(call):
+    # each ended in SingularMatrixError, or a singular flag, as if the point were spectral
+    with pytest.raises(PreconditionError):
+        call(CMatrix(np.eye(3)))
+
+
+@pytest.mark.parametrize("d", [1, 4, 16, 64])
+def test_resolvent_stacks_are_the_loop_inverse_bit_for_bit(d):
+    # lambda I - A as the loop builds it, signed zeros included, inverted in place
+    rng = np.random.default_rng(60 + d)
+    moduli = np.concatenate([rng.uniform(0.2, 0.99, 12), rng.uniform(1.01, 3.0, 12), [0.2, 3.0, -0.5, -2.0]])
+    lams = moduli * np.concatenate([np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 24)), np.ones(4)])
+    for a in (helpers.random_unitary(rng, d), np.diag(rng.choice([1.0, -1.0, 0.0], d))):
+        stack, ok = resolvent._resolvents(CMatrix(a), lams)
+        for lam, x, good in zip(lams, stack, ok):
+            try:
+                want = helpers.loop_solve(lam * np.eye(d) - a, np.eye(d))
+            except SingularMatrixError:
+                assert not good
+                continue
+            assert good and x.tobytes() == want.tobytes()
