@@ -95,13 +95,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_theta(text: str) -> complex:
-    parts = [p.strip() for p in text.split(",")]
+    """``--theta`` as 're' or 're,im', each part a finite number (:func:`_real`)."""
+    parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
+        if len(parts) <= 2:
+            return complex(*map(_real, parts))
+    except argparse.ArgumentTypeError:
         pass
     raise ParseError(f"theta must be 're' or 're,im', got {text!r}")
 

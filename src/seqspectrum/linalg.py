@@ -247,12 +247,17 @@ def _plain_norms(arr: np.ndarray, axis: int) -> np.ndarray:
     makes one inner-loop call per row, which on a long window of a few
     columns costs more than the arithmetic; there the columns are added
     left to right instead, which is numpy's order for rows of at most 7
-    entries, and rows of 8 or more keep numpy's pairwise reduce.  The
+    entries, and rows of 8 or more keep numpy's pairwise reduce.  numpy
+    picks the reduce's order from the memory layout, so a reduce runs on
+    row-major squares whatever the layout of ``arr``: a column-major
+    window's would be summed in order, one column at a time.  The
     product stays out of place: numpy's in-place complex product can round
     differently.
     """
     squares = (arr.conj() * arr).real
     if axis == 0 or arr.shape[1] >= 8:
+        if not arr.flags.c_contiguous:
+            squares = np.ascontiguousarray(squares)
         total = np.add.reduce(squares, axis=axis)
     else:
         total = squares[:, 0].copy()

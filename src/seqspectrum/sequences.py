@@ -106,10 +106,15 @@ def _as_table(values, what: str) -> np.ndarray:
 class BoundedSeq:
     """A finite window x_0 .. x_(N-1) of a bounded sequence in C^d.
 
-    Values are materialized as an (N, d) array; per-step norms and the
-    sup norm are computed once at construction.  ``descriptor`` records
-    how the window was generated (kind, parameters, seed) when it came
-    from a generator, so that the exact same window can be regenerated.
+    Values are materialized as an (N, d) array in either layout: a window
+    given to the constructor, simulated or parsed from entries is
+    row-major, and a descriptor window (:func:`modes_plus_decay`) is a
+    column-major view, the transpose of a (d, N) array, so each of its
+    columns is contiguous.  Every kernel gives the same bits for either
+    layout.  Per-step norms and the sup norm are computed once at
+    construction.  ``descriptor`` records how the window was generated
+    (kind, parameters, seed) when it came from a generator, so that the
+    exact same window can be regenerated.
     """
 
     def __init__(self, values, descriptor: dict | None = None):
@@ -180,7 +185,8 @@ def _unit_vector(rng: np.random.Generator, dim: int, amp: float) -> np.ndarray:
 def _outer(col: np.ndarray, row: np.ndarray, out: np.ndarray) -> np.ndarray:
     """col[:, None] * row written into ``out`` one column at a time, and
     returned.  The broadcast product makes one inner-loop call per row of
-    a long, narrow array; each column here is one call.  The bits are the
+    a long, narrow array; each column here is one call, which runs along
+    contiguous memory when ``out`` is column-major.  The bits are the
     broadcast's when col has two or more entries; with one, numpy may
     round a complex product differently."""
     for j in range(row.shape[0]):
@@ -220,7 +226,8 @@ def modes_plus_decay(
         d = dim
     else:
         raise PreconditionError("need at least one mode or an explicit dim")
-    values = np.zeros((horizon, d), dtype=np.complex128)
+    # column-major: each column of a term and of the sum is contiguous
+    values = np.zeros((d, horizon), dtype=np.complex128).T
     term = np.empty_like(values)
     for theta, v in modes:
         values += _outer(unimodular_powers(theta, horizon), v, term)
@@ -275,7 +282,11 @@ class TailStats:
 def _stats_of_norms(norms: np.ndarray, window_start: int) -> TailStats:
     if not 0 <= window_start < norms.shape[0]:
         raise PreconditionError(f"window_start {window_start} outside [0, {norms.shape[0]})")
-    window = norms[window_start:]
+    return _window_stats(norms[window_start:], window_start)
+
+
+def _window_stats(window: np.ndarray, window_start: int) -> TailStats:
+    """TailStats of the norms from ``window_start`` on, given only those."""
     with np.errstate(divide="ignore"):
         slope = _log_log_slope(np.log(window), window_start)
     return TailStats(window_start, float(window.max()), slope)
@@ -293,14 +304,16 @@ def difference_tail(x: BoundedSeq, theta: complex, step: int = 1) -> TailStats:
 
     The difference sequence is one ``step`` shorter than the window, so
     this works directly on the values rather than through a BoundedSeq
-    (whose minimum-horizon rule would reject short windows).
+    (whose minimum-horizon rule would reject short windows).  Only the
+    differences the statistics read are formed and normed.
     """
     step = int(step)
     if not 1 <= step <= x.horizon - 2:
         raise PreconditionError(f"step {step} outside [1, {x.horizon - 2}]")
     theta = require_unimodular(theta)
-    diffs = x.values[step:] - theta * x.values[:-step]
-    return _stats_of_norms(_row_norms(diffs), min(x.horizon // 2, diffs.shape[0] - 1))
+    start = min(x.horizon // 2, x.horizon - step - 1)
+    diffs = x.values[start + step :] - theta * x.values[start : x.horizon - step]
+    return _window_stats(_row_norms(diffs), start)
 
 
 @dataclass(frozen=True)
@@ -353,19 +366,26 @@ def _rotated_means(values: np.ndarray, thetas: np.ndarray, n: int) -> np.ndarray
     return out
 
 
-def _split_layout(values: np.ndarray, n: int) -> np.ndarray:
-    """values[:n] laid out for :func:`_split_means`: with k = a B + b,
-    entry [a, :, b] is values[k], and zero past n.
+def _split_layout(values: np.ndarray, n: int, spare: int = 0) -> np.ndarray:
+    """values[:n] of an (N, d) array of either layout laid out for
+    :func:`_split_means`: with k = a B + b, entry [a, :d, b] is values[k],
+    and zero past n.  ``spare`` more blocks of d rows follow, [a, d:, b],
+    left unset for the caller to fill.
 
     B is the smallest power of two with B^2 >= n, so A = ceil(n / B) <= B,
-    and both are at most 1024 up to MAX_HORIZON.
+    and both are at most 1024 up to MAX_HORIZON.  The (d, N) rows of the
+    window are read straight into place, contiguously when the window is
+    column-major, with no intermediate copy.
     """
-    d = values.shape[1]
+    rows = values.T
+    d = rows.shape[0]
     b = 1 << (((n - 1).bit_length() + 1) // 2)
     full, rest = divmod(n, b)
-    cols = np.zeros((full + (rest > 0), d, b), dtype=np.complex128)
-    cols[:full] = values[: full * b].reshape(full, b, d).transpose(0, 2, 1)
-    cols[full:, :, :rest] = values[full * b : n].T
+    cols = np.empty((full + (rest > 0), (1 + spare) * d, b), dtype=np.complex128)
+    cols[:full, :d] = rows[:, : full * b].reshape(d, full, b).transpose(1, 0, 2)
+    if rest:
+        cols[full, :d, :rest] = rows[:, full * b : n]
+        cols[full, :d, rest:] = 0.0
     return cols
 
 
@@ -512,7 +532,8 @@ def spectrum_scan(
     one :func:`_split_means` call over every cluster, whose weights'
     moduli drift by at most about (A + B) eps.  The transforms and the
     steps work on one copy of the window, laid out (d, n) so that each
-    transform runs along a row, and scaled by an exact power of two, so
+    transform runs along a row (a descriptor window is stored so, and is
+    not transposed), and scaled by an exact power of two, so
     no norm overflows, none underflows unless it is far
     below the largest entry, and a sequence scaled by 2^j (with epsilon
     scaled alike) gives the same angles.
@@ -562,11 +583,9 @@ def spectrum_scan(
         phis = fine_step * _cluster_argmax(idx, k, n_fine, norms_at)
         lo, hi = phis - fine_step, phis + fine_step
         # the (A, 3d, B) layout of x_k, k x_k and k^2 x_k, filled in place
-        layout = _split_layout(window.T, x.horizon)
-        a, d, b = layout.shape
-        cols = np.empty((a, 3 * d, b), dtype=np.complex128)
-        cols[:, :d] = layout
-        del layout
+        d = window.shape[0]
+        cols = _split_layout(window.T, x.horizon, 2)
+        a, _, b = cols.shape
         ks = np.arange(a * b, dtype=np.float64).reshape(a, 1, b)
         np.multiply(cols[:, :d], ks, out=cols[:, d : 2 * d])
         np.multiply(cols[:, :d], ks * ks, out=cols[:, 2 * d :])
@@ -705,7 +724,9 @@ def extract_modes(x: BoundedSeq, thetas, n_used: int | None = None) -> ModeDecom
     cross-term O(1/(n sep)) contamination exceeds any useful tolerance.
     This is the package's one separation check.  The residual
     x_n - sum theta_j^n v_j over the first n_used entries is reported as
-    tail statistics over the last half, from index n_used // 2.
+    tail statistics over the last half, from index n_used // 2, so only
+    that half is formed and normed, in the window's own layout; with no
+    thetas it is the window, whose norms are kept.
     """
     if n_used is None:
         n_used = x.horizon
@@ -721,15 +742,16 @@ def extract_modes(x: BoundedSeq, thetas, n_used: int | None = None) -> ModeDecom
                     f"thetas {i} and {j} are separated by {sep:.3e} < 10 / n_used = {min_sep:.3e}; "
                     "use a longer horizon or n_used, or drop one of the pair"
                 )
-    modes = []
-    residual = x.values[:n_used].copy()
-    term = np.empty_like(residual)
+    start = n_used // 2
+    if not thetas:
+        return ModeDecomp((), _window_stats(x.norms[start:n_used], start))
     means = _rotated_means(x.values, np.array(thetas, dtype=np.complex128), n_used)
+    residual = x.values[start:n_used].copy(order="K")
+    term = np.empty_like(residual)
     for theta, v in zip(thetas, means):
-        modes.append(Mode(theta, CVector(v)))
-        residual -= _outer(unimodular_powers(theta, n_used), v, term)
-    res_stats = _stats_of_norms(_row_norms(residual), n_used // 2)
-    return ModeDecomp(tuple(modes), res_stats)
+        residual -= _outer(unimodular_powers(theta, n_used)[start:], v, term)
+    modes = tuple(Mode(theta, CVector(v)) for theta, v in zip(thetas, means))
+    return ModeDecomp(modes, _window_stats(_row_norms(residual), start))
 
 
 @dataclass(frozen=True)

@@ -775,6 +775,12 @@ def test_char_poly_overflow_writes_one_strict_error_line(tmp_path, capsys, comma
         ["cauchy-recover", "SER", "--k", "1", "--radius", "nan"],
         ["resolvent-scan", "MAT", "--radius", "1,nan"],
         ["pole-probe", "MAT", "--theta", "1", "--radii", "1e-2,inf"],
+        ["ktz", "MAT", "--theta", "nan"],
+        ["ktz", "MAT", "--theta", "1,-inf"],
+        ["modes", "SEQ", "--theta=inf"],
+        ["modes", "SEQ", "--theta", "0,1", "--theta", "nan,0"],
+        ["pole-probe", "MAT", "--theta=nan,0"],
+        ["pole-probe", "MAT", "--theta", "1,NaN"],
     ],
 )
 def test_float_flags_reject_non_finite_values(tmp_path, capsys, argv):

@@ -969,6 +969,112 @@ def test_a_built_window_is_handed_over_uncopied(monkeypatch):
     assert BoundedSeq(values).values is not values and values.flags.writeable
 
 
+def _both_layouts(values):
+    """The window ``values`` handed over row-major and as the transpose of a
+    (d, N) array, as a descriptor builds it."""
+    rows = sequences._handed_over(np.ascontiguousarray(values), None)
+    cols = sequences._handed_over(np.ascontiguousarray(values.T).T, None)
+    assert rows.values.flags.c_contiguous and cols.values.T.flags.c_contiguous
+    assert rows.values.tobytes() == cols.values.tobytes()
+    return rows, cols
+
+
+def _layout_bits(x, thetas):
+    """Every result the window kernels give on ``x``, as bits."""
+    decomp = extract_modes(x, thetas)
+    half = extract_modes(x, thetas[:1], max(sequences.MIN_HORIZON, x.horizon - 3))
+    out = [
+        x.norms.tobytes(),
+        linalg._row_norms(x.values).tobytes(),
+        linalg._row_norms(x.values[5:]).tobytes(),
+        repr(spectrum_scan(x)),
+        repr(spectrum_scan(x, grid_size=64)),
+        repr(decomp),
+        repr(half),
+        [m.v.data.tobytes() for m in decomp.modes + half.modes],
+        repr(extract_modes(x, [])),
+        repr(tail_norm(x)),
+        repr(tail_norm(x, 3)),
+        repr(vanishing_check(x)),
+        repr(single_mode_check(x, thetas[0])),
+        rotated_mean(x, thetas[1]).mean.data.tobytes(),
+    ]
+    out += [repr(difference_tail(x, theta, step)) for theta in thetas[:2] for step in (1, 2, 3, x.horizon - 2)]
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 16, 64])
+def test_window_kernels_give_the_same_bits_in_either_layout(d):
+    # horizons that are powers of two and ones that are not, with and
+    # without a partial last block in the two-level sum (n < B^2)
+    rng = np.random.default_rng(d)
+    for horizon in (16, 37, 100, 256, 1500):
+        n = np.arange(horizon)
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        thetas = [require_unimodular(cmath.exp(1j * (phi + 2.0 * math.pi * j / 3.0))) for j in range(3)]
+        amps = rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d))
+        values = sum(t**n[:, None] * v for t, v in zip(thetas, amps))
+        values = values + 0.3**n[:, None] * (rng.standard_normal((horizon, d)) + 1j * rng.standard_normal((horizon, d)))
+        rows, cols = _both_layouts(values)
+        assert _layout_bits(rows, thetas) == _layout_bits(cols, thetas)
+
+
+def test_split_layout_reads_either_layout_and_zeroes_the_partial_block():
+    rng = np.random.default_rng(5)
+    for n, d in ((16, 3), (37, 2), (100, 9), (256, 1)):
+        values = rng.standard_normal((n + 3, d)) + 1j * rng.standard_normal((n + 3, d))
+        b = 1 << (((n - 1).bit_length() + 1) // 2)
+        a = -(-n // b)
+        want = np.zeros((a * b, d), dtype=np.complex128)
+        want[:n] = values[:n]
+        want = want.reshape(a, b, d).transpose(0, 2, 1)
+        for layout in (np.ascontiguousarray(values), np.ascontiguousarray(values.T).T):
+            assert sequences._split_layout(layout, n).tobytes() == want.tobytes()
+            spare = sequences._split_layout(layout, n, 2)
+            assert spare.shape == (a, 3 * d, b) and spare[:, :d].tobytes() == want.tobytes()
+
+
+def test_a_descriptor_window_is_column_major_and_scanned_uncopied(monkeypatch):
+    x = modes_plus_decay(*CYCLING_WINDOWS["two"])
+    parsed = parse_sequence(sequence_to_json(x))
+    assert x.values.T.flags.c_contiguous and parsed.values.T.flags.c_contiguous
+    assert not x.values.flags.c_contiguous  # the stride change a caller can see
+    # the scan scales the window's own (d, N) rows, which need no transposed copy
+    scaled = []
+    pow2_scaled = sequences._pow2_scaled
+    monkeypatch.setattr(sequences, "_pow2_scaled", lambda arr: scaled.append(arr) or pow2_scaled(arr))
+    assert spectrum_scan(x).detected
+    (window,) = scaled
+    assert window.flags.c_contiguous and np.shares_memory(window, x.values)
+
+
+def test_modes_with_no_thetas_take_no_rotated_mean(monkeypatch):
+    x = modes_plus_decay(*CYCLING_WINDOWS["two"])
+    want = repr(extract_modes(x, []))
+    monkeypatch.setattr(sequences, "_rotated_means", None)
+    assert repr(extract_modes(x, [])) == want
+    assert want == repr(sequences.ModeDecomp((), sequences._stats_of_norms(helpers.reference_row_norms(x.values), x.horizon // 2)))
+
+
+@pytest.mark.parametrize("horizon", [16, 17, 37, 64, 100, 101])
+def test_difference_tail_forms_only_the_rows_it_reads(monkeypatch, horizon):
+    # the statistics read d_n from n = min(horizon // 2, horizon - step - 1)
+    rng = np.random.default_rng(horizon)
+    theta = require_unimodular(cmath.exp(0.7j))
+    for d in (1, 3, 8):
+        x = BoundedSeq(rng.standard_normal((horizon, d)) + 1j * rng.standard_normal((horizon, d)))
+        for step in sorted({1, 2, 3, 4, horizon - 3, horizon - 2}):
+            diffs = x.values[step:] - theta * x.values[:-step]
+            start = min(horizon // 2, diffs.shape[0] - 1)
+            want = sequences._stats_of_norms(helpers.reference_row_norms(diffs), start)
+            normed = []
+            row_norms = sequences._row_norms
+            monkeypatch.setattr(sequences, "_row_norms", lambda arr: normed.append(arr.shape) or row_norms(arr))
+            assert repr(difference_tail(x, theta, step)) == repr(want)
+            monkeypatch.undo()
+            assert normed == [(diffs.shape[0] - start, d)]
+
+
 @pytest.mark.parametrize(
     "modes, horizon, dim, message",
     [
